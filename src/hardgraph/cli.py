@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -64,7 +65,7 @@ def _header(args, model: str, graph: ArchGraph) -> dict:
         "model": model,
         "input": f"{s.channels}x{s.height}x{s.width}",
         "dtype_bytes": getattr(args, "dtype_bytes", 4),
-        "flags": " ".join(sys.argv[2:]) if len(sys.argv) > 2 else "",
+        "flags": args.flags,
     }
 
 
@@ -129,12 +130,14 @@ def _cmd_check_moc(args) -> int:
 
 def _cmd_liveness(args) -> int:
     g = _load_graph(args.model, args.input)
-    prof = peak_memory(g, dtype_bytes=args.dtype_bytes, concat_free=args.concat_free)
+    schedule = g.schedule()
+    prof = peak_memory(g, schedule, dtype_bytes=args.dtype_bytes,
+                       concat_free=args.concat_free)
     header = _header(args, args.model, g)
     header["concat_free"] = args.concat_free
     header["peak_bytes"] = prof.peak_bytes
     header["peak_step"] = prof.peak_step
-    _write(timeline_csv(g, prof, header=header), args.output)
+    _write(timeline_csv(g, prof, schedule, header=header), args.output)
     return 0
 
 
@@ -179,6 +182,24 @@ def _cmd_validate(args) -> int:
     return 0 if not failed else 2
 
 
+def _checked(convert, ok, rule: str):
+    """argparse type: convert the text, then reject values outside ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_dtype_bytes = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_ds_weight = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_threshold = _checked(float, math.isfinite, "a finite number")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="hardgraph", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -186,7 +207,7 @@ def build_parser() -> _Parser:
 
     def common(sp, input_default=None):
         sp.add_argument("--input", default=input_default, help="input size as HxW")
-        sp.add_argument("--dtype-bytes", type=int, default=4)
+        sp.add_argument("--dtype-bytes", type=_dtype_bytes, default=4)
         sp.add_argument("--output", "-o", default=None)
 
     sub.add_parser("list-models", help="list built-in model names").set_defaults(func=_cmd_list_models)
@@ -199,7 +220,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("analyze", help="per-layer params/MACs/CIO/MoC report")
     sp.add_argument("model", help="built-in name or graph JSON path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--ds-weight", type=float, default=None,
+    sp.add_argument("--ds-weight", type=_ds_weight, default=None,
                     help="CIO weighting for pointwise/depthwise convs")
     common(sp)
     sp.set_defaults(func=_cmd_analyze)
@@ -213,7 +234,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("check-moc", help="list conv layers below a MoC threshold")
     sp.add_argument("model")
-    sp.add_argument("--threshold", type=float, required=True)
+    sp.add_argument("--threshold", type=_threshold, required=True)
     common(sp)
     sp.set_defaults(func=_cmd_check_moc)
 
@@ -244,12 +265,14 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    args.flags = " ".join(argv[1:])
     try:
         return args.func(args)
     except UsageError as e:

@@ -5,6 +5,12 @@ is live from its own step through the step of its last consumer; tensors
 nobody consumes (graph outputs) stay live to the end.  Concat materializes a
 new tensor by default; concat_free mode treats it as a zero-copy view, which
 extends the lifetimes of its inputs instead.
+
+Peak memory is one sweep over birth and death events.  A tensor is born at its
+producer's step, so events are indexed by step with no sort: each tensor adds
+its size at its birth step and subtracts it one step after its death, and a
+running sum of those changes gives the live bytes at every step.  The cost is
+O(nodes + edges).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ class LifeInterval:
 @dataclass
 class MemoryProfile:
     steps: list = field(default_factory=list)        # live bytes per step
-    live_sets: list = field(default_factory=list)    # live tensor ids per step
     peak_bytes: int = 0
     peak_step: int = 0
     dtype_bytes: int = 4
@@ -69,6 +74,7 @@ def tensor_lifetimes(graph: ArchGraph, schedule: list,
 def peak_memory(graph: ArchGraph, schedule: Optional[list] = None,
                 dtype_bytes: int = 4, concat_free: bool = False,
                 include_weights: bool = False) -> MemoryProfile:
+    """Live bytes at every step; the peak is the first step with the maximum."""
     if schedule is None:
         schedule = graph.schedule()
     intervals = tensor_lifetimes(graph, schedule, concat_free=concat_free)
@@ -76,11 +82,15 @@ def peak_memory(graph: ArchGraph, schedule: Optional[list] = None,
     if include_weights:
         from .metrics import model_summary
         prof.weight_bytes = model_summary(graph, dtype_bytes).params * dtype_bytes
+    delta = [0] * (len(schedule) + 1)   # change in live elements at each step
+    for iv in intervals:
+        delta[iv.birth] += iv.size_elements
+        delta[iv.death + 1] -= iv.size_elements
+    live = 0
     for step in range(len(schedule)):
-        live = [iv for iv in intervals if iv.birth <= step <= iv.death]
-        total = sum(iv.size_elements for iv in live) * dtype_bytes + prof.weight_bytes
+        live += delta[step]
+        total = live * dtype_bytes + prof.weight_bytes
         prof.steps.append(total)
-        prof.live_sets.append(sorted(iv.tensor_id for iv in live))
         if total > prof.peak_bytes:
             prof.peak_bytes = total
             prof.peak_step = step

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hardgraph.cli import run
+from hardgraph.graph_ir import ArchGraph
 
 
 def invoke(capsys, *argv):
@@ -31,6 +32,34 @@ class TestBasics:
     def test_bad_input_spec(self, capsys):
         code, _, err = invoke(capsys, "analyze", "hardnet68", "--input", "224")
         assert code == 1 and "224" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("liveness", "hardnet39ds", "--dtype-bytes", "0"),
+        ("analyze", "hardnet39ds", "--ds-weight", "-1"),
+        ("analyze", "hardnet39ds", "--ds-weight", "1.5"),
+        ("check-moc", "hardnet39ds", "--threshold", "nan"),
+        ("check-moc", "hardnet39ds", "--threshold", "inf"),
+    ])
+    def test_nonsense_option_values_are_usage_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert argv[2] in err
+
+
+class TestHeaderProvenance:
+    def test_flags_come_from_run_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["pytest", "-q", "whatever"])
+        code, out, _ = invoke(capsys, "liveness", "hardnet39ds", "--concat-free")
+        assert code == 0
+        assert "# flags: hardnet39ds --concat-free\n" in out
+
+    def test_flags_from_process_argv_by_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hardgraph", "analyze", "hardnet39ds",
+                                          "--dtype-bytes", "2"])
+        assert run() == 0
+        out = capsys.readouterr().out
+        assert "# flags: hardnet39ds --dtype-bytes 2\n" in out
 
 
 class TestAnalyze:
@@ -95,6 +124,17 @@ class TestOtherCommands:
         assert code == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "step,node,live_bytes"
+
+    def test_liveness_schedules_once(self, capsys, monkeypatch):
+        calls = []
+        schedule = ArchGraph.schedule
+
+        def counting(self):
+            calls.append(1)
+            return schedule(self)
+        monkeypatch.setattr(ArchGraph, "schedule", counting)
+        assert invoke(capsys, "liveness", "hardnet39ds", "--concat-free")[0] == 0
+        assert len(calls) == 1
 
     def test_latency_preset_and_json_platform(self, capsys, tmp_path):
         code, preset_out, _ = invoke(capsys, "latency", "hardnet39ds",

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardgraph
 from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import HDBSpec, build_bare_hdb, build_hdb
-from hardgraph.liveness import peak_memory, tensor_lifetimes, timeline_csv, verify_flush
+from hardgraph.liveness import (MemoryProfile, peak_memory, tensor_lifetimes, timeline_csv,
+                                verify_flush)
+from hardgraph.metrics import model_summary
+from hardgraph.registry import MODEL_NAMES
 
 
 def brute_force_deaths(graph, schedule):
@@ -14,6 +18,73 @@ def brute_force_deaths(graph, schedule):
         users = [pos[n.id] for n in graph.nodes if nid in n.inputs]
         deaths[nid] = max(users) if users else len(schedule) - 1
     return deaths
+
+
+def _scan_peak_memory(graph, schedule=None, dtype_bytes=4, concat_free=False,
+                      include_weights=False):
+    """Reference peak memory: sums every live interval at every step, O(steps x nodes)."""
+    if schedule is None:
+        schedule = graph.schedule()
+    intervals = tensor_lifetimes(graph, schedule, concat_free=concat_free)
+    prof = MemoryProfile(dtype_bytes=dtype_bytes)
+    if include_weights:
+        prof.weight_bytes = model_summary(graph, dtype_bytes).params * dtype_bytes
+    for step in range(len(schedule)):
+        live = [iv for iv in intervals if iv.birth <= step <= iv.death]
+        total = sum(iv.size_elements for iv in live) * dtype_bytes + prof.weight_bytes
+        prof.steps.append(total)
+        if total > prof.peak_bytes:
+            prof.peak_bytes = total
+            prof.peak_step = step
+    return prof
+
+
+def assert_matches_scan(graph, schedule=None, **kwargs):
+    got = peak_memory(graph, schedule, **kwargs)
+    want = _scan_peak_memory(graph, schedule, **kwargs)
+    assert (got.steps, got.peak_bytes, got.peak_step, got.weight_bytes) == \
+        (want.steps, want.peak_bytes, want.peak_step, want.weight_bytes)
+
+
+FLAG_COMBOS = [dict(concat_free=cf, include_weights=w) for cf in (False, True)
+               for w in (False, True)]
+
+
+@st.composite
+def random_dags(draw):
+    """Graphs where each node reads 1-3 distinct earlier nodes through a conv or a concat."""
+    g = ArchGraph()
+    g.add(Input(), [])
+    for nid in range(1, draw(st.integers(1, 40)) + 1):
+        k = draw(st.integers(1, min(3, nid)))
+        inputs = draw(st.lists(st.integers(0, nid - 1), min_size=k, max_size=k, unique=True))
+        if k > 1 and draw(st.booleans()):
+            g.add(Concat(), inputs)
+        else:
+            g.add(Conv(draw(st.integers(1, 64)), kernel_h=1, kernel_w=1), inputs)
+    g.infer_shapes(TensorShape(draw(st.integers(1, 16)), draw(st.integers(1, 8)),
+                               draw(st.integers(1, 8))))
+    return g
+
+
+@st.composite
+def random_schedules(draw, graph):
+    """A topological order of ``graph``, drawn among the nodes ready at each step."""
+    waiting = {n.id: len(n.inputs) for n in graph.nodes}
+    users = {n.id: [] for n in graph.nodes}
+    for n in graph.nodes:
+        for i in n.inputs:
+            users[i].append(n.id)
+    ready = [nid for nid, k in waiting.items() if k == 0]
+    order = []
+    while ready:
+        nid = ready.pop(draw(st.integers(0, len(ready) - 1)))
+        order.append(nid)
+        for u in users[nid]:
+            waiting[u] -= 1
+            if waiting[u] == 0:
+                ready.append(u)
+    return order
 
 
 def chain():
@@ -146,3 +217,28 @@ class TestFlushProperty:
         g.infer_shapes(TensorShape(16, 32, 32))
         with pytest.raises(AssertionError):
             verify_flush(g, res.layer_nodes)
+
+
+class TestSweepMatchesScan:
+    """The birth/death sweep gives exactly the per-step scan's profile."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_catalog_models(self, name):
+        g = hardgraph.build(name)
+        for flags in FLAG_COMBOS:
+            assert_matches_scan(g, **flags)
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 64, 256])
+    def test_bare_hdbs(self, L):
+        g, _ = build_bare_hdb(HDBSpec(L, 8, 1.6), TensorShape(16, 16, 16))
+        for flags in FLAG_COMBOS:
+            assert_matches_scan(g, **flags)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), random_dags(), st.sampled_from([1, 2, 4]), st.booleans(), st.booleans())
+    def test_random_dags_and_schedules(self, data, g, dtype_bytes, concat_free,
+                                       include_weights):
+        flags = dict(dtype_bytes=dtype_bytes, concat_free=concat_free,
+                     include_weights=include_weights)
+        assert_matches_scan(g, **flags)
+        assert_matches_scan(g, data.draw(random_schedules(g)), **flags)
