@@ -7,7 +7,6 @@ invocations produce byte-identical reports (no timestamps in headers).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from .catalog import validate_catalog
 from .graph_ir import ArchGraph, GraphError, TensorShape, to_dot
 from .latency import PRESETS, PlatformModel, model_latency
 from .liveness import peak_memory, timeline_csv
-from .metrics import check_moc, model_summary, report_csv, report_json
+from .metrics import check_moc, dumps_json, model_summary, report_csv, report_json
 
 
 class UsageError(Exception):
@@ -114,7 +113,7 @@ def _cmd_compare(args) -> int:
             raise UsageError(f"unknown metric {m!r} (use params, macs, cio, cio_mb)")
         if b[m]:
             doc["reduction_pct"][m] = round(100.0 * (1 - a[m] / b[m]), 3)
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+    _write(dumps_json(doc) + "\n", args.output)
     return 0
 
 
@@ -163,7 +162,7 @@ def _cmd_latency(args) -> int:
         "layers": [{"id": lt.node_id, "seconds": lt.seconds, "bound": lt.bound}
                    for lt in rep.layers],
     }
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+    _write(dumps_json(doc) + "\n", args.output)
     return 0
 
 
@@ -278,7 +277,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (GraphError, KeyError, ValueError, OSError) as e:
+    except (GraphError, KeyError, ValueError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,18 @@ shapes are inferred; every analysis in the other modules is a pure read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Optional, Union
 
 
 class GraphError(ValueError):
     """Raised for malformed graphs or invalid construction steps."""
+
+
+def _check_count(owner: str, name: str, value) -> None:
+    """Counts are plain positive ints; ``True`` is not a count of 1."""
+    if type(value) is not int or value < 1:
+        raise GraphError(f"{owner}.{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,10 +28,9 @@ class TensorShape:
     width: int
 
     def __post_init__(self):
-        for name in ("channels", "height", "width"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise GraphError(f"{name} must be a positive integer, got {v!r}")
+        _check_count("TensorShape", "channels", self.channels)
+        _check_count("TensorShape", "height", self.height)
+        _check_count("TensorShape", "width", self.width)
 
     @property
     def element_count(self) -> int:
@@ -54,8 +59,9 @@ class Conv:
 
     def __post_init__(self):
         for name in ("out_channels", "kernel_h", "kernel_w", "stride", "dilation", "groups"):
-            if getattr(self, name) < 1:
-                raise GraphError(f"Conv.{name} must be >= 1")
+            _check_count("Conv", name, getattr(self, name))
+        if type(self.bias) is not bool:
+            raise GraphError(f"Conv.bias must be true or false, got {self.bias!r}")
         if self.out_channels % self.groups != 0:
             raise GraphError("groups must divide out_channels")
 
@@ -69,8 +75,8 @@ class Pool:
     def __post_init__(self):
         if self.mode not in ("avg", "max"):
             raise GraphError(f"unknown pool mode {self.mode!r}")
-        if self.kernel < 1 or self.stride < 1:
-            raise GraphError("Pool kernel and stride must be >= 1")
+        _check_count("Pool", "kernel", self.kernel)
+        _check_count("Pool", "stride", self.stride)
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class TransposedConv:
     stride: int = 2
 
     def __post_init__(self):
-        if self.out_channels < 1 or self.kernel < 1 or self.stride < 1:
-            raise GraphError("TransposedConv fields must be >= 1")
+        for name in ("out_channels", "kernel", "stride"):
+            _check_count("TransposedConv", name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,7 @@ class Linear:
     out_features: int
 
     def __post_init__(self):
-        if self.out_features < 1:
-            raise GraphError("Linear.out_features must be >= 1")
+        _check_count("Linear", "out_features", self.out_features)
 
 
 LayerKind = Union[Input, Conv, Pool, TransposedConv, Concat, Add, GlobalPool, Linear]
@@ -143,19 +148,9 @@ class ArchGraph:
     def add(self, kind: LayerKind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
         inputs = tuple(inputs)
         nid = len(self.nodes)
-        if isinstance(kind, Input):
-            if any(isinstance(n.kind, Input) for n in self.nodes):
-                raise GraphError("graph already has an Input node")
-            if inputs:
-                raise GraphError("Input node takes no inputs")
-        else:
-            if not inputs:
-                raise GraphError(f"{_KIND_NAMES[type(kind)]} node requires >= 1 input")
-        if isinstance(kind, Concat) and len(inputs) < 2:
-            raise GraphError("Concat requires >= 2 inputs")
-        for i in inputs:
-            if not (0 <= i < nid):
-                raise GraphError(f"unknown input id {i} for node {nid}")
+        kind_type = type(kind)
+        has_input = kind_type is Input and any(type(n.kind) is Input for n in self.nodes)
+        _check_links(nid, kind_type, inputs, has_input)
         self.nodes.append(Node(nid, kind, inputs, label))
         return nid
 
@@ -163,57 +158,41 @@ class ArchGraph:
         return self.nodes[nid]
 
     def validate(self) -> None:
-        n_inputs = sum(1 for n in self.nodes if isinstance(n.kind, Input))
+        n_inputs = sum(type(n.kind) is Input for n in self.nodes)
         if n_inputs != 1:
             raise GraphError(f"graph must have exactly one Input node, found {n_inputs}")
         for n in self.nodes:
-            for i in n.inputs:
-                if i >= n.id:
-                    raise GraphError(f"node {n.id} references non-preceding input {i}")
+            if n.inputs and max(n.inputs) >= n.id:
+                bad = next(i for i in n.inputs if i >= n.id)
+                raise GraphError(f"node {n.id} references non-preceding input {bad}")
 
     # --- shape inference ---
 
     def infer_shapes(self, input_shape: TensorShape) -> "ArchGraph":
         self.validate()
         self.input_shape = input_shape
+        interned = {}
+
+        def shape(c: int, h: int, w: int) -> TensorShape:
+            # shapes are immutable, so equal shapes share one object
+            key = (c, h, w)
+            s = interned.get(key)
+            if s is None:
+                s = interned[key] = TensorShape(c, h, w)
+            return s
+
         shapes = {}
         for n in self.nodes:
-            shapes[n.id] = self._node_shape(n, shapes)
+            kind_type = type(n.kind)
+            if kind_type is Input:
+                shapes[n.id] = input_shape
+                continue
+            rule = _SHAPE_RULES.get(kind_type)
+            if rule is None:
+                raise GraphError(f"unknown kind {n.kind!r}")
+            shapes[n.id] = rule(n.kind, n.id, [shapes[i] for i in n.inputs], shape)
         self.shapes = shapes
         return self
-
-    def _node_shape(self, n: Node, shapes) -> TensorShape:
-        k = n.kind
-        if isinstance(k, Input):
-            return self.input_shape
-        ins = [shapes[i] for i in n.inputs]
-        s = ins[0]
-        if isinstance(k, Conv):
-            c_in = sum(i.channels for i in ins)
-            if any(i.height != s.height or i.width != s.width for i in ins):
-                raise GraphError(f"conv {n.id}: spatial mismatch among concatenated inputs")
-            if c_in % k.groups != 0:
-                raise GraphError(f"conv {n.id}: groups={k.groups} does not divide c_in={c_in}")
-            h = _conv_out(s.height, k.kernel_h, k.stride, k.dilation)
-            w = _conv_out(s.width, k.kernel_w, k.stride, k.dilation)
-            return TensorShape(k.out_channels, h, w)
-        if isinstance(k, Pool):
-            return TensorShape(s.channels, s.height // k.stride, s.width // k.stride)
-        if isinstance(k, TransposedConv):
-            return TensorShape(k.out_channels, s.height * k.stride, s.width * k.stride)
-        if isinstance(k, Concat):
-            if any(i.height != s.height or i.width != s.width for i in ins):
-                raise GraphError(f"concat {n.id}: inputs disagree on spatial size")
-            return TensorShape(sum(i.channels for i in ins), s.height, s.width)
-        if isinstance(k, Add):
-            if any(i != s for i in ins):
-                raise GraphError(f"add {n.id}: inputs must share one shape")
-            return s
-        if isinstance(k, GlobalPool):
-            return TensorShape(s.channels, 1, 1)
-        if isinstance(k, Linear):
-            return TensorShape(k.out_features, 1, 1)
-        raise GraphError(f"unknown kind {k!r}")
 
     def conv_input_shape(self, n: Node) -> TensorShape:
         """Effective (possibly concatenated) input tensor of a node."""
@@ -225,17 +204,13 @@ class ArchGraph:
     # --- scheduling ---
 
     def schedule(self) -> list:
-        """Deterministic topological order; ties broken by ascending node id."""
+        """Deterministic topological order; ties broken by ascending node id.
+
+        validate() rejects any input that does not precede its node, so
+        ascending id order is itself the tie-broken topological order.
+        """
         self.validate()
-        # ids are assigned append-only and inputs always precede, so ascending
-        # id order is itself the tie-broken topological order.
-        order = [n.id for n in self.nodes]
-        seen = set()
-        for nid in order:
-            if any(i not in seen for i in self.nodes[nid].inputs):
-                raise GraphError("cycle detected")
-            seen.add(nid)
-        return order
+        return [n.id for n in self.nodes]
 
     # --- serialization ---
 
@@ -258,21 +233,123 @@ class ArchGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "ArchGraph":
+        """Load graph JSON in one pass over its nodes.
+
+        Each node passes the checks ``add`` makes.  Each distinct (kind,
+        params) pair is built and validated once and shared by every node
+        that names it; its key is the ``repr`` of the parsed values, which
+        tells ``true`` from ``1`` and ``1.0``.
+        """
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
             raise GraphError(f"malformed graph JSON: {e}") from e
-        g = cls(name=doc.get("name", "graph"))
-        nodes = sorted(doc["nodes"], key=lambda d: d["id"])
-        for i, d in enumerate(nodes):
-            if d["id"] != i:
+        if type(doc) is not dict:
+            raise GraphError(f"graph JSON must be an object, got {type(doc).__name__}")
+        name, records = doc.get("name", "graph"), doc.get("nodes")
+        if type(name) is not str:
+            raise GraphError(f"graph name must be a string, got {name!r}")
+        if type(records) is not list:
+            raise GraphError("graph JSON needs a 'nodes' list")
+        # nodes may come in any order, but ids 0 .. n-1 must each appear once
+        ordered = [None] * len(records)
+        for d in records:
+            nid = d.get("id") if type(d) is dict else None
+            if type(nid) is not int:
+                raise GraphError(f"every node must be an object with an integer id, got {nid!r}")
+            if not 0 <= nid < len(ordered) or ordered[nid] is not None:
                 raise GraphError("node ids must be contiguous from 0")
-            kind = _kind_from_json(d["kind"], d.get("params", {}))
-            g.add(kind, d.get("inputs", []), d.get("label"))
-        if doc.get("input"):
-            c, h, w = doc["input"]
-            g.infer_shapes(TensorShape(c, h, w))
+            ordered[nid] = d
+        g = cls(name=name)
+        nodes, kinds, has_input = g.nodes, {}, False
+        for nid, d in enumerate(ordered):
+            kind_name, params = d.get("kind"), d.get("params", {})
+            key = repr((kind_name, params))
+            kind = kinds.get(key)
+            if kind is None:
+                kind = kinds[key] = _kind_from_json(kind_name, params, nid)
+            inputs = d.get("inputs", [])
+            if type(inputs) is not list:
+                raise GraphError(f"node {nid}: inputs must be a list of node ids, got {inputs!r}")
+            inputs = tuple(inputs)
+            kind_type = type(kind)
+            _check_links(nid, kind_type, inputs, has_input)
+            has_input = has_input or kind_type is Input
+            label = d.get("label")
+            if label is not None and type(label) is not str:
+                raise GraphError(f"node {nid}: label must be a string, got {label!r}")
+            nodes.append(Node(nid, kind, inputs, label))
+        shape = doc.get("input")
+        if shape is not None:
+            if type(shape) is not list or len(shape) != 3:
+                raise GraphError(f"input must be [channels, height, width], got {shape!r}")
+            try:
+                input_shape = TensorShape(*shape)
+            except GraphError as e:
+                raise GraphError(f"input {shape!r}: {e}") from None
+            g.infer_shapes(input_shape)
         return g
+
+
+def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> None:
+    """What a node of ``kind_type`` must satisfy to be appended as node ``nid``."""
+    if kind_type is Input:
+        if has_input:
+            raise GraphError("graph already has an Input node")
+        if inputs:
+            raise GraphError("Input node takes no inputs")
+    elif not inputs:
+        raise GraphError(f"{_KIND_NAMES[kind_type]} node requires >= 1 input")
+    elif kind_type is Concat and len(inputs) < 2:
+        raise GraphError("Concat requires >= 2 inputs")
+    for i in inputs:
+        if type(i) is not int or not 0 <= i < nid:
+            raise GraphError(f"unknown input id {i!r} for node {nid}")
+
+
+# --- shape rules: (kind, node id, input shapes, shape maker) -> output shape ---
+
+def _same_spatial(ins: list) -> bool:
+    s = ins[0]
+    return all(i.height == s.height and i.width == s.width for i in ins)
+
+
+def _conv_shape(k: Conv, nid: int, ins: list, shape) -> TensorShape:
+    s = ins[0]
+    c_in = s.channels
+    if len(ins) > 1:
+        if not _same_spatial(ins):
+            raise GraphError(f"conv {nid}: spatial mismatch among concatenated inputs")
+        c_in = sum(i.channels for i in ins)
+    if c_in % k.groups != 0:
+        raise GraphError(f"conv {nid}: groups={k.groups} does not divide c_in={c_in}")
+    return shape(k.out_channels, _conv_out(s.height, k.kernel_h, k.stride, k.dilation),
+                 _conv_out(s.width, k.kernel_w, k.stride, k.dilation))
+
+
+def _concat_shape(k: Concat, nid: int, ins: list, shape) -> TensorShape:
+    if not _same_spatial(ins):
+        raise GraphError(f"concat {nid}: inputs disagree on spatial size")
+    return shape(sum(i.channels for i in ins), ins[0].height, ins[0].width)
+
+
+def _add_shape(k: Add, nid: int, ins: list, shape) -> TensorShape:
+    if any(i != ins[0] for i in ins):
+        raise GraphError(f"add {nid}: inputs must share one shape")
+    return ins[0]
+
+
+_SHAPE_RULES = {
+    Conv: _conv_shape,
+    Concat: _concat_shape,
+    Add: _add_shape,
+    Pool: lambda k, nid, ins, shape: shape(
+        ins[0].channels, ins[0].height // k.stride, ins[0].width // k.stride),
+    TransposedConv: lambda k, nid, ins, shape: shape(
+        k.out_channels, ins[0].height * k.stride, ins[0].width * k.stride),
+    GlobalPool: lambda k, nid, ins, shape: shape(ins[0].channels, 1, 1),
+    Linear: lambda k, nid, ins, shape: shape(k.out_features, 1, 1),
+}
 
 
 def _conv_out(size: int, kernel: int, stride: int, dilation: int) -> int:
@@ -300,28 +377,38 @@ def _kind_params(k: LayerKind) -> dict:
     return {}
 
 
-def _kind_from_json(name: str, params: dict) -> LayerKind:
-    if name not in _NAME_KINDS:
-        raise GraphError(f"unknown node kind {name!r}")
-    cls = _NAME_KINDS[name]
-    if cls is Conv:
-        kh, kw = params.get("kernel", [3, 3])
-        return Conv(
-            out_channels=params["out_channels"],
-            kernel_h=kh,
-            kernel_w=kw,
-            stride=params.get("stride", 1),
-            dilation=params.get("dilation", 1),
-            groups=params.get("groups", 1),
-            bias=params.get("bias", False),
-        )
-    if cls is Pool:
-        return Pool(params["mode"], params.get("kernel", 2), params.get("stride", 2))
-    if cls is TransposedConv:
-        return TransposedConv(params["out_channels"], params.get("kernel", 2), params.get("stride", 2))
-    if cls is Linear:
-        return Linear(params["out_features"])
-    return cls()
+# the params of each kind in graph JSON, as _kind_params writes them; absent
+# ones take the defaults
+_PARAM_NAMES = {
+    Conv: {"out_channels", "kernel", "stride", "dilation", "groups", "bias"},
+    Pool: {"mode", "kernel", "stride"},
+    TransposedConv: {"out_channels", "kernel", "stride"},
+    Linear: {"out_features"},
+}
+
+
+def _kind_from_json(name, params, nid: int) -> LayerKind:
+    cls = _NAME_KINDS.get(name) if type(name) is str else None
+    if cls is None:
+        raise GraphError(f"node {nid}: unknown node kind {name!r}")
+    if type(params) is not dict:
+        raise GraphError(f"node {nid}: params must be an object, got {params!r}")
+    unknown = params.keys() - _PARAM_NAMES.get(cls, set())
+    if unknown:
+        raise GraphError(f"node {nid}: unknown {name} params {sorted(unknown)}")
+    args = dict(params)
+    if cls is Conv and "kernel" in args:
+        kernel = args.pop("kernel")
+        if type(kernel) is not list or len(kernel) != 2:
+            raise GraphError(f"node {nid}: conv kernel must be [height, width], got {kernel!r}")
+        args["kernel_h"], args["kernel_w"] = kernel
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in args]
+    if missing:
+        raise GraphError(f"node {nid}: {name} needs params {missing}")
+    try:
+        return cls(**args)
+    except GraphError as e:
+        raise GraphError(f"node {nid}: {e}") from None
 
 
 def to_dot(graph: ArchGraph) -> str:

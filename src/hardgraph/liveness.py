@@ -45,27 +45,28 @@ def tensor_lifetimes(graph: ArchGraph, schedule: list,
     """One LifeInterval per node output, in schedule order."""
     pos = {nid: i for i, nid in enumerate(schedule)}
     last = len(schedule) - 1
-    death = {nid: pos[nid] for nid in schedule}
-    consumers = {nid: [] for nid in schedule}
+    # one pass over the inputs: a tensor dies at its latest consumer's step,
+    # or at the last step if nothing consumes it
+    death = dict.fromkeys(schedule, -1)
     for n in graph.nodes:
+        step = pos[n.id]
         for i in n.inputs:
-            consumers[i].append(n.id)
-    for nid in schedule:
-        if consumers[nid]:
-            death[nid] = max(pos[c] for c in consumers[nid])
-        else:
+            if death[i] < step:
+                death[i] = step
+    for nid, d in death.items():
+        if d < 0:
             death[nid] = last
     if concat_free:
         # a zero-copy concat keeps its inputs alive as long as its own output
         for nid in reversed(schedule):
             n = graph.node(nid)
-            if isinstance(n.kind, Concat):
+            if type(n.kind) is Concat:
                 for i in n.inputs:
                     death[i] = max(death[i], death[nid])
     out = []
     for nid in schedule:
         size = graph.shapes[nid].element_count
-        if concat_free and isinstance(graph.node(nid).kind, Concat):
+        if concat_free and type(graph.node(nid).kind) is Concat:
             size = 0
         out.append(LifeInterval(nid, pos[nid], death[nid], size))
     return out

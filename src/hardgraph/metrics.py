@@ -11,9 +11,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .graph_ir import ArchGraph, Concat, Conv, GlobalPool, Linear, Node, Pool, TransposedConv
+from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv
 
 
 @dataclass(frozen=True)
@@ -159,20 +161,13 @@ def check_moc(graph: ArchGraph, threshold: float) -> list:
 
 # --- report rendering -------------------------------------------------------
 
-_KIND_LABEL = {
-    Conv: "conv", TransposedConv: "tconv", Pool: "pool", Concat: "concat",
-    GlobalPool: "global_pool", Linear: "linear",
-}
-
-
 def _rows(graph: ArchGraph, summary: ModelSummary):
     for node, lm in zip(graph.nodes, summary.layers):
         shape = graph.shapes[node.id]
         yield {
             "id": node.id,
             "label": node.label or "",
-            "kind": type(node.kind).__name__.lower() if type(node.kind) not in _KIND_LABEL
-            else _KIND_LABEL[type(node.kind)],
+            "kind": _KIND_NAMES[type(node.kind)],
             "out_shape": f"{shape.channels}x{shape.height}x{shape.width}",
             "params": lm.params,
             "macs": lm.macs,
@@ -214,4 +209,59 @@ def report_json(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] 
             "ds_weight": summary.ds_weight,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return dumps_json(doc)
+
+
+# --- JSON writer ------------------------------------------------------------
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_encode_scalar = json.JSONEncoder().encode
+
+
+def dumps_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, but fast
+    on long lists of flat rows.  Dict keys must be strings.
+
+    The stdlib encoder takes its pure-Python path whenever ``indent`` is set,
+    one generator step per token.  Here a list of non-empty dicts with scalar
+    values (a report's per-layer rows) goes to the C encoder in one call,
+    with the row's own line break and indent as the item separator; every
+    other value is laid out as ``indent=2`` would.
+    """
+    return _dumps(doc, 0)
+
+
+def _dumps(value, level: int) -> str:
+    if isinstance(value, dict) and value:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        return _block("{", [f"{encode_basestring_ascii(k)}: {_dumps(v, level + 1)}"
+                            for k, v in sorted(value.items())], "}", level)
+    if isinstance(value, (list, tuple)) and value:
+        if _flat_rows(value):
+            return _dumps_rows(value, level)
+        return _block("[", [_dumps(v, level + 1) for v in value], "]", level)
+    return _encode_scalar(value)  # a scalar, {} or []
+
+
+def _block(opener: str, items: list, closer: str, level: int) -> str:
+    pad = "\n" + "  " * (level + 1)
+    return opener + pad + ("," + pad).join(items) + "\n" + "  " * level + closer
+
+
+def _flat_rows(items) -> bool:
+    """True for dicts that are all non-empty, with string keys and scalar values."""
+    return (set(map(type, items)) == {dict} and all(items)
+            and set(map(type, chain.from_iterable(items))) == {str}
+            and set(map(type, chain.from_iterable(map(dict.values, items)))) <= _SCALARS)
+
+
+def _dumps_rows(rows: list, level: int) -> str:
+    # One C-encoder call with the key indent as item separator gives
+    # '[{"a": 1,<key pad>"b": 2},<key pad>{"a": 3, ...}]'.  Within a row the
+    # separator is followed by a key's opening quote, so '},<key pad>{' is
+    # always a row boundary: encoded strings hold no raw newline.
+    key_pad = "\n" + "  " * (level + 2)
+    row_pad = "\n" + "  " * (level + 1)
+    text = json.JSONEncoder(sort_keys=True, separators=("," + key_pad, ": ")).encode(rows)
+    body = text[2:-2].replace("}," + key_pad + "{", row_pad + "}," + row_pad + "{" + key_pad)
+    return "[" + row_pad + "{" + key_pad + body + row_pad + "}" + "\n" + "  " * level + "]"

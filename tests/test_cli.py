@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hardgraph
 from hardgraph.cli import run
 from hardgraph.graph_ir import ArchGraph
+from test_graph_ir import MALFORMED, with_change
 
 
 def invoke(capsys, *argv):
@@ -165,3 +170,83 @@ class TestOtherCommands:
         code, out, _ = invoke(capsys, "validate-tables")
         assert code == 0
         assert "[FAIL]" not in out and out.count("[PASS]") >= 20
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestMalformedGraphFiles:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_exit_2_with_one_line(self, capsys, tmp_path, case):
+        path = tmp_path / "g.json"
+        path.write_text(with_change(MALFORMED[case][0]))
+        assert_one_line_error(*invoke(capsys, "analyze", str(path)))
+
+    @pytest.mark.parametrize("argv", [("analyze", "--format", "json"),
+                                      ("latency", "--platform", "gpu-like")])
+    def test_sizes_beyond_float_range(self, capsys, tmp_path, argv):
+        doc = json.loads(hardgraph.build("hardnet39ds").to_json())
+        doc["input"] = [3, 10 ** 200, 10 ** 200]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_error(*invoke(capsys, argv[0], str(path), *argv[1:]))
+
+
+BUILT = json.loads(hardgraph.build("hardnet39ds").to_json())
+FUZZ_COMMANDS = (
+    ("analyze",), ("analyze", "--format", "json"), ("liveness", "--concat-free"),
+    ("latency", "--platform", "gpu-like"), ("check-moc", "--threshold", "10"),
+    ("export-dot",), ("build",),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 300)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_graphs(draw) -> str:
+    """Valid build output with one to three fields replaced or removed, or the
+    text cut short."""
+    doc = json.loads(json.dumps(BUILT))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = doc.get("nodes") if isinstance(doc, dict) else None
+        if isinstance(nodes, list) and nodes and draw(st.integers(0, 4)):
+            target = nodes[draw(st.integers(0, len(nodes) - 1))]
+            if isinstance(target, dict) and isinstance(target.get("params"), dict) \
+                    and target["params"] and draw(st.booleans()):
+                target = target["params"]
+        else:
+            target = doc
+        if not isinstance(target, dict) or not target:
+            break
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.integers(0, 3)):
+            target[key] = draw(json_values)
+        else:
+            del target[key]
+    text = json.dumps(doc)
+    if not draw(st.integers(0, 9)):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_graphs(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_graph_files_never_crash(fuzz_file, text, command):
+    fuzz_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command[0], str(fuzz_file), *command[1:]])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()

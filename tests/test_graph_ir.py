@@ -1,8 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+import hardgraph
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphError,
-                                Input, Linear, Pool, TensorShape, TransposedConv, to_dot)
+                                Input, Linear, Node, Pool, TensorShape, TransposedConv,
+                                to_dot)
+from hardgraph.registry import MODEL_NAMES
 
 
 def chain_graph():
@@ -137,6 +142,13 @@ class TestSchedule:
         g.add(Input(), [])
         assert g.schedule() == [0]
 
+    def test_forward_reference_rejected(self):
+        # validate() is what keeps the id order topological
+        g, i, c = chain_graph()
+        g.nodes[c] = Node(c, Conv(64), (c,))
+        with pytest.raises(GraphError, match="non-preceding"):
+            g.schedule()
+
     def test_every_node_after_its_inputs(self):
         import hardgraph
         g = hardgraph.build("hardnet68")
@@ -175,3 +187,106 @@ class TestSerialization:
         dot = to_dot(g)
         assert dot.count("[label=") == len(g.nodes)
         assert dot.startswith("digraph") and dot.rstrip().endswith("}")
+
+
+def small_graph_doc() -> dict:
+    g = ArchGraph(name="small")
+    i = g.add(Input(), [])
+    a = g.add(Conv(8), [i], label="a")
+    b = g.add(Conv(8), [i], label="b")
+    g.add(Concat(), [a, b], label="cat")
+    g.infer_shapes(TensorShape(3, 16, 16))
+    return json.loads(g.to_json())
+
+
+def with_change(change) -> str:
+    """``change`` edits the document in place, or returns a list to replace it."""
+    doc = small_graph_doc()
+    replaced = change(doc)
+    return json.dumps(replaced if isinstance(replaced, list) else doc)
+
+
+def node(doc, nid):
+    return doc["nodes"][nid]
+
+
+# each is a malformed graph file and a word its one-line error must contain
+MALFORMED = {
+    "top-level list": (lambda d: [d], "object"),
+    "string id": (lambda d: node(d, 1).update(id="1"), "integer id"),
+    "bool id": (lambda d: node(d, 1).update(id=True), "integer id"),
+    "duplicate id": (lambda d: node(d, 2).update(id=1), "contiguous"),
+    "node not an object": (lambda d: d["nodes"].append(7), "integer id"),
+    "nodes not a list": (lambda d: d.update(nodes={"0": {}}), "nodes"),
+    "string inputs": (lambda d: node(d, 1).update(inputs="0"), "inputs"),
+    "string input id": (lambda d: node(d, 1).update(inputs=["0"]), "input id"),
+    "bool input id": (lambda d: node(d, 3).update(inputs=[True, 2]), "input id"),
+    "scalar kernel": (lambda d: node(d, 1)["params"].update(kernel=3), "kernel"),
+    "string out_channels": (lambda d: node(d, 1)["params"].update(out_channels="8"),
+                            "out_channels"),
+    "bool out_channels": (lambda d: node(d, 1)["params"].update(out_channels=True),
+                          "out_channels"),
+    "float stride": (lambda d: node(d, 1)["params"].update(stride=1.0), "stride"),
+    "missing out_channels": (lambda d: node(d, 1)["params"].pop("out_channels"),
+                             "out_channels"),
+    "unknown param": (lambda d: node(d, 1)["params"].update(kernal=[1, 1]), "kernal"),
+    "string bias": (lambda d: node(d, 1)["params"].update(bias="no"), "bias"),
+    "params not an object": (lambda d: node(d, 3).update(params=[]), "params"),
+    "unknown kind": (lambda d: node(d, 1).update(kind="deconv"), "deconv"),
+    "list kind": (lambda d: node(d, 1).update(kind=["conv"]), "kind"),
+    "number label": (lambda d: node(d, 1).update(label=5), "label"),
+    "bool input channels": (lambda d: d.update(input=[True, 16, 16]), "channels"),
+    "short input": (lambda d: d.update(input=[3, 16]), "input"),
+    "string name": (lambda d: d.update(name=["x"]), "name"),
+}
+
+
+class TestFromJsonChecks:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_is_graph_error(self, case):
+        change, word = MALFORMED[case]
+        with pytest.raises(GraphError, match=word) as err:
+            ArchGraph.from_json(with_change(change))
+        assert "\n" not in str(err.value)
+
+    def test_bool_after_equal_int_is_still_rejected(self):
+        # kinds are interned by their params; True == 1 must not share a key
+        def change(d):
+            node(d, 1)["params"].update(out_channels=1)
+            node(d, 2)["params"].update(out_channels=True)
+        with pytest.raises(GraphError, match="out_channels"):
+            ArchGraph.from_json(with_change(change))
+
+    def test_equal_kinds_are_shared(self):
+        g = ArchGraph.from_json(with_change(lambda d: None))
+        assert g.nodes[1].kind is g.nodes[2].kind
+        assert g.shapes[1] is g.shapes[2]
+
+    def test_node_order_does_not_matter(self):
+        g = ArchGraph.from_json(with_change(lambda d: d["nodes"].reverse()))
+        assert [n.id for n in g.nodes] == [0, 1, 2, 3]
+        assert g.shapes[3] == TensorShape(16, 16, 16)
+
+    def test_defaults_fill_absent_params(self):
+        g = ArchGraph.from_json(with_change(lambda d: node(d, 1).update(
+            params={"out_channels": 8})))
+        assert g.nodes[1].kind == Conv(8)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TensorShape(True, 1, 1), lambda: TensorShape(3, 2.0, 2),
+        lambda: Conv(True), lambda: Conv(8, stride=True), lambda: Conv(8, bias=1),
+        lambda: Pool("max", kernel=True), lambda: TransposedConv(8, stride=2.0),
+        lambda: Linear(True),
+    ])
+    def test_kinds_and_shapes_reject_bools_and_floats(self, make):
+        with pytest.raises(GraphError, match="must be"):
+            make()
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_catalog_round_trip(name):
+    g = hardgraph.build(name)
+    g2 = ArchGraph.from_json(g.to_json())
+    assert g2.name == g.name and g2.input_shape == g.input_shape
+    assert g2.nodes == g.nodes
+    assert g2.shapes == g.shapes

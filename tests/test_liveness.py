@@ -112,6 +112,18 @@ class TestLifetimes:
             for iv in tensor_lifetimes(g, sched):
                 assert iv.death == expected[iv.tensor_id]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), random_dags(), st.booleans())
+    def test_matches_brute_force_on_random_schedules(self, data, g, concat_free):
+        sched = data.draw(random_schedules(g))
+        expected = brute_force_deaths(g, sched)
+        for iv in tensor_lifetimes(g, sched, concat_free=concat_free):
+            assert iv.birth == sched.index(iv.tensor_id)
+            if concat_free:
+                assert iv.death >= expected[iv.tensor_id]
+            else:
+                assert iv.death == expected[iv.tensor_id]
+
     def test_bare_hdb_even_layer_dies_at_next_power(self):
         g, res = build_bare_hdb(HDBSpec(8, 10, 1.6), TensorShape(16, 32, 32))
         sched = g.schedule()

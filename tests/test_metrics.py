@@ -1,10 +1,14 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardgraph
-from hardgraph.graph_ir import (ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
-                                Pool, TensorShape)
-from hardgraph.metrics import (check_moc, layer_cio, layer_macs, layer_params,
-                               model_summary, node_metrics, report_csv, report_json)
+from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
+                                Pool, TensorShape, TransposedConv)
+from hardgraph.metrics import (_flat_rows, check_moc, dumps_json, layer_cio, layer_macs,
+                               layer_params, model_summary, node_metrics, report_csv,
+                               report_json)
 
 
 def single_conv(conv, in_shape):
@@ -161,3 +165,97 @@ class TestReports:
         assert doc["summary"]["params"] == s.params
         assert set(doc["layers"][0]) == {"id", "label", "kind", "out_shape",
                                          "params", "macs", "cio_elements", "moc"}
+
+
+def stdlib_dumps(doc) -> str:
+    """The oracle: the stdlib's pure-Python pretty printer."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# text that looks like the JSON structure the writer rewrites
+tricky_text = st.text(st.sampled_from(list('{}[],:"\\\n\t x\u00e9\u4e2d\U0001f600')) | st.characters(),
+                      max_size=12)
+scalars = (tricky_text | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+           | st.booleans() | st.none())
+flat_row = st.dictionaries(tricky_text, scalars, min_size=1, max_size=4)
+flat_rows = st.lists(flat_row, min_size=1, max_size=5)
+nested = st.lists(scalars, max_size=3) | st.dictionaries(tricky_text, scalars, max_size=3)
+
+
+@st.composite
+def rows_with_nested(draw):
+    """Rows where one row holds a list or dict value."""
+    rows = draw(st.lists(flat_row, max_size=4))
+    row = draw(flat_row)
+    row[draw(tricky_text)] = draw(nested)
+    rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+json_values = st.recursive(
+    scalars | flat_rows | rows_with_nested(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(tricky_text, inner, max_size=4),
+    max_leaves=8)
+
+
+class TestJsonWriter:
+    """dumps_json is byte-identical to json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_matches_stdlib(self, doc):
+        assert dumps_json(doc) == stdlib_dumps(doc)
+
+    @settings(deadline=None)
+    @given(flat_rows, st.integers(0, 3))
+    def test_flat_rows_at_any_depth(self, rows, depth):
+        assert _flat_rows(rows)
+        doc = rows
+        for _ in range(depth):
+            doc = {"layers": doc, "n": len(rows)}
+        assert dumps_json(doc) == stdlib_dumps(doc)
+
+    @settings(deadline=None)
+    @given(rows_with_nested())
+    def test_nested_rows_take_the_fallback(self, rows):
+        assert not _flat_rows(rows)
+        assert dumps_json({"layers": rows}) == stdlib_dumps({"layers": rows})
+
+    @pytest.mark.parametrize("rows", [
+        [{}], [{"a": 1}, {}], [{"a": [1]}], [{"a": {}}], [[1]], [{"a": 1}, 2],
+        [{"a": (1, 2)}],
+    ])
+    def test_not_flat(self, rows):
+        assert not _flat_rows(rows)
+        assert dumps_json({"x": rows}) == stdlib_dumps({"x": rows})
+
+    @pytest.mark.parametrize("bad", [{"a": object()}, [{"a": object()}], {(1, 2): 1},
+                                     {"a": 1, 2: 3}, {1: "a"}, [{1: "a"}]])
+    def test_type_errors(self, bad):
+        # the stdlib writes int keys as strings; reports only have string keys
+        with pytest.raises(TypeError):
+            dumps_json(bad)
+
+    @pytest.mark.parametrize("name", ["hardnet39ds", "fc-hardnet68", "resnet18"])
+    def test_reports(self, name):
+        g = hardgraph.build(name)
+        s = model_summary(g, ds_weight=0.6)
+        doc = json.loads(report_json(g, s, {"model": name}))
+        assert report_json(g, s, {"model": name}) == stdlib_dumps(doc)
+
+
+def test_row_kinds_cover_every_node_kind():
+    g = ArchGraph()
+    i = g.add(Input(), [])
+    a = g.add(Conv(8), [i])
+    b = g.add(Conv(8), [i])
+    s = g.add(Add(), [a, b])
+    c = g.add(Concat(), [s, a])
+    t = g.add(TransposedConv(8), [c])
+    p = g.add(Pool("max"), [t])
+    gp = g.add(GlobalPool(), [p])
+    g.add(Linear(10), [gp])
+    g.infer_shapes(TensorShape(3, 8, 8))
+    rows = json.loads(report_json(g, model_summary(g)))["layers"]
+    assert [r["kind"] for r in rows] == ["input", "conv", "conv", "add", "concat", "tconv",
+                                         "pool", "global_pool", "linear"]
