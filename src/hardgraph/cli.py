@@ -42,12 +42,8 @@ def _load_graph(model: str, input_hw: Optional[str]) -> ArchGraph:
         path = Path(model)
         if not path.exists():
             raise GraphError(f"graph file not found: {model}")
-        g = ArchGraph.from_json(path.read_text())
-        if input_hw:
-            c = g.input_shape.channels if g.input_shape else 3
-            h, w = _parse_hw(input_hw)
-            g.infer_shapes(TensorShape(c, h, w))
-        elif not g.shapes:
+        g = ArchGraph.from_json(path.read_text(), _parse_hw(input_hw) if input_hw else None)
+        if g.input_shape is None:
             raise GraphError(f"{model} carries no input shape; pass --input")
         return g
     shape = None
@@ -174,10 +170,10 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_validate(args) -> int:
     results = validate_catalog()
-    for r in results:
-        print(r.line())
     failed = [r for r in results if not r.passed]
-    print(f"# {len(results) - len(failed)}/{len(results)} checks passed")
+    lines = [r.line() for r in results]
+    lines.append(f"# {len(results) - len(failed)}/{len(results)} checks passed")
+    _write("\n".join(lines) + "\n", args.output)
     return 0 if not failed else 2
 
 
@@ -259,6 +255,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_export_dot)
 
     sp = sub.add_parser("validate-tables", help="reproduce the published efficiency tables")
+    sp.add_argument("--output", "-o", default=None)
     sp.set_defaults(func=_cmd_validate)
     return p
 

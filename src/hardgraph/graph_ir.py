@@ -1,14 +1,15 @@
 """Architecture graph IR: layer kinds, shape inference, scheduling, JSON I/O.
 
-Graphs are append-only during construction and treated as immutable once
-shapes are inferred; every analysis in the other modules is a pure read.
+Graphs are append-only.  Once a graph knows its input shape, each appended
+node gets its output shape at once, so every node of such a graph has one;
+every analysis in the other modules is a pure read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 
 class GraphError(ValueError):
@@ -38,6 +39,22 @@ class TensorShape:
 
     def as_list(self) -> list:
         return [self.channels, self.height, self.width]
+
+
+def _interner():
+    """A shape maker: equal (c, h, w) give one shared TensorShape, which is
+    safe because shapes are immutable."""
+    table = {}
+
+    def shape(c: int, h: int, w: int) -> TensorShape:
+        s = table.get((c, h, w))
+        if s is None:
+            try:
+                s = table[(c, h, w)] = TensorShape(c, h, w)
+            except GraphError:
+                raise GraphError(f"output shape would be {c}x{h}x{w}") from None
+        return s
+    return shape
 
 
 # --- layer kinds -----------------------------------------------------------
@@ -142,16 +159,22 @@ class ArchGraph:
     nodes: list = field(default_factory=list)
     shapes: dict = field(default_factory=dict)
     input_shape: Optional[TensorShape] = None
+    # the shape maker the shape rules call; equal shapes share one object
+    _shape: Callable = field(default_factory=_interner, repr=False, compare=False)
 
     # --- construction ---
 
     def add(self, kind: LayerKind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
+        """Append a node; with ``input_shape`` set, its shape is inferred now."""
         inputs = tuple(inputs)
         nid = len(self.nodes)
         kind_type = type(kind)
         has_input = kind_type is Input and any(type(n.kind) is Input for n in self.nodes)
         _check_links(nid, kind_type, inputs, has_input)
-        self.nodes.append(Node(nid, kind, inputs, label))
+        node = Node(nid, kind, inputs, label)
+        if self.input_shape is not None:
+            self._shape_nodes((node,))
+        self.nodes.append(node)
         return nid
 
     def node(self, nid: int) -> Node:
@@ -169,20 +192,24 @@ class ArchGraph:
     # --- shape inference ---
 
     def infer_shapes(self, input_shape: TensorShape) -> "ArchGraph":
+        """Shape every node at ``input_shape``: for a graph built without an
+        input shape, or to re-shape a graph at a new one."""
         self.validate()
-        self.input_shape = input_shape
-        interned = {}
+        before = self.input_shape, self.shapes, self._shape
+        self.input_shape, self.shapes, self._shape = input_shape, {}, _interner()
+        try:
+            self._shape_nodes(self.nodes)
+        except GraphError:
+            self.input_shape, self.shapes, self._shape = before
+            raise
+        return self
 
-        def shape(c: int, h: int, w: int) -> TensorShape:
-            # shapes are immutable, so equal shapes share one object
-            key = (c, h, w)
-            s = interned.get(key)
-            if s is None:
-                s = interned[key] = TensorShape(c, h, w)
-            return s
-
-        shapes = {}
-        for n in self.nodes:
+    def _shape_nodes(self, nodes: Iterable[Node]) -> None:
+        """Give each node, in order, its output shape from its inputs' shapes:
+        the one place shape rules run, and where shape errors get the node's
+        name.  ``add`` passes one node, ``infer_shapes`` all of them."""
+        shapes, shape, input_shape = self.shapes, self._shape, self.input_shape
+        for n in nodes:
             kind_type = type(n.kind)
             if kind_type is Input:
                 shapes[n.id] = input_shape
@@ -190,9 +217,13 @@ class ArchGraph:
             rule = _SHAPE_RULES.get(kind_type)
             if rule is None:
                 raise GraphError(f"unknown kind {n.kind!r}")
-            shapes[n.id] = rule(n.kind, n.id, [shapes[i] for i in n.inputs], shape)
-        self.shapes = shapes
-        return self
+            ins = [shapes[i] for i in n.inputs]
+            try:
+                shapes[n.id] = rule(n.kind, ins, shape)
+            except GraphError as e:
+                name = f"{_KIND_NAMES[kind_type]} {n.id}" + (f" ({n.label})" if n.label else "")
+                given = ", ".join(f"{s.channels}x{s.height}x{s.width}" for s in ins)
+                raise GraphError(f"{name}: {e}; input shapes {given}") from None
 
     def conv_input_shape(self, n: Node) -> TensorShape:
         """Effective (possibly concatenated) input tensor of a node."""
@@ -232,13 +263,15 @@ class ArchGraph:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ArchGraph":
+    def from_json(cls, text: str, input_hw: Optional[tuple] = None) -> "ArchGraph":
         """Load graph JSON in one pass over its nodes.
 
         Each node passes the checks ``add`` makes.  Each distinct (kind,
         params) pair is built and validated once and shared by every node
         that names it; its key is the ``repr`` of the parsed values, which
-        tells ``true`` from ``1`` and ``1.0``.
+        tells ``true`` from ``1`` and ``1.0``.  Shapes are inferred once: at
+        the stored input, or at ``input_hw`` = (height, width) when given,
+        with the stored channel count (3 if the file stores no input).
         """
         try:
             doc = json.loads(text)
@@ -279,7 +312,7 @@ class ArchGraph:
             if label is not None and type(label) is not str:
                 raise GraphError(f"node {nid}: label must be a string, got {label!r}")
             nodes.append(Node(nid, kind, inputs, label))
-        shape = doc.get("input")
+        shape, input_shape = doc.get("input"), None
         if shape is not None:
             if type(shape) is not list or len(shape) != 3:
                 raise GraphError(f"input must be [channels, height, width], got {shape!r}")
@@ -287,8 +320,9 @@ class ArchGraph:
                 input_shape = TensorShape(*shape)
             except GraphError as e:
                 raise GraphError(f"input {shape!r}: {e}") from None
-            g.infer_shapes(input_shape)
-        return g
+        if input_hw is not None:
+            input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
+        return g.infer_shapes(input_shape) if input_shape else g
 
 
 def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> None:
@@ -307,35 +341,35 @@ def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> N
             raise GraphError(f"unknown input id {i!r} for node {nid}")
 
 
-# --- shape rules: (kind, node id, input shapes, shape maker) -> output shape ---
+# --- shape rules: (kind, input shapes, shape maker) -> output shape ---
 
 def _same_spatial(ins: list) -> bool:
     s = ins[0]
     return all(i.height == s.height and i.width == s.width for i in ins)
 
 
-def _conv_shape(k: Conv, nid: int, ins: list, shape) -> TensorShape:
+def _conv_shape(k: Conv, ins: list, shape) -> TensorShape:
     s = ins[0]
     c_in = s.channels
     if len(ins) > 1:
         if not _same_spatial(ins):
-            raise GraphError(f"conv {nid}: spatial mismatch among concatenated inputs")
+            raise GraphError("spatial mismatch among concatenated inputs")
         c_in = sum(i.channels for i in ins)
     if c_in % k.groups != 0:
-        raise GraphError(f"conv {nid}: groups={k.groups} does not divide c_in={c_in}")
+        raise GraphError(f"groups={k.groups} does not divide c_in={c_in}")
     return shape(k.out_channels, _conv_out(s.height, k.kernel_h, k.stride, k.dilation),
                  _conv_out(s.width, k.kernel_w, k.stride, k.dilation))
 
 
-def _concat_shape(k: Concat, nid: int, ins: list, shape) -> TensorShape:
+def _concat_shape(k: Concat, ins: list, shape) -> TensorShape:
     if not _same_spatial(ins):
-        raise GraphError(f"concat {nid}: inputs disagree on spatial size")
+        raise GraphError("inputs disagree on spatial size")
     return shape(sum(i.channels for i in ins), ins[0].height, ins[0].width)
 
 
-def _add_shape(k: Add, nid: int, ins: list, shape) -> TensorShape:
+def _add_shape(k: Add, ins: list, shape) -> TensorShape:
     if any(i != ins[0] for i in ins):
-        raise GraphError(f"add {nid}: inputs must share one shape")
+        raise GraphError("inputs must share one shape")
     return ins[0]
 
 
@@ -343,12 +377,12 @@ _SHAPE_RULES = {
     Conv: _conv_shape,
     Concat: _concat_shape,
     Add: _add_shape,
-    Pool: lambda k, nid, ins, shape: shape(
+    Pool: lambda k, ins, shape: shape(
         ins[0].channels, ins[0].height // k.stride, ins[0].width // k.stride),
-    TransposedConv: lambda k, nid, ins, shape: shape(
+    TransposedConv: lambda k, ins, shape: shape(
         k.out_channels, ins[0].height * k.stride, ins[0].width * k.stride),
-    GlobalPool: lambda k, nid, ins, shape: shape(ins[0].channels, 1, 1),
-    Linear: lambda k, nid, ins, shape: shape(k.out_features, 1, 1),
+    GlobalPool: lambda k, ins, shape: shape(ins[0].channels, 1, 1),
+    Linear: lambda k, ins, shape: shape(k.out_features, 1, 1),
 }
 
 

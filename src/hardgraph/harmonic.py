@@ -125,7 +125,7 @@ def build_hdb(spec: HDBSpec, input_node: int, graph: ArchGraph, tag: str = "hdb"
             src = srcs[0]
         width = channel_width(l, spec.growth_rate, spec.multiplier)
         if spec.use_bottleneck and l % 4 == 0:
-            c_in = _width_of(graph, res, widths, links, spec)
+            c_in = sum(widths[i] if i else graph.shapes[input_node].channels for i in links)
             b = bottleneck_channels(c_in, width)
             if b < c_in:
                 src = graph.add(Conv(b, kernel_h=1, kernel_w=1), [src], label=f"{tag}/l{l}/bneck")
@@ -147,28 +147,11 @@ def build_hdb(spec: HDBSpec, input_node: int, graph: ArchGraph, tag: str = "hdb"
     return res
 
 
-def _width_of(graph, res, widths, links, spec):
-    """Concatenated input channel count for a layer, for bottleneck sizing."""
-    total = 0
-    for i in links:
-        if i == 0:
-            shape = graph.shapes.get(res.layer_nodes[0])
-            if shape is None:
-                # infer lazily: run shape inference up to what exists
-                graph.infer_shapes(graph.input_shape)
-                shape = graph.shapes[res.layer_nodes[0]]
-            total += shape.channels
-        else:
-            total += widths[i]
-    return total
-
-
 def build_bare_hdb(spec: HDBSpec, input_shape: TensorShape) -> tuple:
     """Standalone HDB without the odd-layer output concat, for liveness
     studies of the raw connection pattern."""
-    g = ArchGraph(name=f"bare-hdb-L{spec.depth}")
+    g = ArchGraph(name=f"bare-hdb-L{spec.depth}", input_shape=input_shape)
     inp = g.add(Input(), [])
-    g.infer_shapes(input_shape)
     res = HDBResult(output=inp)
     res.layer_nodes[0] = inp
     for l in range(1, spec.depth + 1):
@@ -180,7 +163,6 @@ def build_bare_hdb(spec: HDBSpec, input_shape: TensorShape) -> tuple:
         cid = g.add(Conv(channel_width(l, spec.growth_rate, spec.multiplier)), [src], label=f"l{l}")
         res.layer_nodes[l] = cid
     res.output = res.layer_nodes[spec.depth]
-    g.infer_shapes(input_shape)
     return g, res
 
 
@@ -257,18 +239,15 @@ _SL_RED = 0.85
 
 def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
     k, m, stages = _SL_LAYOUT[name]
-    g = ArchGraph(name=name)
+    g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
-    g.infer_shapes(input_shape)
     node = g.add(Conv(64, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
     node = g.add(Pool("max"), [node], label="stem/pool")
-    g.infer_shapes(input_shape)
     bi = 0
     for si, stage in enumerate(stages):
         for pi, depth in enumerate(stage):
             spec = HDBSpec(depth, k, m, use_bottleneck=True, keep_base=True)
             res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-            g.infer_shapes(input_shape)
             c = g.shapes[res.output].channels
             last_stage = si == len(stages) - 1
             last_in_stage = pi == len(stage) - 1
@@ -278,35 +257,27 @@ def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
             node = build_transition(res.output, tr, g, c, tag=f"trans{bi}")
             bi += 1
     node = g.add(GlobalPool(), [node], label="gap")
-    g.infer_shapes(input_shape)
-    c = g.shapes[node].channels
     g.add(Linear(NUM_CLASSES), [node], label="fc")
-    g.infer_shapes(input_shape)
     return g
 
 
 def _build_hardnet_cls(cfg: _ClsConfig, input_shape: TensorShape) -> ArchGraph:
-    g = ArchGraph(name=cfg.name)
+    g = ArchGraph(name=cfg.name, input_shape=input_shape)
     node = g.add(Input(), [])
     for i, (c, ksz, stride, _) in enumerate(cfg.stem):
         node = g.add(Conv(c, kernel_h=ksz, kernel_w=ksz, stride=stride), [node], label=f"stem{i}")
-    g.infer_shapes(input_shape)
     node = g.add(Pool(cfg.pool), [node], label="stem/pool")
     for bi, (depth, k, t) in enumerate(cfg.blocks):
         spec = HDBSpec(depth, k, cfg.m, use_bottleneck=cfg.bottleneck,
                        depthwise=cfg.depthwise, keep_base=cfg.keep_base)
         res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-        g.infer_shapes(input_shape)
         c = g.shapes[res.output].channels
         tr = TransitionSpec(t=t, downsample=False) if t else TransitionSpec(red=cfg.red, downsample=False)
         node = build_transition(res.output, tr, g, c, tag=f"trans{bi}")
         if bi in cfg.downsample_after:
             node = g.add(Pool(cfg.pool), [node], label=f"down{bi}")
-    g.infer_shapes(input_shape)
     node = g.add(GlobalPool(), [node], label="gap")
-    g.infer_shapes(input_shape)
     g.add(Linear(NUM_CLASSES), [node], label="fc")
-    g.infer_shapes(input_shape)
     return g
 
 
@@ -334,16 +305,14 @@ _FC_RED = 1.0  # down-transitions keep their channel count, FC-DenseNet style
 
 def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
     """Encoder-decoder segmentation net with HDBs and block-level skips."""
-    g = ArchGraph(name=cfg.name)
+    g = ArchGraph(name=cfg.name, input_shape=input_shape)
     node = g.add(Input(), [])
     node = g.add(Conv(cfg.first_conv), [node], label="stem")
-    g.infer_shapes(input_shape)
     skips = []
     n_down = len(cfg.depths) - 1
     for bi in range(n_down):
         spec = HDBSpec(cfg.depths[bi], cfg.growth[bi], cfg.m, keep_base=True)
         res = build_hdb(spec, node, g, tag=f"enc{bi}")
-        g.infer_shapes(input_shape)
         skips.append(res.output)
         c = g.shapes[res.output].channels
         node = build_transition(res.output, TransitionSpec(red=_FC_RED, pool="avg"),
@@ -351,7 +320,6 @@ def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
     # bottom block
     spec = HDBSpec(cfg.depths[-1], cfg.growth[-1], cfg.m, keep_base=False)
     res = build_hdb(spec, node, g, tag="bottom")
-    g.infer_shapes(input_shape)
     node = res.output
     for ui in range(n_down - 1, -1, -1):
         c = g.shapes[node].channels
@@ -361,10 +329,8 @@ def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
         # full-resolution concat, as in the FC-DenseNet head
         spec = HDBSpec(cfg.depths[ui], cfg.growth[ui], cfg.m, keep_base=(ui == 0))
         res = build_hdb(spec, node, g, tag=f"dec{ui}")
-        g.infer_shapes(input_shape)
         node = res.output
     g.add(Conv(FC_NUM_CLASSES, kernel_h=1, kernel_w=1, bias=True), [node], label="classifier")
-    g.infer_shapes(input_shape)
     return g
 
 

@@ -34,10 +34,23 @@ class PlatformModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PlatformModel":
+        """Load platform JSON: an object whose two rates are JSON numbers
+        (not booleans) and whose optional ``name`` is a string."""
         doc = json.loads(text)
-        return cls(doc.get("name", "platform"),
-                   float(doc["peak_macs_per_second"]),
-                   float(doc["dram_bytes_per_second"]))
+        if type(doc) is not dict:
+            raise ValueError(f"platform JSON must be an object, got {type(doc).__name__}")
+        name = doc.get("name", "platform")
+        if type(name) is not str:
+            raise ValueError(f"platform name must be a string, got {name!r}")
+        rates = []
+        for key in ("peak_macs_per_second", "dram_bytes_per_second"):
+            if key not in doc:
+                raise ValueError(f"platform JSON needs {key}")
+            rate = doc[key]
+            if type(rate) not in (int, float):
+                raise ValueError(f"platform {key} must be a number, got {rate!r}")
+            rates.append(float(rate))
+        return cls(name, *rates)
 
 
 # illustrative presets, not measured hardware

@@ -49,7 +49,7 @@ NUM_CLASSES = 1000
 def _build_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
     blocks = _DENSENET_BLOCKS[name]
     k = _DENSENET_GROWTH
-    g = ArchGraph(name=name)
+    g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
     node = g.add(Conv(2 * k, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
     node = g.add(Pool("max"), [node], label="stem/pool")
@@ -69,7 +69,6 @@ def _build_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
             node = g.add(Pool("avg"), [node], label=f"t{bi}/pool")
     node = g.add(GlobalPool(), [node], label="gap")
     g.add(Linear(NUM_CLASSES), [node], label="fc")
-    g.infer_shapes(input_shape)
     return g
 
 
@@ -88,7 +87,7 @@ _RESNET_STAGE_CH = (64, 128, 256, 512)
 def _build_resnet(name: str, input_shape: TensorShape) -> ArchGraph:
     kind, counts = _RESNET_LAYOUT[name]
     expansion = 1 if kind == "basic" else 4
-    g = ArchGraph(name=name)
+    g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
     node = g.add(Conv(64, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
     node = g.add(Pool("max"), [node], label="stem/pool")
@@ -114,7 +113,6 @@ def _build_resnet(name: str, input_shape: TensorShape) -> ArchGraph:
             in_ch = out_ch
     node = g.add(GlobalPool(), [node], label="gap")
     g.add(Linear(NUM_CLASSES), [node], label="fc")
-    g.infer_shapes(input_shape)
     return g
 
 
@@ -124,7 +122,7 @@ _VGG16_LAYOUT = ((64, 64), (128, 128), (256, 256, 256), (512, 512, 512), (512, 5
 
 
 def _build_vgg16(name: str, input_shape: TensorShape) -> ArchGraph:
-    g = ArchGraph(name=name)
+    g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
     for si, stage in enumerate(_VGG16_LAYOUT):
         for ci, c in enumerate(stage):
@@ -133,7 +131,6 @@ def _build_vgg16(name: str, input_shape: TensorShape) -> ArchGraph:
     node = g.add(Linear(4096), [node], label="fc1")
     node = g.add(Linear(4096), [node], label="fc2")
     g.add(Linear(NUM_CLASSES), [node], label="fc3")
-    g.infer_shapes(input_shape)
     return g
 
 
@@ -177,7 +174,7 @@ def _block_output(g, layers, depth, rule, tag, include_input):
 
 def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
     first, depths, bottom_depth, k, rule = _FC_CONFIGS[name]
-    g = ArchGraph(name=name)
+    g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
     node = g.add(Conv(first), [node], label="stem")
     skips = []
@@ -185,14 +182,12 @@ def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
         layers = _dense_block(g, node, depth, k, rule, f"enc{bi}")
         out = _block_output(g, layers, depth, rule, f"enc{bi}", include_input=True)
         skips.append(out)
-        g.infer_shapes(input_shape)
         c = g.shapes[out].channels
         node = g.add(Conv(c, kernel_h=1, kernel_w=1), [out], label=f"down{bi}/conv")
         node = g.add(Pool("max"), [node], label=f"down{bi}/pool")
     layers = _dense_block(g, node, bottom_depth, k, rule, "bottom")
     node = _block_output(g, layers, bottom_depth, rule, "bottom", include_input=False)
     for ui in range(len(depths) - 1, -1, -1):
-        g.infer_shapes(input_shape)
         c = g.shapes[node].channels
         node = g.add(TransposedConv(c, kernel=3, stride=2), [node], label=f"up{ui}/tconv")
         node = g.add(Concat(), [node, skips[ui]], label=f"up{ui}/skip")
@@ -200,7 +195,6 @@ def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
         last = ui == 0
         node = _block_output(g, layers, depths[ui], rule, f"dec{ui}", include_input=last)
     g.add(Conv(FC_NUM_CLASSES, kernel_h=1, kernel_w=1, bias=True), [node], label="classifier")
-    g.infer_shapes(input_shape)
     return g
 
 

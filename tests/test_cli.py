@@ -11,6 +11,7 @@ import hardgraph
 from hardgraph.cli import run
 from hardgraph.graph_ir import ArchGraph
 from test_graph_ir import MALFORMED, with_change
+from test_latency import BAD_PLATFORMS
 
 
 def invoke(capsys, *argv):
@@ -250,3 +251,41 @@ def test_mutated_graph_files_never_crash(fuzz_file, text, command):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("model,size,words", [
+        ("fc-hardnet84", "225x225", ("up0/skip", "58x224x224", "80x225x225")),
+        ("hardnet68", "16x16", ("down3", "640x1x1", "640x0x0")),
+    ])
+    def test_shape_errors_name_the_layer(self, capsys, model, size, words):
+        code, out, err = invoke(capsys, "analyze", model, "--input", size)
+        assert_one_line_error(code, out, err)
+        assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("case", BAD_PLATFORMS)
+    def test_bad_platform_file(self, capsys, tmp_path, case):
+        path = tmp_path / "p.json"
+        path.write_text(BAD_PLATFORMS[case][0])
+        code, out, err = invoke(capsys, "latency", "hardnet39ds", "--platform", str(path))
+        assert_one_line_error(code, out, err)
+        assert BAD_PLATFORMS[case][1] in err
+
+
+class TestJsonAtAnotherInput:
+    def test_same_rows_as_the_built_model(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        assert invoke(capsys, "build", "hardnet68", "-o", str(path))[0] == 0
+        code, from_file, _ = invoke(capsys, "analyze", str(path), "--input", "256x256")
+        assert code == 0
+        code, built, _ = invoke(capsys, "analyze", "hardnet68", "--input", "256x256")
+        rows = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
+        assert rows(from_file) == rows(built) and "# input: 3x256x256" in from_file
+
+
+def test_validate_tables_output_file(capsys, tmp_path):
+    code, stdout_text, _ = invoke(capsys, "validate-tables")
+    path = tmp_path / "tables.txt"
+    code_o, out, err = invoke(capsys, "validate-tables", "-o", str(path))
+    assert (code_o, out, err) == (code, "", "")
+    assert path.read_text() == stdout_text

@@ -290,3 +290,136 @@ def test_catalog_round_trip(name):
     assert g2.name == g.name and g2.input_shape == g.input_shape
     assert g2.nodes == g.nodes
     assert g2.shapes == g.shapes
+
+
+def counting_rules(monkeypatch) -> dict:
+    """Wrap every shape rule; returns the live kind -> call count table."""
+    from hardgraph import graph_ir
+    calls = {}
+    for kind, rule in list(graph_ir._SHAPE_RULES.items()):
+        def counted(k, ins, shape, rule=rule, kind=kind):
+            calls[kind] = calls.get(kind, 0) + 1
+            return rule(k, ins, shape)
+        monkeypatch.setitem(graph_ir._SHAPE_RULES, kind, counted)
+    return calls
+
+
+def kind_counts(g) -> dict:
+    counts = {}
+    for n in g.nodes:
+        if type(n.kind) is not Input:
+            counts[type(n.kind)] = counts.get(type(n.kind), 0) + 1
+    return counts
+
+
+class TestShapesOnAppend:
+    @pytest.mark.parametrize("shape", [None, TensorShape(3, 256, 320)])
+    def test_each_rule_runs_once_per_node_in_catalog_builds(self, monkeypatch, shape):
+        calls = counting_rules(monkeypatch)
+        monkeypatch.setattr(ArchGraph, "infer_shapes", None)  # builders never call it
+        for name in MODEL_NAMES:
+            calls.clear()
+            g = hardgraph.build(name, shape)
+            assert calls == kind_counts(g), name
+            assert g.shapes.keys() == {n.id for n in g.nodes}
+
+    def test_each_rule_runs_once_per_node_in_bare_hdb(self, monkeypatch):
+        from hardgraph.harmonic import HDBSpec, build_bare_hdb
+        calls = counting_rules(monkeypatch)
+        g, _ = build_bare_hdb(HDBSpec(64, 16, 1.7), TensorShape(32, 28, 28))
+        assert calls == kind_counts(g)
+        assert len(g.shapes) == len(g.nodes)
+
+    def test_node_added_after_shapes_has_its_shape(self):
+        from hardgraph.metrics import model_summary
+        g = hardgraph.build("hardnet39ds")
+        before = model_summary(g)
+        fc = g.add(Linear(10), [len(g.nodes) - 1], label="extra")
+        assert g.shapes[fc] == TensorShape(10, 1, 1)
+        after = model_summary(g)
+        assert after.params == before.params + 1000 * 10 + 10  # weights + bias
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_reshaping_equals_building_at_that_input(self, name):
+        shape = TensorShape(3, 256, 320)
+        g = hardgraph.build(name)
+        g.infer_shapes(shape)
+        built = hardgraph.build(name, shape)
+        assert g.input_shape == shape and g.shapes == built.shapes
+
+    def test_failed_reshape_leaves_the_graph_as_it_was(self):
+        g = hardgraph.build("hardnet68")
+        shapes = dict(g.shapes)
+        with pytest.raises(GraphError):
+            g.infer_shapes(TensorShape(3, 16, 16))
+        assert g.input_shape == TensorShape(3, 224, 224) and g.shapes == shapes
+        g.add(Linear(10), [len(g.nodes) - 1])
+
+    def test_equal_shapes_are_shared(self):
+        g = hardgraph.build("hardnet68")
+        distinct = {id(s) for s in g.shapes.values()}
+        assert len(distinct) == len(set(g.shapes.values()))
+
+    def test_failed_append_adds_nothing(self):
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
+        i = g.add(Input(), [])
+        a = g.add(Conv(8, stride=2), [i])
+        with pytest.raises(GraphError):
+            g.add(Concat(), [i, a])
+        assert len(g.nodes) == len(g.shapes) == 2
+
+
+class TestShapeErrorsNameTheNode:
+    def test_concat_names_label_and_both_shapes(self):
+        with pytest.raises(GraphError) as err:
+            hardgraph.build("fc-hardnet84", TensorShape(3, 225, 225))
+        msg = str(err.value)
+        assert msg.startswith("concat 133 (up0/skip): inputs disagree on spatial size")
+        assert "58x224x224, 80x225x225" in msg
+
+    def test_empty_output_names_the_shrinking_layer(self):
+        with pytest.raises(GraphError) as err:
+            hardgraph.build("hardnet68", TensorShape(3, 16, 16))
+        assert str(err.value) == ("pool 98 (down3): output shape would be 640x0x0; "
+                                  "input shapes 640x1x1")
+
+    def test_unlabelled_node_is_named_by_kind_and_id(self):
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
+        i = g.add(Input(), [])
+        a = g.add(Conv(16), [i])
+        b = g.add(Conv(32), [i])
+        with pytest.raises(GraphError, match=r"^add 3: inputs must share one shape; "
+                                             r"input shapes 16x8x8, 32x8x8$"):
+            g.add(Add(), [a, b])
+
+    def test_from_json_errors_name_the_node_too(self):
+        doc = small_graph_doc()
+        node(doc, 1)["params"]["stride"] = 2
+        with pytest.raises(GraphError, match=r"^concat 3 \(cat\): inputs disagree on "
+                                             r"spatial size; input shapes 8x8x8, 8x16x16$"):
+            ArchGraph.from_json(json.dumps(doc))
+
+
+class TestFromJsonInputSize:
+    def test_one_shape_pass_at_the_given_size(self, monkeypatch):
+        text = hardgraph.build("hardnet68").to_json()
+        calls = []
+        infer = ArchGraph.infer_shapes
+        monkeypatch.setattr(ArchGraph, "infer_shapes",
+                            lambda self, s: calls.append(s) or infer(self, s))
+        g = ArchGraph.from_json(text, (256, 256))
+        assert calls == [TensorShape(3, 256, 256)]
+        assert g.shapes == hardgraph.build("hardnet68", TensorShape(3, 256, 256)).shapes
+
+    def test_size_keeps_stored_channels(self):
+        doc = small_graph_doc()
+        doc["input"] = [5, 16, 16]
+        g = ArchGraph.from_json(json.dumps(doc), (8, 4))
+        assert g.input_shape == TensorShape(5, 8, 4)
+
+    def test_size_for_a_file_without_input(self):
+        doc = small_graph_doc()
+        doc["input"] = None
+        assert ArchGraph.from_json(json.dumps(doc)).shapes == {}
+        g = ArchGraph.from_json(json.dumps(doc), (8, 4))
+        assert g.input_shape == TensorShape(3, 8, 4) and len(g.shapes) == 4

@@ -103,3 +103,36 @@ class TestModelLatency:
             if isinstance(n.kind, (Conv, TransposedConv)):
                 lm_ = model_summary(g).layers[n.id]
                 assert lt.bound == ("memory" if lm_.moc < crit else "compute")
+
+
+# each is a platform file and a word its one-line error must contain
+BAD_PLATFORMS = {
+    "list": ("[1]", "object"),
+    "null": ("null", "object"),
+    "list rate": ('{"peak_macs_per_second": [1], "dram_bytes_per_second": 1e10}',
+                  "peak_macs_per_second"),
+    "null rate": ('{"peak_macs_per_second": 1e11, "dram_bytes_per_second": null}',
+                  "dram_bytes_per_second"),
+    "bool rate": ('{"peak_macs_per_second": true, "dram_bytes_per_second": 1e10}',
+                  "peak_macs_per_second"),
+    "string rate": ('{"peak_macs_per_second": "1e11", "dram_bytes_per_second": 1e10}',
+                    "peak_macs_per_second"),
+    "missing rate": ('{"peak_macs_per_second": 1e11}', "dram_bytes_per_second"),
+    "number name": ('{"name": 5, "peak_macs_per_second": 1e11, "dram_bytes_per_second": 1e10}',
+                    "name"),
+    "not JSON": ("{peak", "Expecting"),
+}
+
+
+class TestPlatformJson:
+    @pytest.mark.parametrize("case", BAD_PLATFORMS)
+    def test_rejected(self, case):
+        text, word = BAD_PLATFORMS[case]
+        with pytest.raises(ValueError, match=word):
+            PlatformModel.from_json(text)
+
+    def test_integer_rates_are_floats(self):
+        p = PlatformModel.from_json(
+            '{"peak_macs_per_second": 100000000000, "dram_bytes_per_second": 10000000000}')
+        assert p == PlatformModel("platform", 1e11, 1e10)
+        assert type(p.peak_macs_per_second) is float
