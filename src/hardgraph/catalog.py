@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Optional
 
 from .graph_ir import ArchGraph, TransposedConv
-from .metrics import ModelSummary, layer_macs, model_summary
+from .metrics import ModelSummary, model_summary
 from .registry import build
 
 
@@ -49,7 +49,7 @@ def seg_gmacs(graph: ArchGraph, summary: Optional[ModelSummary] = None) -> float
     separately, transposed convolutions costed on their input grid."""
     if summary is None:
         summary = model_summary(graph)
-    tu = sum(layer_macs(graph, n) for n in graph.nodes
+    tu = sum(lm.macs for n, lm in zip(graph.nodes, summary.layers)
              if isinstance(n.kind, TransposedConv))
     return 2 * (summary.macs - tu + tu // 4) / 1e9
 

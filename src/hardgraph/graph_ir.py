@@ -217,13 +217,15 @@ class ArchGraph:
             rule = _SHAPE_RULES.get(kind_type)
             if rule is None:
                 raise GraphError(f"unknown kind {n.kind!r}")
-            ins = [shapes[i] for i in n.inputs]
             try:
+                ins = [shapes[i] for i in n.inputs]
                 shapes[n.id] = rule(n.kind, ins, shape)
+            except KeyError as e:  # nodes or input_shape were set without add()
+                raise GraphError(f"{_node_name(n)}: input {e} has no shape; "
+                                 "call infer_shapes") from None
             except GraphError as e:
-                name = f"{_KIND_NAMES[kind_type]} {n.id}" + (f" ({n.label})" if n.label else "")
                 given = ", ".join(f"{s.channels}x{s.height}x{s.width}" for s in ins)
-                raise GraphError(f"{name}: {e}; input shapes {given}") from None
+                raise GraphError(f"{_node_name(n)}: {e}; input shapes {given}") from None
 
     def conv_input_shape(self, n: Node) -> TensorShape:
         """Effective (possibly concatenated) input tensor of a node."""
@@ -322,7 +324,18 @@ class ArchGraph:
                 raise GraphError(f"input {shape!r}: {e}") from None
         if input_hw is not None:
             input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
-        return g.infer_shapes(input_shape) if input_shape else g
+        if input_shape is not None:
+            # each node passed _check_links, so a graph with nodes has its one
+            # Input at node 0: of validate()'s checks, only the empty graph is left
+            if not nodes:
+                raise GraphError("graph must have exactly one Input node, found 0")
+            g.input_shape = input_shape
+            g._shape_nodes(nodes)
+        return g
+
+
+def _node_name(n: Node) -> str:
+    return f"{_KIND_NAMES[type(n.kind)]} {n.id}" + (f" ({n.label})" if n.label else "")
 
 
 def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph_ir import ArchGraph, Concat
-from .metrics import LayerMetrics, node_metrics
+from .metrics import LayerMetrics, layer_metrics
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,9 @@ class PlatformModel:
             raise ValueError("platform rates must be strictly positive")
 
     def critical_moc(self, dtype_bytes: int = 4) -> float:
-        if math.isinf(self.peak_macs_per_second) or math.isinf(self.dram_bytes_per_second):
-            return self.peak_macs_per_second / self.dram_bytes_per_second \
-                if not math.isinf(self.peak_macs_per_second) else math.inf
-        return self.peak_macs_per_second / self.dram_bytes_per_second * dtype_bytes
+        # an infinite peak is checked first: inf / inf would give NaN
+        peak = self.peak_macs_per_second
+        return math.inf if math.isinf(peak) else peak / self.dram_bytes_per_second * dtype_bytes
 
     @classmethod
     def from_json(cls, text: str) -> "PlatformModel":
@@ -84,8 +83,7 @@ def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
     report = LatencyReport(total_seconds=0.0, platform=platform)
     crit = platform.critical_moc(dtype_bytes)
-    for node in graph.nodes:
-        lm = node_metrics(graph, node, dtype_bytes)
+    for node, lm in zip(graph.nodes, layer_metrics(graph, dtype_bytes)):
         if lm.cio_elements:
             t = layer_time(lm, platform)
             bound = "memory" if lm.moc < crit else "compute"

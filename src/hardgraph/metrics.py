@@ -13,13 +13,12 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv
 
 
-@dataclass(frozen=True)
-class LayerMetrics:
+class LayerMetrics(NamedTuple):
     node_id: int
     params: int
     macs: int
@@ -57,104 +56,102 @@ class ModelSummary:
         return self.cio_bytes / 2 ** 20
 
 
-def is_pointwise(k: Conv) -> bool:
-    return k.kernel_h == 1 and k.kernel_w == 1 and k.groups == 1
-
-
-def is_depthwise(k: Conv, c_in: int) -> bool:
-    return k.groups == c_in and k.out_channels == c_in
-
-
-def layer_cio(graph: ArchGraph, node: Node, ds_weight: Optional[float] = None) -> float:
-    """Eq.-style input+output element count; conv-family nodes only."""
+def _layer_row(shapes: dict, node: Node, dtype_bytes: int,
+               ds_weight: Optional[float]) -> LayerMetrics:
+    """One node's params, MACs, CIO and MoC: the only place these formulas
+    live.  A conv or transposed conv reads the channels of all its inputs
+    (their concatenation) on the first input's grid, as shape inference does;
+    a Linear reads the elements of that same tensor."""
+    nid = node.id
+    out = shapes.get(nid)
+    if out is None:
+        raise KeyError(f"node {nid} has no inferred shape")
     k = node.kind
-    if not isinstance(k, (Conv, TransposedConv)):
-        return 0
-    if node.id not in graph.shapes:
-        raise KeyError(f"node {node.id} has no inferred shape")
-    in_shape = graph.conv_input_shape(node)
-    out_shape = graph.shapes[node.id]
-    cio = in_shape.element_count + out_shape.element_count
-    if ds_weight is not None and isinstance(k, Conv) and (
-            is_pointwise(k) or is_depthwise(k, in_shape.channels)):
-        return ds_weight * cio
-    return cio  # exact integer when unweighted
+    kind_type = type(k)
+    if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear:
+        return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
+    inputs = node.inputs
+    first = shapes[inputs[0]]
+    c_in = first.channels if len(inputs) == 1 else sum(shapes[i].channels for i in inputs)
+    in_elements = c_in * first.height * first.width
+    if kind_type is Linear:
+        macs = in_elements * k.out_features
+        return LayerMetrics(nid, macs + k.out_features, macs, 0, 0, 0.0)
+    out_hw = out.height * out.width
+    if kind_type is Conv:
+        weights = (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w
+        params = weights + (k.out_channels if k.bias else 0)
+    else:
+        weights = params = c_in * k.out_channels * k.kernel * k.kernel
+    macs = weights * out_hw
+    cio = in_elements + out.channels * out_hw  # exact integer when unweighted
+    if ds_weight is not None and kind_type is Conv and (
+            k.kernel_h == k.kernel_w == 1 and k.groups == 1  # pointwise
+            or k.groups == c_in == k.out_channels):  # depthwise
+        cio = ds_weight * cio
+    return LayerMetrics(nid, params, macs, cio, cio * dtype_bytes, macs / cio if cio else 0.0)
 
 
-def layer_macs(graph: ArchGraph, node: Node) -> int:
-    k = node.kind
-    if node.id not in graph.shapes:
-        raise KeyError(f"node {node.id} has no inferred shape")
-    out = graph.shapes[node.id]
-    if isinstance(k, Conv):
-        c_in = graph.conv_input_shape(node).channels
-        return (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w * out.height * out.width
-    if isinstance(k, TransposedConv):
-        c_in = graph.conv_input_shape(node).channels
-        return c_in * k.out_channels * k.kernel * k.kernel * out.height * out.width
-    if isinstance(k, Linear):
-        return graph.conv_input_shape(node).element_count * k.out_features
-    return 0
+def layer_metrics(graph: ArchGraph, dtype_bytes: int = 4,
+                  ds_weight: Optional[float] = None) -> list:
+    """One LayerMetrics per node, in node order: the table every report reads.
 
-
-def layer_params(graph: ArchGraph, node: Node) -> int:
-    k = node.kind
-    if isinstance(k, Conv):
-        c_in = graph.conv_input_shape(node).channels
-        p = (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w
-        return p + (k.out_channels if k.bias else 0)
-    if isinstance(k, TransposedConv):
-        return graph.conv_input_shape(node).channels * k.out_channels * k.kernel * k.kernel
-    if isinstance(k, Linear):
-        n_in = graph.conv_input_shape(node).element_count
-        return n_in * k.out_features + k.out_features
-    return 0
+    CIO counts conv and transposed-conv nodes only (input plus output
+    elements); with ``ds_weight``, a pointwise or depthwise conv's CIO is
+    scaled by it.  Raises KeyError naming the first node without a shape."""
+    shapes = graph.shapes
+    return [_layer_row(shapes, n, dtype_bytes, ds_weight) for n in graph.nodes]
 
 
 def node_metrics(graph: ArchGraph, node: Node, dtype_bytes: int = 4,
                  ds_weight: Optional[float] = None) -> LayerMetrics:
-    macs = layer_macs(graph, node)
-    cio = layer_cio(graph, node, ds_weight)
-    return LayerMetrics(
-        node_id=node.id,
-        params=layer_params(graph, node),
-        macs=macs,
-        cio_elements=cio,
-        cio_bytes=cio * dtype_bytes,
-        moc=(macs / cio) if cio else 0.0,
-    )
+    return _layer_row(graph.shapes, node, dtype_bytes, ds_weight)
+
+
+def layer_cio(graph: ArchGraph, node: Node, ds_weight: Optional[float] = None) -> float:
+    """Input+output element count; conv-family nodes only."""
+    return _layer_row(graph.shapes, node, 1, ds_weight).cio_elements
+
+
+def layer_macs(graph: ArchGraph, node: Node) -> int:
+    return _layer_row(graph.shapes, node, 1, None).macs
+
+
+def layer_params(graph: ArchGraph, node: Node) -> int:
+    return _layer_row(graph.shapes, node, 1, None).params
 
 
 def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
                   ds_weight: Optional[float] = None) -> ModelSummary:
     if not graph.shapes:
         raise ValueError("run shape inference before computing metrics")
-    s = ModelSummary(name=graph.name, dtype_bytes=dtype_bytes, ds_weight=ds_weight)
-    in_h = graph.input_shape.height
-    for node in graph.nodes:
-        lm = node_metrics(graph, node, dtype_bytes, ds_weight)
-        s.layers.append(lm)
-        s.params += lm.params
-        s.macs += lm.macs
-        s.cio_elements += lm.cio_elements
-        s.cio_bytes += lm.cio_bytes
-        stride = max(1, round(in_h / graph.shapes[node.id].height))
-        bucket = s.per_stride.setdefault(stride, {"params": 0, "macs": 0, "cio_elements": 0})
-        bucket["params"] += lm.params
-        bucket["macs"] += lm.macs
-        bucket["cio_elements"] += lm.cio_elements
+    layers = layer_metrics(graph, dtype_bytes, ds_weight)
+    s = ModelSummary(name=graph.name, dtype_bytes=dtype_bytes, ds_weight=ds_weight,
+                     layers=layers)
+    in_h, shapes, buckets = graph.input_shape.height, graph.shapes, {}
+    params = macs = cio = cio_bytes = 0
+    for node, (_, p, m, c, cb, _) in zip(graph.nodes, layers):
+        params += p
+        macs += m
+        cio += c
+        cio_bytes += cb
+        h = shapes[node.id].height
+        bucket = buckets.get(h)
+        if bucket is None:  # one bucket per output height, shared by its stride
+            bucket = buckets[h] = s.per_stride.setdefault(
+                max(1, round(in_h / h)), {"params": 0, "macs": 0, "cio_elements": 0})
+        bucket["params"] += p
+        bucket["macs"] += m
+        bucket["cio_elements"] += c
+    s.params, s.macs, s.cio_elements, s.cio_bytes = params, macs, cio, cio_bytes
     return s
 
 
 def check_moc(graph: ArchGraph, threshold: float) -> list:
     """Conv nodes whose MoC falls below the threshold, ascending by MoC."""
-    out = []
-    for node in graph.nodes:
-        if not isinstance(node.kind, (Conv, TransposedConv)):
-            continue
-        lm = node_metrics(graph, node)
-        if lm.moc < threshold:
-            out.append((node.id, lm.moc))
+    # conv and transposed-conv rows are the ones with a non-zero CIO
+    out = [(lm.node_id, lm.moc) for lm in layer_metrics(graph)
+           if lm.cio_elements and lm.moc < threshold]
     out.sort(key=lambda t: (t[1], t[0]))
     return out
 

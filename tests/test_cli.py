@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import hardgraph
 from hardgraph.cli import run
-from hardgraph.graph_ir import ArchGraph
+from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
 from test_graph_ir import MALFORMED, with_change
 from test_latency import BAD_PLATFORMS
 
@@ -155,6 +156,25 @@ class TestOtherCommands:
         assert code == 0
         assert (json.loads(preset_out)["total_seconds"]
                 == json.loads(file_out)["total_seconds"])
+
+    def test_latency_with_infinite_rates(self, capsys, tmp_path):
+        # every conv is memory-bound at an infinite critical MoC, and takes no time
+        pf = tmp_path / "inf.json"
+        pf.write_text('{"name": "inf", "peak_macs_per_second": Infinity, '
+                      '"dram_bytes_per_second": Infinity}')
+        code, out, _ = invoke(capsys, "latency", "hardnet39ds", "--platform", str(pf))
+        g = hardgraph.build("hardnet39ds")
+        expected = {
+            "header": {"dtype_bytes": 4, "flags": f"hardnet39ds --platform {pf}",
+                       "input": "3x224x224", "model": "hardnet39ds",
+                       "tool": f"hardgraph {hardgraph.__version__}"},
+            "platform": {"name": "inf", "peak_macs_per_second": math.inf,
+                         "dram_bytes_per_second": math.inf, "critical_moc": math.inf},
+            "total_seconds": 0.0,
+            "layers": [{"id": n.id, "seconds": 0.0, "bound": "memory" if isinstance(
+                n.kind, (Conv, TransposedConv)) else "none"} for n in g.nodes],
+        }
+        assert code == 0 and out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_latency_unknown_platform(self, capsys):
         code, _, err = invoke(capsys, "latency", "hardnet39ds", "--platform", "nope")

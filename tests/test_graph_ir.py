@@ -360,6 +360,24 @@ class TestShapesOnAppend:
         distinct = {id(s) for s in g.shapes.values()}
         assert len(distinct) == len(set(g.shapes.values()))
 
+    def test_append_to_nodes_given_without_shapes(self):
+        g = ArchGraph(nodes=[Node(0, Input(), ())], input_shape=TensorShape(3, 8, 8))
+        with pytest.raises(GraphError, match=r"^conv 1: input 0 has no shape; call infer_shapes$"):
+            g.add(Conv(8), [0])
+        assert len(g.nodes) == 1 and g.shapes == {}
+        g.infer_shapes(g.input_shape)
+        assert g.shapes[g.add(Conv(8), [0])] == TensorShape(8, 8, 8)
+
+    def test_append_after_input_shape_set_by_hand(self):
+        g, i, c = chain_graph()
+        g.input_shape = TensorShape(3, 8, 8)
+        with pytest.raises(GraphError, match=r"^pool 2 \(down\): input 1 has no shape; "
+                                             r"call infer_shapes$"):
+            g.add(Pool("max"), [c], label="down")
+        assert len(g.nodes) == 2
+        g.infer_shapes(g.input_shape)
+        assert g.shapes[g.add(Pool("max"), [c])] == TensorShape(64, 4, 4)
+
     def test_failed_append_adds_nothing(self):
         g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         i = g.add(Input(), [])
@@ -403,12 +421,10 @@ class TestShapeErrorsNameTheNode:
 class TestFromJsonInputSize:
     def test_one_shape_pass_at_the_given_size(self, monkeypatch):
         text = hardgraph.build("hardnet68").to_json()
-        calls = []
-        infer = ArchGraph.infer_shapes
-        monkeypatch.setattr(ArchGraph, "infer_shapes",
-                            lambda self, s: calls.append(s) or infer(self, s))
+        calls = counting_rules(monkeypatch)
         g = ArchGraph.from_json(text, (256, 256))
-        assert calls == [TensorShape(3, 256, 256)]
+        assert calls == kind_counts(g)  # each node's shape rule ran once
+        assert g.input_shape == TensorShape(3, 256, 256)
         assert g.shapes == hardgraph.build("hardnet68", TensorShape(3, 256, 256)).shapes
 
     def test_size_keeps_stored_channels(self):
@@ -416,6 +432,12 @@ class TestFromJsonInputSize:
         doc["input"] = [5, 16, 16]
         g = ArchGraph.from_json(json.dumps(doc), (8, 4))
         assert g.input_shape == TensorShape(5, 8, 4)
+
+    def test_empty_graph_with_an_input_is_rejected(self):
+        text = json.dumps({"name": "empty", "input": [3, 8, 8], "nodes": []})
+        with pytest.raises(GraphError, match=r"^graph must have exactly one Input node, found 0$"):
+            ArchGraph.from_json(text)
+        assert ArchGraph.from_json(json.dumps({"input": None, "nodes": []})).nodes == []
 
     def test_size_for_a_file_without_input(self):
         doc = small_graph_doc()

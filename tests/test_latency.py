@@ -49,6 +49,16 @@ class TestPlatform:
         p = PlatformModel("p", 1e12, 1e10)
         assert p.critical_moc(4) == pytest.approx(400.0)
 
+    @pytest.mark.parametrize("peak, dram, per_dtype", [
+        (1e12, 1e10, (100.0, 200.0, 400.0)),
+        (1e12, math.inf, (0.0, 0.0, 0.0)),
+        (math.inf, 1e10, (math.inf,) * 3),
+        (math.inf, math.inf, (math.inf,) * 3),  # not NaN
+    ])
+    def test_critical_moc_with_infinite_rates(self, peak, dram, per_dtype):
+        p = PlatformModel("p", peak, dram)
+        assert tuple(p.critical_moc(d) for d in (1, 2, 4)) == per_dtype
+
     def test_from_json(self):
         p = PlatformModel.from_json(
             '{"name": "x", "peak_macs_per_second": 1e11, "dram_bytes_per_second": 1e10}')
