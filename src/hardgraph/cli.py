@@ -30,11 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_hw(text: str) -> tuple:
-    try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
-    except ValueError as e:
-        raise UsageError(f"--input must look like 224x224, got {text!r}") from e
+    # ASCII digits only: int() alone would also take "2_24", "-32" and " 224"
+    h, _, w = text.lower().partition("x")
+    if not (h.isascii() and h.isdigit() and w.isascii() and w.isdigit() and int(h) and int(w)):
+        raise UsageError(f"--input must be HxW with H, W >= 1, like 224x224, got {text!r}")
+    return int(h), int(w)
 
 
 def _load_graph(model: str, input_hw: Optional[str]) -> ArchGraph:

@@ -8,7 +8,7 @@ index is divisible by a higher power of two are widened by the multiplier m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph_ir import (ArchGraph, Concat, Conv, GlobalPool, Input, Linear, Pool,
@@ -93,77 +93,67 @@ class HDBSpec:
 @dataclass
 class HDBResult:
     output: int
-    internal: list = field(default_factory=list)
-    layer_nodes: dict = field(default_factory=dict)  # HDB layer index -> node id
+    layer_nodes: dict  # HDB layer index -> node id
 
 
-def _emit_conv_layer(graph, src, width, spec, tag):
-    """One HDB layer: Conv3x3, or pointwise+depthwise pair in DS mode."""
-    ids = []
-    if spec.depthwise:
-        pw = graph.add(Conv(width, kernel_h=1, kernel_w=1), [src], label=f"{tag}/pw")
-        dw = graph.add(Conv(width, groups=width), [pw], label=f"{tag}/dw")
-        ids += [pw, dw]
-        return dw, ids
-    cid = graph.add(Conv(width), [src], label=tag)
-    return cid, [cid]
+def _build_block(graph: ArchGraph, node: int, depth: int, links, emit, outputs,
+                 prefix: str, first: int = 1) -> tuple:
+    """The one dense-block loop: HDB, DenseNet, LogDenseNet and SparseNet.
+
+    Index 0 is the block input ``node``.  Layer l = 1..depth reads layers
+    ``links(l)``, through a concat if several, and ``emit(graph, src, l,
+    label)`` appends its nodes and returns the last; labels are
+    ``{prefix}l{l - 1 + first}``.  The block passes on the concat of layers
+    ``outputs(depth)``.  Returns (output node, {layer index: node id})."""
+    nodes = {0: node}
+    for l in range(1, depth + 1):
+        label = f"{prefix}l{l - 1 + first}"
+        srcs = [nodes[i] for i in links(l)]
+        src = graph.add(Concat(), srcs, label=f"{label}/cat") if len(srcs) > 1 else srcs[0]
+        nodes[l] = emit(graph, src, l, label)
+    parts = [nodes[i] for i in outputs(depth)]
+    out = graph.add(Concat(), parts, label=f"{prefix}out") if len(parts) > 1 else parts[0]
+    return out, nodes
+
+
+def _conv3x3(width):
+    """Emitter: one 3x3 conv of ``width(l)`` channels."""
+    return lambda graph, src, l, label: graph.add(Conv(width(l)), [src], label=label)
+
+
+def _hdb_layer(spec: HDBSpec):
+    """Emitter: a 1x1 bottleneck on every fourth layer (when it narrows the
+    input), then a Conv3x3, or a pointwise+depthwise pair in DS mode."""
+    def emit(graph, src, l, label):
+        width = channel_width(l, spec.growth_rate, spec.multiplier)
+        if spec.use_bottleneck and l % 4 == 0:
+            c_in = graph.shapes[src].channels
+            b = bottleneck_channels(c_in, width)
+            if b < c_in:
+                src = graph.add(Conv(b, kernel_h=1, kernel_w=1), [src], label=f"{label}/bneck")
+        if spec.depthwise:
+            pw = graph.add(Conv(width, kernel_h=1, kernel_w=1), [src], label=f"{label}/pw")
+            return graph.add(Conv(width, groups=width), [pw], label=f"{label}/dw")
+        return graph.add(Conv(width), [src], label=label)
+    return emit
 
 
 def build_hdb(spec: HDBSpec, input_node: int, graph: ArchGraph, tag: str = "hdb") -> HDBResult:
     """Emit layers 1..L plus the odd-layer output concat; returns the block
     output node and the per-layer node map."""
-    res = HDBResult(output=input_node)
-    res.layer_nodes[0] = input_node
-    widths = {}
-    for l in range(1, spec.depth + 1):
-        links = hdb_links(l)
-        srcs = [res.layer_nodes[i] for i in links]
-        if len(srcs) > 1:
-            src = graph.add(Concat(), srcs, label=f"{tag}/l{l}/cat")
-            res.internal.append(src)
-        else:
-            src = srcs[0]
-        width = channel_width(l, spec.growth_rate, spec.multiplier)
-        if spec.use_bottleneck and l % 4 == 0:
-            c_in = sum(widths[i] if i else graph.shapes[input_node].channels for i in links)
-            b = bottleneck_channels(c_in, width)
-            if b < c_in:
-                src = graph.add(Conv(b, kernel_h=1, kernel_w=1), [src], label=f"{tag}/l{l}/bneck")
-                res.internal.append(src)
-        out, ids = _emit_conv_layer(graph, src, width, spec, f"{tag}/l{l}")
-        res.internal += ids
-        res.layer_nodes[l] = out
-        widths[l] = width
     # output: layer L, preceding odd layers descending, optionally layer 0
-    parts = [res.layer_nodes[spec.depth]]
-    parts += [res.layer_nodes[i] for i in range(spec.depth - 1, 0, -2)]
-    if spec.keep_base:
-        parts.append(input_node)
-    if len(parts) > 1:
-        res.output = graph.add(Concat(), parts, label=f"{tag}/out")
-        res.internal.append(res.output)
-    else:
-        res.output = parts[0]
-    return res
+    return HDBResult(*_build_block(
+        graph, input_node, spec.depth, hdb_links, _hdb_layer(spec),
+        lambda L: [L, *range(L - 1, 0, -2)] + ([0] if spec.keep_base else []), f"{tag}/"))
 
 
 def build_bare_hdb(spec: HDBSpec, input_shape: TensorShape) -> tuple:
     """Standalone HDB without the odd-layer output concat, for liveness
     studies of the raw connection pattern."""
     g = ArchGraph(name=f"bare-hdb-L{spec.depth}", input_shape=input_shape)
-    inp = g.add(Input(), [])
-    res = HDBResult(output=inp)
-    res.layer_nodes[0] = inp
-    for l in range(1, spec.depth + 1):
-        srcs = [res.layer_nodes[i] for i in hdb_links(l)]
-        if len(srcs) > 1:
-            src = g.add(Concat(), srcs, label=f"l{l}/cat")
-        else:
-            src = srcs[0]
-        cid = g.add(Conv(channel_width(l, spec.growth_rate, spec.multiplier)), [src], label=f"l{l}")
-        res.layer_nodes[l] = cid
-    res.output = res.layer_nodes[spec.depth]
-    return g, res
+    emit = _conv3x3(lambda l: channel_width(l, spec.growth_rate, spec.multiplier))
+    return g, HDBResult(*_build_block(g, g.add(Input(), []), spec.depth, hdb_links, emit,
+                                      lambda L: [L], ""))
 
 
 def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
@@ -185,6 +175,18 @@ def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
     if spec.downsample:
         return graph.add(Pool(spec.pool), [conv], label=f"{tag}/pool")
     return conv
+
+
+# --- model defaults, shared with references --------------------------------
+
+NUM_CLASSES = 1000
+FC_NUM_CLASSES = 12  # CamVid: 11 classes + void
+DEFAULT_CLS_INPUT = TensorShape(3, 224, 224)
+DEFAULT_FC_INPUT = TensorShape(3, 352, 480)
+
+
+def default_input(name: str) -> TensorShape:
+    return DEFAULT_FC_INPUT if name.startswith("fc-") else DEFAULT_CLS_INPUT
 
 
 # --- model catalog ---------------------------------------------------------
@@ -233,7 +235,6 @@ _SL_LAYOUT = {
     "hardnet138l": (32, 1.65, ((8,), (16,), (16, 16, 16), (16, 16))),
 }
 
-NUM_CLASSES = 1000
 _SL_RED = 0.85
 
 
@@ -299,7 +300,6 @@ _FC_CONFIGS = {
     "fc-hardnet-ref100": _FCConfig("fc-hardnet-ref100", 48, (8, 8, 8, 8, 8, 8), (10,) * 6, 1.54),
 }
 
-FC_NUM_CLASSES = 12  # CamVid: 11 classes + void
 _FC_RED = 1.0  # down-transitions keep their channel count, FC-DenseNet style
 
 
@@ -336,13 +336,6 @@ def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
 
 HARDNET_VARIANTS = tuple(sorted(
     list(_HARDNET_CONFIGS) + list(_SL_LAYOUT) + list(_FC_CONFIGS)))
-
-DEFAULT_CLS_INPUT = TensorShape(3, 224, 224)
-DEFAULT_FC_INPUT = TensorShape(3, 352, 480)
-
-
-def default_input(name: str) -> TensorShape:
-    return DEFAULT_FC_INPUT if name.startswith("fc-") else DEFAULT_CLS_INPUT
 
 
 def build_model(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:

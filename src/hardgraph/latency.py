@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .graph_ir import ArchGraph, Concat
 from .metrics import LayerMetrics, layer_metrics
@@ -70,7 +69,6 @@ class LayerTime:
 class LatencyReport:
     total_seconds: float
     layers: list = field(default_factory=list)
-    platform: Optional[PlatformModel] = None
 
 
 def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
@@ -81,7 +79,7 @@ def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
 
 def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
-    report = LatencyReport(total_seconds=0.0, platform=platform)
+    report = LatencyReport(total_seconds=0.0)
     crit = platform.critical_moc(dtype_bytes)
     for node, lm in zip(graph.nodes, layer_metrics(graph, dtype_bytes)):
         if lm.cio_elements:

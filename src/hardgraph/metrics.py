@@ -108,17 +108,8 @@ def node_metrics(graph: ArchGraph, node: Node, dtype_bytes: int = 4,
     return _layer_row(graph.shapes, node, dtype_bytes, ds_weight)
 
 
-def layer_cio(graph: ArchGraph, node: Node, ds_weight: Optional[float] = None) -> float:
-    """Input+output element count; conv-family nodes only."""
-    return _layer_row(graph.shapes, node, 1, ds_weight).cio_elements
-
-
 def layer_macs(graph: ArchGraph, node: Node) -> int:
     return _layer_row(graph.shapes, node, 1, None).macs
-
-
-def layer_params(graph: ArchGraph, node: Node) -> int:
-    return _layer_row(graph.shapes, node, 1, None).params
 
 
 def model_summary(graph: ArchGraph, dtype_bytes: int = 4,

@@ -7,16 +7,18 @@ External architectures follow their canonical published configurations.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
                        Pool, TensorShape, TransposedConv)
+from .harmonic import (FC_NUM_CLASSES, NUM_CLASSES, _build_block, _conv3x3,
+                       default_input)
 
 
 class SparseRule(Enum):
     DENSE_ALL = "dense_all"
     LOG = "log"
-    SPARSE_FIXED_OUTPUT = "sparse_fixed_output"
 
 
 def sparse_links(rule: SparseRule, layer_index: int) -> list:
@@ -25,8 +27,6 @@ def sparse_links(rule: SparseRule, layer_index: int) -> list:
         raise ValueError("layer_index must be >= 1")
     if rule is SparseRule.DENSE_ALL:
         return list(range(layer_index))
-    # LOG and SPARSE_FIXED_OUTPUT share the per-layer rule; the fixed block
-    # output of the latter is a block-level property, not a link change.
     out = []
     p = 1
     while layer_index - p >= 0:
@@ -43,7 +43,6 @@ _DENSENET_BLOCKS = {
     "densenet264": (6, 12, 64, 48),
 }
 _DENSENET_GROWTH = 32
-NUM_CLASSES = 1000
 
 
 def _build_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
@@ -53,18 +52,18 @@ def _build_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
     node = g.add(Input(), [])
     node = g.add(Conv(2 * k, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
     node = g.add(Pool("max"), [node], label="stem/pool")
-    channels = 2 * k
+
+    def layer(graph, src, l, label):  # DenseNet-B: a 1x1 bottleneck of 4k, then a 3x3 of k
+        b = graph.add(Conv(4 * k, kernel_h=1, kernel_w=1), [src], label=f"{label}/bneck")
+        return graph.add(Conv(k), [b], label=label)
+
     for bi, depth in enumerate(blocks):
-        feats = [node]
-        for li in range(depth):
-            src = g.add(Concat(), feats, label=f"b{bi}/l{li}/cat") if len(feats) > 1 else feats[0]
-            b = g.add(Conv(4 * k, kernel_h=1, kernel_w=1), [src], label=f"b{bi}/l{li}/bneck")
-            c = g.add(Conv(k), [b], label=f"b{bi}/l{li}")
-            feats.append(c)
-        channels += depth * k
-        node = g.add(Concat(), feats, label=f"b{bi}/out")
+        # layer l reads every layer before it; the block passes on its input,
+        # then every layer in order; labels count layers from 0
+        node, _ = _build_block(g, node, depth, range, layer, lambda L: range(L + 1),
+                               f"b{bi}/", first=0)
         if bi < len(blocks) - 1:
-            channels = channels // 2
+            channels = g.shapes[node].channels // 2
             node = g.add(Conv(channels, kernel_h=1, kernel_w=1), [node], label=f"t{bi}/conv")
             node = g.add(Pool("avg"), [node], label=f"t{bi}/pool")
     node = g.add(GlobalPool(), [node], label="gap")
@@ -136,78 +135,57 @@ def _build_vgg16(name: str, input_shape: TensorShape) -> ArchGraph:
 
 # --- FC-DenseNet / FC-SparseNet (segmentation) -------------------------------
 
+def _all_outputs(depth: int, keep_base: bool) -> list:
+    """FC-DenseNet block output: every layer, last first, then the block
+    input when kept."""
+    return [*range(depth, 0, -1)] + ([0] if keep_base else [])
+
+
+def _fixed_outputs(depth: int, keep_base: bool) -> list:
+    """SparseNet's fixed block output: the layers a layer depth + 1 would read
+    under the log rule, whether or not the block input is kept."""
+    return sparse_links(SparseRule.LOG, depth + 1)
+
+
 _FC_CONFIGS = {
-    # name -> (first conv ch, down depths, bottleneck depth, growth, rule)
-    "fc-densenet56": (48, (4, 4, 4, 4, 4), 4, 12, SparseRule.DENSE_ALL),
-    "fc-densenet67": (48, (5, 5, 5, 5, 5), 5, 16, SparseRule.DENSE_ALL),
-    "fc-densenet103": (48, (4, 5, 7, 10, 12), 15, 16, SparseRule.DENSE_ALL),
-    "fc-densenet-ref100": (48, (8, 8, 8, 8, 8), 8, 10, SparseRule.DENSE_ALL),
-    "fc-sparsenet-ref100": (48, (8, 8, 8, 8, 8), 8, 26, SparseRule.SPARSE_FIXED_OUTPUT),
+    # name -> (first conv ch, down depths, bottleneck depth, growth, link rule, output rule)
+    "fc-densenet56": (48, (4, 4, 4, 4, 4), 4, 12, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-densenet67": (48, (5, 5, 5, 5, 5), 5, 16, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-densenet103": (48, (4, 5, 7, 10, 12), 15, 16, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-densenet-ref100": (48, (8, 8, 8, 8, 8), 8, 10, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-sparsenet-ref100": (48, (8, 8, 8, 8, 8), 8, 26, SparseRule.LOG, _fixed_outputs),
 }
-FC_NUM_CLASSES = 12  # CamVid: 11 classes + void
-
-
-def _dense_block(g, node, depth, k, rule, tag):
-    """Returns (new-feature concat ids, layer node list).  Layer inputs follow
-    the given connection rule over [block input, layer 1, ..]."""
-    layers = [node]  # index 0 is the block input
-    for li in range(1, depth + 1):
-        srcs = [layers[i] for i in sparse_links(rule, li)]
-        src = g.add(Concat(), srcs, label=f"{tag}/l{li}/cat") if len(srcs) > 1 else srcs[0]
-        layers.append(g.add(Conv(k), [src], label=f"{tag}/l{li}"))
-    return layers
-
-
-def _block_output(g, layers, depth, rule, tag, include_input):
-    """Concat forming the tensor a block passes on."""
-    if rule is SparseRule.SPARSE_FIXED_OUTPUT:
-        # the block output plays the role of layer depth+1
-        parts = [layers[i] for i in sparse_links(SparseRule.LOG, depth + 1) if i >= 0]
-    else:
-        parts = layers[1:][::-1]
-        if include_input:
-            parts.append(layers[0])
-    if len(parts) == 1:
-        return parts[0]
-    return g.add(Concat(), parts, label=f"{tag}/out")
 
 
 def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
-    first, depths, bottom_depth, k, rule = _FC_CONFIGS[name]
+    first, depths, bottom_depth, k, rule, outputs = _FC_CONFIGS[name]
     g = ArchGraph(name=name, input_shape=input_shape)
+
+    def block(node, depth, tag, keep_base):
+        return _build_block(g, node, depth, partial(sparse_links, rule), _conv3x3(lambda l: k),
+                            lambda L: outputs(L, keep_base), f"{tag}/")[0]
+
     node = g.add(Input(), [])
     node = g.add(Conv(first), [node], label="stem")
     skips = []
     for bi, depth in enumerate(depths):
-        layers = _dense_block(g, node, depth, k, rule, f"enc{bi}")
-        out = _block_output(g, layers, depth, rule, f"enc{bi}", include_input=True)
+        out = block(node, depth, f"enc{bi}", keep_base=True)
         skips.append(out)
         c = g.shapes[out].channels
         node = g.add(Conv(c, kernel_h=1, kernel_w=1), [out], label=f"down{bi}/conv")
         node = g.add(Pool("max"), [node], label=f"down{bi}/pool")
-    layers = _dense_block(g, node, bottom_depth, k, rule, "bottom")
-    node = _block_output(g, layers, bottom_depth, rule, "bottom", include_input=False)
+    node = block(node, bottom_depth, "bottom", keep_base=False)
     for ui in range(len(depths) - 1, -1, -1):
         c = g.shapes[node].channels
         node = g.add(TransposedConv(c, kernel=3, stride=2), [node], label=f"up{ui}/tconv")
         node = g.add(Concat(), [node, skips[ui]], label=f"up{ui}/skip")
-        layers = _dense_block(g, node, depths[ui], k, rule, f"dec{ui}")
-        last = ui == 0
-        node = _block_output(g, layers, depths[ui], rule, f"dec{ui}", include_input=last)
+        node = block(node, depths[ui], f"dec{ui}", keep_base=ui == 0)
     g.add(Conv(FC_NUM_CLASSES, kernel_h=1, kernel_w=1, bias=True), [node], label="classifier")
     return g
 
 
 REFERENCE_MODELS = tuple(sorted(
     list(_DENSENET_BLOCKS) + list(_RESNET_LAYOUT) + ["vgg16"] + list(_FC_CONFIGS)))
-
-DEFAULT_CLS_INPUT = TensorShape(3, 224, 224)
-DEFAULT_FC_INPUT = TensorShape(3, 352, 480)
-
-
-def default_input(name: str) -> TensorShape:
-    return DEFAULT_FC_INPUT if name.startswith("fc-") else DEFAULT_CLS_INPUT
-
 
 def build_reference(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
     """Build a reference architecture by its stable CLI name."""

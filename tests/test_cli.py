@@ -40,6 +40,19 @@ class TestBasics:
         code, _, err = invoke(capsys, "analyze", "hardnet68", "--input", "224")
         assert code == 1 and "224" in err
 
+    @pytest.mark.parametrize("size", ["2_24x2_24", "0x224", "224x0", "-32x224", "+224x224",
+                                      " 224x224", "224x224x3", "x224", "\uff12\uff12\uff14x224"])
+    @pytest.mark.parametrize("from_json", [False, True])
+    def test_input_needs_positive_ascii_digits(self, capsys, tmp_path, size, from_json):
+        model = "hardnet68"
+        if from_json:
+            model = str(tmp_path / "g.json")
+            assert invoke(capsys, "build", "hardnet68", "-o", model)[0] == 0
+        code, out, err = invoke(capsys, "analyze", model, f"--input={size}")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --input") and err.count("\n") == 1
+        assert repr(size) in err
+
     @pytest.mark.parametrize("argv", [
         ("liveness", "hardnet39ds", "--dtype-bytes", "0"),
         ("analyze", "hardnet39ds", "--ds-weight", "-1"),

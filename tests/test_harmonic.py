@@ -7,7 +7,7 @@ from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import (HDBSpec, TransitionSpec, bottleneck_channels,
                                 build_bare_hdb, build_hdb, build_model,
                                 build_transition, channel_width, hdb_links, round_even, v2)
-from hardgraph.metrics import layer_cio
+from hardgraph.metrics import layer_metrics
 
 
 def brute_links(k, max_n=12):
@@ -134,13 +134,14 @@ class TestBuildHDB:
     def test_ds_order_minimizes_cio(self):
         # swapping pointwise/depthwise strictly raises CIO when c_in > width
         g, res = hdb_on(200, HDBSpec(4, 16, 1.6, depthwise=True))
+        rows = layer_metrics(g)
         for l in range(1, 5):
             dw = g.node(res.layer_nodes[l])
             pw = g.node(dw.inputs[0])
             c_in = g.conv_input_shape(pw).channels
             w = dw.kind.out_channels
             area = g.shapes[dw.id].height * g.shapes[dw.id].width
-            ours = layer_cio(g, pw) + layer_cio(g, dw)
+            ours = rows[pw.id].cio_elements + rows[dw.id].cio_elements
             swapped = (c_in + c_in) * area + (c_in + w) * area
             if c_in > w:
                 assert swapped > ours

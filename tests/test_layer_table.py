@@ -12,8 +12,7 @@ from hardgraph import catalog, latency, metrics
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphError, Input,
                                 Linear, Pool, TensorShape, TransposedConv)
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
-from hardgraph.metrics import (check_moc, layer_cio, layer_macs, layer_metrics, layer_params,
-                               model_summary, node_metrics)
+from hardgraph.metrics import check_moc, layer_macs, layer_metrics, model_summary, node_metrics
 from hardgraph.registry import MODEL_NAMES
 
 # --- reference: one node at a time, through ArchGraph.conv_input_shape ------
@@ -147,8 +146,7 @@ def assert_same_as_reference(g, dtype_bytes, ds_weight, threshold=40.0):
     assert repr([tuple(lm) for lm in table]) == repr(layers)
     for node, row in zip(g.nodes, layers):
         assert repr(tuple(node_metrics(g, node, dtype_bytes, ds_weight))) == repr(row)
-        assert repr(layer_cio(g, node, ds_weight)) == repr(row[3])
-        assert (layer_macs(g, node), layer_params(g, node)) == (row[2], row[1])
+        assert layer_macs(g, node) == row[2]
     s = model_summary(g, dtype_bytes, ds_weight)
     assert repr(s.layers) == repr(table)
     assert repr((s.params, s.macs, s.cio_elements, s.cio_bytes)) == repr(totals)
@@ -244,7 +242,7 @@ def test_reports_read_only_the_table(monkeypatch):
     def per_node(*args, **kwargs):
         raise AssertionError("a report computed a node's metrics outside the table")
     for mod in (metrics, latency, catalog):
-        for name in ("node_metrics", "layer_cio", "layer_macs", "layer_params"):
+        for name in ("node_metrics", "layer_macs"):
             monkeypatch.setattr(mod, name, per_node, raising=False)
     monkeypatch.setattr(ArchGraph, "conv_input_shape", per_node)
     g = built("fc-hardnet68")  # has tconvs

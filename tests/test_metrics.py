@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
                                 Pool, TensorShape, TransposedConv)
-from hardgraph.metrics import (_flat_rows, check_moc, dumps_json, layer_cio, layer_macs,
-                               layer_params, model_summary, node_metrics, report_csv,
-                               report_json)
+from hardgraph.metrics import (_flat_rows, check_moc, dumps_json, layer_macs, model_summary,
+                               node_metrics, report_csv, report_json)
 
 
 def single_conv(conv, in_shape):
@@ -22,7 +21,7 @@ def single_conv(conv, in_shape):
 class TestLayerCIO:
     def test_stem_conv(self):
         g, n = single_conv(Conv(64), TensorShape(3, 224, 224))
-        assert layer_cio(g, n) == (3 + 64) * 224 * 224 == 3_361_792
+        assert node_metrics(g, n).cio_elements == (3 + 64) * 224 * 224 == 3_361_792
 
     def test_concat_is_zero(self):
         g = ArchGraph()
@@ -31,16 +30,16 @@ class TestLayerCIO:
         b = g.add(Conv(8), [i])
         cat = g.add(Concat(), [a, b])
         g.infer_shapes(TensorShape(3, 8, 8))
-        assert layer_cio(g, g.node(cat)) == 0
+        assert node_metrics(g, g.node(cat)).cio_elements == 0
 
     def test_depthwise_with_ds_weight(self):
         g, n = single_conv(Conv(64, groups=64), TensorShape(64, 56, 56))
-        assert layer_cio(g, n) == 128 * 56 * 56
-        assert layer_cio(g, n, ds_weight=0.6) == pytest.approx(0.6 * 128 * 56 * 56)
+        assert node_metrics(g, n).cio_elements == 128 * 56 * 56
+        assert node_metrics(g, n, ds_weight=0.6).cio_elements == pytest.approx(0.6 * 128 * 56 * 56)
 
     def test_weight_ignored_for_standard_conv(self):
         g, n = single_conv(Conv(64), TensorShape(3, 224, 224))
-        assert layer_cio(g, n, ds_weight=0.6) == layer_cio(g, n)
+        assert node_metrics(g, n, ds_weight=0.6).cio_elements == node_metrics(g, n).cio_elements
 
 
 class TestLayerMACs:
@@ -63,11 +62,11 @@ class TestLayerMACs:
 class TestLayerParams:
     def test_conv1x1_no_bias(self):
         g, n = single_conv(Conv(128, kernel_h=1, kernel_w=1), TensorShape(256, 7, 7))
-        assert layer_params(g, n) == 32_768
+        assert node_metrics(g, n).params == 32_768
 
     def test_depthwise(self):
         g, n = single_conv(Conv(64, groups=64), TensorShape(64, 7, 7))
-        assert layer_params(g, n) == 576
+        assert node_metrics(g, n).params == 576
 
     def test_concat_zero(self):
         g = ArchGraph()
@@ -76,7 +75,7 @@ class TestLayerParams:
         b = g.add(Conv(8), [i])
         cat = g.add(Concat(), [a, b])
         g.infer_shapes(TensorShape(3, 8, 8))
-        assert layer_params(g, g.node(cat)) == 0
+        assert node_metrics(g, g.node(cat)).params == 0
 
     def test_linear_has_bias(self):
         g = ArchGraph()
@@ -84,7 +83,7 @@ class TestLayerParams:
         p = g.add(GlobalPool(), [i])
         f = g.add(Linear(1000), [p])
         g.infer_shapes(TensorShape(512, 7, 7))
-        assert layer_params(g, g.node(f)) == 512 * 1000 + 1000
+        assert node_metrics(g, g.node(f)).params == 512 * 1000 + 1000
 
 
 class TestCheckMoc:

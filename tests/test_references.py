@@ -27,7 +27,6 @@ class TestSparseLinks:
         for k in range(1, 300):
             assert len(sparse_links(SparseRule.DENSE_ALL, k)) == k
             assert len(sparse_links(SparseRule.LOG, k)) == math.floor(math.log2(k)) + 1
-            assert sparse_links(SparseRule.SPARSE_FIXED_OUTPUT, k) == sparse_links(SparseRule.LOG, k)
 
 
 class TestBuilders:
@@ -66,6 +65,9 @@ class TestBuilders:
         l8 = next(n for n in g.nodes if n.label == "enc0/l8")
         cat = g.node(l8.inputs[0])
         assert len(cat.inputs) == 4
+        # the fixed block output reads like a layer 9: layers 8, 7, 5 and 1
+        out = next(n for n in g.nodes if n.label == "enc0/out")
+        assert [g.node(i).label for i in out.inputs] == ["enc0/l8", "enc0/l7", "enc0/l5", "enc0/l1"]
 
     def test_resnet_projection_only_on_downsample(self):
         g = build_reference("resnet50")
