@@ -7,18 +7,16 @@ reported, not raised, so a full report is always produced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph_ir import ArchGraph, TransposedConv
 from .metrics import ModelSummary, model_summary
 from .registry import build
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     model: str
     field: str
     expected: float

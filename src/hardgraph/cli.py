@@ -13,11 +13,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, registry
-from .catalog import validate_catalog
 from .graph_ir import ArchGraph, GraphError, TensorShape, to_dot
-from .latency import PRESETS, PlatformModel, model_latency
-from .liveness import peak_memory, timeline_csv
-from .metrics import check_moc, dumps_json, model_summary, report_csv, report_json
+
+# each subcommand imports the analysis modules it runs, so a cold start loads only those
 
 
 class UsageError(Exception):
@@ -86,6 +84,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .metrics import model_summary, report_csv, report_json
     g = _load_graph(args.model, args.input)
     s = model_summary(g, dtype_bytes=args.dtype_bytes, ds_weight=args.ds_weight)
     header = _header(args, args.model, g)
@@ -96,6 +95,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_compare(args) -> int:
     wanted = args.metrics.split(",") if args.metrics else ["params", "macs", "cio"]
+    unknown = [m for m in wanted if m not in ("params", "macs", "cio", "cio_mb")]
+    if unknown:
+        raise UsageError(f"unknown metric {unknown[0]!r} (use params, macs, cio, cio_mb)")
+    from .metrics import dumps_json, model_summary
     rows = {}
     for model in (args.model_a, args.model_b):
         g = _load_graph(model, args.input)
@@ -105,8 +108,6 @@ def _cmd_compare(args) -> int:
     doc = {"models": rows, "reduction_pct": {}}
     a, b = rows[args.model_a], rows[args.model_b]
     for m in wanted:
-        if m not in a:
-            raise UsageError(f"unknown metric {m!r} (use params, macs, cio, cio_mb)")
         if b[m]:
             doc["reduction_pct"][m] = round(100.0 * (1 - a[m] / b[m]), 3)
     _write(dumps_json(doc) + "\n", args.output)
@@ -114,6 +115,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_moc(args) -> int:
+    from .metrics import check_moc
     g = _load_graph(args.model, args.input)
     violations = check_moc(g, args.threshold)
     for nid, moc in violations:
@@ -124,6 +126,7 @@ def _cmd_check_moc(args) -> int:
 
 
 def _cmd_liveness(args) -> int:
+    from .liveness import peak_memory, timeline_csv
     g = _load_graph(args.model, args.input)
     schedule = g.schedule()
     prof = peak_memory(g, schedule, dtype_bytes=args.dtype_bytes,
@@ -137,6 +140,8 @@ def _cmd_liveness(args) -> int:
 
 
 def _cmd_latency(args) -> int:
+    from .latency import PRESETS, PlatformModel, model_latency
+    from .metrics import dumps_json
     if args.platform in PRESETS:
         platform = PRESETS[args.platform]
     else:
@@ -169,6 +174,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .catalog import validate_catalog
     results = validate_catalog()
     failed = [r for r in results if not r.passed]
     lines = [r.line() for r in results]

@@ -8,30 +8,63 @@ every analysis in the other modules is a pure read.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 
 class GraphError(ValueError):
     """Raised for malformed graphs or invalid construction steps."""
 
 
-def _check_count(owner: str, name: str, value) -> None:
-    """Counts are plain positive ints; ``True`` is not a count of 1."""
-    if type(value) is not int or value < 1:
-        raise GraphError(f"{owner}.{name} must be a positive integer, got {value!r}")
+class _Value:
+    """An immutable record whose fields are its ``__slots__``, set once in
+    ``__init__`` through ``_setters``.  It equals, and hashes like, only
+    values of its own type with equal fields, so ``Linear(8) != (8,)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _set_fields(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _check_counts(self, names) -> None:
+        """Counts are plain positive ints; ``True`` is not a count of 1."""
+        for name in names:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise GraphError(f"{type(self).__name__}.{name} must be a positive integer, "
+                                 f"got {value!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # for copy and pickle: __init__ takes the fields in slot order
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    channels: int
-    height: int
-    width: int
+class TensorShape(_Value):
+    __slots__ = ("channels", "height", "width")
 
-    def __post_init__(self):
-        _check_count("TensorShape", "channels", self.channels)
-        _check_count("TensorShape", "height", self.height)
-        _check_count("TensorShape", "width", self.width)
+    def __init__(self, channels: int, height: int, width: int):
+        self._set_fields(channels, height, width)
+        self._check_counts(self.__slots__)
 
     @property
     def element_count(self) -> int:
@@ -59,112 +92,103 @@ def _interner():
 
 # --- layer kinds -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Input:
-    pass
+class _Kind(_Value):
+    """A layer kind; ``json_params`` lists its graph-JSON params, the first without default."""
+
+    __slots__ = ()
+    json_params = ()
 
 
-@dataclass(frozen=True)
-class Conv:
-    out_channels: int
-    kernel_h: int = 3
-    kernel_w: int = 3
-    stride: int = 1
-    dilation: int = 1
-    groups: int = 1
-    bias: bool = False
+class Input(_Kind):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("out_channels", "kernel_h", "kernel_w", "stride", "dilation", "groups"):
-            _check_count("Conv", name, getattr(self, name))
-        if type(self.bias) is not bool:
-            raise GraphError(f"Conv.bias must be true or false, got {self.bias!r}")
-        if self.out_channels % self.groups != 0:
+
+class Conv(_Kind):
+    __slots__ = ("out_channels", "kernel_h", "kernel_w", "stride", "dilation", "groups", "bias")
+    json_params = ("out_channels", "kernel", "stride", "dilation", "groups", "bias")
+
+    def __init__(self, out_channels: int, kernel_h: int = 3, kernel_w: int = 3, stride: int = 1,
+                 dilation: int = 1, groups: int = 1, bias: bool = False):
+        self._set_fields(out_channels, kernel_h, kernel_w, stride, dilation, groups, bias)
+        self._check_counts(self.__slots__[:-1])
+        if type(bias) is not bool:
+            raise GraphError(f"Conv.bias must be true or false, got {bias!r}")
+        if out_channels % groups != 0:
             raise GraphError("groups must divide out_channels")
 
-
-@dataclass(frozen=True)
-class Pool:
-    mode: str  # "avg" | "max"
-    kernel: int = 2
-    stride: int = 2
-
-    def __post_init__(self):
-        if self.mode not in ("avg", "max"):
-            raise GraphError(f"unknown pool mode {self.mode!r}")
-        _check_count("Pool", "kernel", self.kernel)
-        _check_count("Pool", "stride", self.stride)
+    @property
+    def kernel(self) -> list:
+        return [self.kernel_h, self.kernel_w]
 
 
-@dataclass(frozen=True)
-class TransposedConv:
-    out_channels: int
-    kernel: int = 2
-    stride: int = 2
+class Pool(_Kind):
+    __slots__ = json_params = ("mode", "kernel", "stride")  # mode: "avg" | "max"
 
-    def __post_init__(self):
-        for name in ("out_channels", "kernel", "stride"):
-            _check_count("TransposedConv", name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class Concat:
-    pass
+    def __init__(self, mode: str, kernel: int = 2, stride: int = 2):
+        self._set_fields(mode, kernel, stride)
+        if mode not in ("avg", "max"):
+            raise GraphError(f"unknown pool mode {mode!r}")
+        self._check_counts(("kernel", "stride"))
 
 
-@dataclass(frozen=True)
-class Add:
+class TransposedConv(_Kind):
+    __slots__ = json_params = ("out_channels", "kernel", "stride")
+
+    def __init__(self, out_channels: int, kernel: int = 2, stride: int = 2):
+        self._set_fields(out_channels, kernel, stride)
+        self._check_counts(self.__slots__)
+
+
+class Concat(_Kind):
+    __slots__ = ()
+
+
+class Add(_Kind):
     """Element-wise sum (residual shortcut); all inputs share one shape."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GlobalPool:
-    pass
+class GlobalPool(_Kind):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Linear:
-    out_features: int
+class Linear(_Kind):
+    __slots__ = json_params = ("out_features",)
 
-    def __post_init__(self):
-        _check_count("Linear", "out_features", self.out_features)
+    def __init__(self, out_features: int):
+        self._set_fields(out_features)
+        self._check_counts(self.__slots__)
 
 
-LayerKind = Union[Input, Conv, Pool, TransposedConv, Concat, Add, GlobalPool, Linear]
-
-_KIND_NAMES = {
-    Input: "input",
-    Conv: "conv",
-    Pool: "pool",
-    TransposedConv: "tconv",
-    Concat: "concat",
-    Add: "add",
-    GlobalPool: "global_pool",
-    Linear: "linear",
-}
+_KIND_NAMES = {Input: "input", Conv: "conv", Pool: "pool", TransposedConv: "tconv",
+               Concat: "concat", Add: "add", GlobalPool: "global_pool", Linear: "linear"}
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    kind: LayerKind
-    inputs: tuple
-    label: Optional[str] = None
+class Node(_Value):
+    __slots__ = ("id", "kind", "inputs", "label")
+
+    def __init__(self, id: int, kind: _Kind, inputs: tuple, label: Optional[str] = None):
+        # built once per graph node, so unpacked setters rather than _set_fields's loop
+        set_id, set_kind, set_inputs, set_label = self._setters
+        set_id(self, id)
+        set_kind(self, kind)
+        set_inputs(self, inputs)
+        set_label(self, label)
 
 
-@dataclass
 class ArchGraph:
-    name: str = "graph"
-    nodes: list = field(default_factory=list)
-    shapes: dict = field(default_factory=dict)
-    input_shape: Optional[TensorShape] = None
-    # the shape maker the shape rules call; equal shapes share one object
-    _shape: Callable = field(default_factory=_interner, repr=False, compare=False)
+    def __init__(self, name: str = "graph", nodes: Optional[list] = None,
+                 shapes: Optional[dict] = None, input_shape: Optional[TensorShape] = None):
+        self.name, self.input_shape = name, input_shape
+        self.nodes = [] if nodes is None else nodes
+        self.shapes = {} if shapes is None else shapes
+        # the shape maker the shape rules call; equal shapes share one object
+        self._shape = _interner()
 
     # --- construction ---
 
-    def add(self, kind: LayerKind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
+    def add(self, kind: _Kind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
         """Append a node; with ``input_shape`` set, its shape is inferred now."""
         inputs = tuple(inputs)
         nid = len(self.nodes)
@@ -255,7 +279,7 @@ class ArchGraph:
                 {
                     "id": n.id,
                     "kind": _KIND_NAMES[type(n.kind)],
-                    "params": _kind_params(n.kind),
+                    "params": {p: getattr(n.kind, p) for p in n.kind.json_params},
                     "inputs": list(n.inputs),
                     **({"label": n.label} if n.label else {}),
                 }
@@ -405,42 +429,13 @@ def _conv_out(size: int, kernel: int, stride: int, dilation: int) -> int:
     return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
 
 
-def _kind_params(k: LayerKind) -> dict:
-    if isinstance(k, Conv):
-        return {
-            "out_channels": k.out_channels,
-            "kernel": [k.kernel_h, k.kernel_w],
-            "stride": k.stride,
-            "dilation": k.dilation,
-            "groups": k.groups,
-            "bias": k.bias,
-        }
-    if isinstance(k, Pool):
-        return {"mode": k.mode, "kernel": k.kernel, "stride": k.stride}
-    if isinstance(k, TransposedConv):
-        return {"out_channels": k.out_channels, "kernel": k.kernel, "stride": k.stride}
-    if isinstance(k, Linear):
-        return {"out_features": k.out_features}
-    return {}
-
-
-# the params of each kind in graph JSON, as _kind_params writes them; absent
-# ones take the defaults
-_PARAM_NAMES = {
-    Conv: {"out_channels", "kernel", "stride", "dilation", "groups", "bias"},
-    Pool: {"mode", "kernel", "stride"},
-    TransposedConv: {"out_channels", "kernel", "stride"},
-    Linear: {"out_features"},
-}
-
-
-def _kind_from_json(name, params, nid: int) -> LayerKind:
+def _kind_from_json(name, params, nid: int) -> _Kind:
     cls = _NAME_KINDS.get(name) if type(name) is str else None
     if cls is None:
         raise GraphError(f"node {nid}: unknown node kind {name!r}")
     if type(params) is not dict:
         raise GraphError(f"node {nid}: params must be an object, got {params!r}")
-    unknown = params.keys() - _PARAM_NAMES.get(cls, set())
+    unknown = params.keys() - cls.json_params
     if unknown:
         raise GraphError(f"node {nid}: unknown {name} params {sorted(unknown)}")
     args = dict(params)
@@ -449,7 +444,7 @@ def _kind_from_json(name, params, nid: int) -> LayerKind:
         if type(kernel) is not list or len(kernel) != 2:
             raise GraphError(f"node {nid}: conv kernel must be [height, width], got {kernel!r}")
         args["kernel_h"], args["kernel_w"] = kernel
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in args]
+    missing = [p for p in cls.json_params[:1] if p not in params]
     if missing:
         raise GraphError(f"node {nid}: {name} needs params {missing}")
     try:

@@ -8,11 +8,10 @@ index is divisible by a higher power of two are widened by the multiplier m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph_ir import (ArchGraph, Concat, Conv, GlobalPool, Input, Linear, Pool,
-                       TensorShape, TransposedConv)
+                       TensorShape, TransposedConv, _Value)
 
 
 def round_even(x: float) -> int:
@@ -58,40 +57,31 @@ def bottleneck_channels(c_in: int, c_out: int) -> int:
     return min(round_even(math.sqrt(c_in / c_out) * c_out), c_in)
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
-    red: Optional[float] = None  # reduction rate on input channels
-    t: Optional[int] = None      # explicit output channel count
-    inverted: bool = False
-    downsample: bool = True
-    pool: str = "avg"
+class TransitionSpec(_Value):
+    __slots__ = ("red", "t", "inverted", "downsample", "pool")  # red: rate, t: channels out
 
-    def __post_init__(self):
-        if (self.red is None) == (self.t is None):
+    def __init__(self, red: Optional[float] = None, t: Optional[int] = None,
+                 inverted: bool = False, downsample: bool = True, pool: str = "avg"):
+        self._set_fields(red, t, inverted, downsample, pool)
+        if (red is None) == (t is None):
             raise ValueError("exactly one of red / t must be given")
 
 
-@dataclass(frozen=True)
-class HDBSpec:
-    depth: int
-    growth_rate: int
-    multiplier: float
-    use_bottleneck: bool = False
-    depthwise: bool = False
-    keep_base: bool = False
-    transition: Optional[TransitionSpec] = None
+class HDBSpec(_Value):
+    __slots__ = ("depth", "growth_rate", "multiplier", "use_bottleneck", "depthwise", "keep_base")
 
-    def __post_init__(self):
-        if self.depth < 1:
+    def __init__(self, depth: int, growth_rate: int, multiplier: float,
+                 use_bottleneck: bool = False, depthwise: bool = False, keep_base: bool = False):
+        self._set_fields(depth, growth_rate, multiplier, use_bottleneck, depthwise, keep_base)
+        if depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.growth_rate < 1:
+        if growth_rate < 1:
             raise ValueError("growth_rate must be >= 1")
-        if not 1.0 < self.multiplier <= 3.0:
+        if not 1.0 < multiplier <= 3.0:
             raise ValueError("multiplier must be in (1, 3]")
 
 
-@dataclass
-class HDBResult:
+class HDBResult(NamedTuple):
     output: int
     layer_nodes: dict  # HDB layer index -> node id
 
@@ -191,8 +181,7 @@ def default_input(name: str) -> TensorShape:
 
 # --- model catalog ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ClsConfig:
+class _ClsConfig(NamedTuple):
     """One HarDNet classification model (per-stride HDB stacks)."""
     name: str
     stem: tuple                      # (out_channels, kernel, stride, depthwise) tuples
@@ -284,8 +273,7 @@ def _build_hardnet_cls(cfg: _ClsConfig, input_shape: TensorShape) -> ArchGraph:
 
 # --- FC (segmentation) models ---------------------------------------------
 
-@dataclass(frozen=True)
-class _FCConfig:
+class _FCConfig(NamedTuple):
     name: str
     first_conv: int
     depths: tuple        # 6 encoder blocks, last one is the bottom block

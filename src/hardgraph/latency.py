@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
-from .graph_ir import ArchGraph, Concat
+from .graph_ir import ArchGraph, Concat, _Value
 from .metrics import LayerMetrics, layer_metrics
 
 
-@dataclass(frozen=True)
-class PlatformModel:
-    name: str
-    peak_macs_per_second: float
-    dram_bytes_per_second: float
+class PlatformModel(_Value):
+    __slots__ = ("name", "peak_macs_per_second", "dram_bytes_per_second")
 
-    def __post_init__(self):
-        if not self.peak_macs_per_second > 0 or not self.dram_bytes_per_second > 0:
+    def __init__(self, name: str, peak_macs_per_second: float, dram_bytes_per_second: float):
+        self._set_fields(name, peak_macs_per_second, dram_bytes_per_second)
+        if not peak_macs_per_second > 0 or not dram_bytes_per_second > 0:
             raise ValueError("platform rates must be strictly positive")
 
     def critical_moc(self, dtype_bytes: int = 4) -> float:
@@ -58,17 +56,16 @@ PRESETS = {
 }
 
 
-@dataclass
-class LayerTime:
+class LayerTime(NamedTuple):
     node_id: int
     seconds: float
     bound: str  # "compute" | "memory" | "none"
 
 
-@dataclass
 class LatencyReport:
-    total_seconds: float
-    layers: list = field(default_factory=list)
+    def __init__(self, total_seconds: float, layers: Optional[list] = None):
+        self.total_seconds = total_seconds
+        self.layers = [] if layers is None else layers
 
 
 def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:

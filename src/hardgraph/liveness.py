@@ -17,27 +17,24 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .graph_ir import ArchGraph, Concat
 
 
-@dataclass(frozen=True)
-class LifeInterval:
+class LifeInterval(NamedTuple):
     tensor_id: int   # = producing node id
     birth: int       # schedule step of the producer
     death: int       # schedule step of the last consumer
     size_elements: int
 
 
-@dataclass
 class MemoryProfile:
-    steps: list = field(default_factory=list)        # live bytes per step
-    peak_bytes: int = 0
-    peak_step: int = 0
-    dtype_bytes: int = 4
-    weight_bytes: int = 0
+    def __init__(self, steps: Optional[list] = None, peak_bytes: int = 0, peak_step: int = 0,
+                 dtype_bytes: int = 4, weight_bytes: int = 0):
+        self.steps = [] if steps is None else steps  # live bytes per step
+        self.peak_bytes, self.peak_step = peak_bytes, peak_step
+        self.dtype_bytes, self.weight_bytes = dtype_bytes, weight_bytes
 
 
 def tensor_lifetimes(graph: ArchGraph, schedule: list,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
@@ -27,17 +26,17 @@ class LayerMetrics(NamedTuple):
     moc: float
 
 
-@dataclass
 class ModelSummary:
-    name: str
-    params: int = 0
-    macs: int = 0
-    cio_elements: float = 0
-    cio_bytes: float = 0
-    dtype_bytes: int = 4
-    ds_weight: Optional[float] = None
-    layers: list = field(default_factory=list)
-    per_stride: dict = field(default_factory=dict)  # downscale factor -> dict of totals
+    def __init__(self, name: str, params: int = 0, macs: int = 0, cio_elements: float = 0,
+                 cio_bytes: float = 0, dtype_bytes: int = 4, ds_weight: Optional[float] = None,
+                 layers: Optional[list] = None, per_stride: Optional[dict] = None):
+        self.name, self.params, self.macs, self.cio_elements = name, params, macs, cio_elements
+        self.cio_bytes, self.dtype_bytes, self.ds_weight = cio_bytes, dtype_bytes, ds_weight
+        self.layers = [] if layers is None else layers
+        self.per_stride = {} if per_stride is None else per_stride  # downscale factor -> totals
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is ModelSummary else NotImplemented
 
     @property
     def params_m(self) -> float:
@@ -46,10 +45,6 @@ class ModelSummary:
     @property
     def macs_g(self) -> float:
         return self.macs / 1e9
-
-    @property
-    def cio_m(self) -> float:
-        return self.cio_elements / 1e6
 
     @property
     def cio_mb(self) -> float:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardgraph
+from hardgraph import registry
 from hardgraph.cli import run
 from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
-from test_graph_ir import MALFORMED, with_change
+from test_graph_ir import MALFORMED, one_kind_doc, with_change
 from test_latency import BAD_PLATFORMS
 
 
@@ -322,3 +323,26 @@ def test_validate_tables_output_file(capsys, tmp_path):
     code_o, out, err = invoke(capsys, "validate-tables", "-o", str(path))
     assert (code_o, out, err) == (code, "", "")
     assert path.read_text() == stdout_text
+
+
+class TestMissingParamErrors:
+    @pytest.mark.parametrize("kind,name", [("conv", "out_channels"), ("pool", "mode"),
+                                           ("tconv", "out_channels"),
+                                           ("linear", "out_features")])
+    def test_one_line_naming_the_param(self, capsys, tmp_path, kind, name):
+        path = tmp_path / "g.json"
+        path.write_text(one_kind_doc(kind, {}))
+        code, out, err = invoke(capsys, "analyze", str(path))
+        assert (code, out, err) == (2, "", f"error: node 1: {kind} needs params [{name!r}]\n")
+
+
+def test_compare_checks_metrics_before_building(capsys, monkeypatch):
+    builds = []
+    build = registry.build
+    monkeypatch.setattr(registry, "build", lambda *a: builds.append(a) or build(*a))
+    code, out, err = invoke(capsys, "compare", "hardnet68", "resnet50", "--metrics", "foo")
+    assert (code, out) == (1, "")
+    assert err == "usage error: unknown metric 'foo' (use params, macs, cio, cio_mb)\n"
+    assert builds == []
+    assert invoke(capsys, "compare", "hardnet68", "resnet50", "--metrics", "cio")[0] == 0
+    assert len(builds) == 2

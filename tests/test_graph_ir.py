@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -445,3 +447,76 @@ class TestFromJsonInputSize:
         assert ArchGraph.from_json(json.dumps(doc)).shapes == {}
         g = ArchGraph.from_json(json.dumps(doc), (8, 4))
         assert g.input_shape == TensorShape(3, 8, 4) and len(g.shapes) == 4
+
+
+# each kind that takes params, the param it cannot do without, and a valid value
+REQUIRED_PARAMS = {"conv": ("out_channels", 8), "pool": ("mode", "max"),
+                   "tconv": ("out_channels", 8), "linear": ("out_features", 8)}
+
+
+def one_kind_doc(kind, params) -> str:
+    return json.dumps({"name": "g", "input": [3, 8, 8], "nodes": [
+        {"id": 0, "kind": "input", "params": {}, "inputs": []},
+        {"id": 1, "kind": kind, "params": params, "inputs": [0]}]})
+
+
+class TestMissingParams:
+    @pytest.mark.parametrize("kind", REQUIRED_PARAMS)
+    def test_each_kind_names_its_required_param(self, kind):
+        name = REQUIRED_PARAMS[kind][0]
+        with pytest.raises(GraphError) as err:
+            ArchGraph.from_json(one_kind_doc(kind, {}))
+        assert str(err.value) == f"node 1: {kind} needs params [{name!r}]"
+
+    @pytest.mark.parametrize("kind", REQUIRED_PARAMS)
+    def test_the_required_param_alone_is_enough(self, kind):
+        name, value = REQUIRED_PARAMS[kind]
+        g = ArchGraph.from_json(one_kind_doc(kind, {name: value}))
+        assert g.to_json() == ArchGraph.from_json(g.to_json()).to_json()
+
+    @pytest.mark.parametrize("kind", ["global_pool", "add"])
+    def test_kinds_without_params_take_none(self, kind):
+        assert len(ArchGraph.from_json(one_kind_doc(kind, {})).nodes) == 2
+        with pytest.raises(GraphError, match=f"unknown {kind} params \\['stride'\\]"):
+            ArchGraph.from_json(one_kind_doc(kind, {"stride": 1}))
+
+
+# one value of every kind, of TensorShape and of Node
+VALUES = [Input(), Conv(8), Pool("max"), TransposedConv(8), Concat(), Add(), GlobalPool(),
+          Linear(8), TensorShape(3, 8, 8), Node(1, Conv(8), (0,), "c")]
+
+
+class TestValueTypes:
+    def test_equal_fields_are_equal_values(self):
+        assert Conv(8) == Conv(8) and hash(Conv(8)) == hash(Conv(8))
+        assert Conv(8, kernel_h=1, kernel_w=1) == Conv(8, 1, 1)
+        assert Pool("max") == Pool("max", 2, 2) and TensorShape(3, 8, 8) == TensorShape(3, 8, 8)
+        assert Node(1, Conv(8), (0,)) == Node(1, Conv(8), (0,), None)
+        assert len({Conv(8), Conv(8), Conv(16), Input(), Input()}) == 3
+
+    def test_other_fields_or_types_are_unequal(self):
+        assert Conv(8) != Conv(16) and Conv(8) != Conv(8, bias=True)
+        assert Node(1, Conv(8), (0,)) != Node(1, Conv(8), (0,), "c")
+        assert Linear(8) != (8,) and (8,) != Linear(8)
+        assert Linear(8) != Pool("max", 8, 8) and Pool("max", 8, 8) != Linear(8)
+        assert Concat() != Add() and Input() != GlobalPool()
+        assert TensorShape(3, 8, 8) != (3, 8, 8)
+        assert Node(1, Conv(8), (0,), None) != (1, Conv(8), (0,), None)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_values_are_immutable(self, value):
+        before = repr(value)
+        for name in ("out_channels", "mode", "channels", "label", "kernel"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        assert repr(value) == before and value == value
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_values_copy_and_pickle(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+
+    def test_graphs_deep_copy(self):
+        g = hardgraph.build("hardnet39ds")
+        twin = copy.deepcopy(g)
+        assert twin.to_json() == g.to_json() and twin.shapes == g.shapes
