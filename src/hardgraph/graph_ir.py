@@ -294,8 +294,7 @@ class ArchGraph:
 
         Each node passes the checks ``add`` makes.  Each distinct (kind,
         params) pair is built and validated once and shared by every node
-        that names it; its key is the ``repr`` of the parsed values, which
-        tells ``true`` from ``1`` and ``1.0``.  Shapes are inferred once: at
+        that names it (see ``_kind_key``).  Shapes are inferred once: at
         the stored input, or at ``input_hw`` = (height, width) when given,
         with the stored channel count (3 if the file stores no input).
         """
@@ -323,8 +322,11 @@ class ArchGraph:
         nodes, kinds, has_input = g.nodes, {}, False
         for nid, d in enumerate(ordered):
             kind_name, params = d.get("kind"), d.get("params", {})
-            key = repr((kind_name, params))
-            kind = kinds.get(key)
+            key = _kind_key(kind_name, params)
+            try:
+                kind = kinds.get(key)
+            except TypeError:  # a list or object where a number belongs: the build raises
+                kind = None
             if kind is None:
                 kind = kinds[key] = _kind_from_json(kind_name, params, nid)
             inputs = d.get("inputs", [])
@@ -427,6 +429,18 @@ def _conv_out(size: int, kernel: int, stride: int, dilation: int) -> int:
     # "same" padding for odd kernels; even kernels pad to keep stride tiling.
     pad = dilation * (kernel - 1) // 2
     return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
+
+
+def _kind_key(name, params):
+    """``from_json``'s key for a kind: its name, each param's name, type and value
+    (``true``, ``1``, ``1.0`` stay apart, in a kernel list too)."""
+    if type(params) is not dict:
+        return None  # the build raises, so None is never stored
+    kernel = params.get("kernel")
+    if type(kernel) is list:  # the one list a kind accepts
+        params = {**params, "kernel": (*map(type, kernel), *kernel)}
+    values = params.values()
+    return (name, *params, *map(type, values), *values)
 
 
 def _kind_from_json(name, params, nid: int) -> _Kind:

@@ -147,12 +147,13 @@ def build_bare_hdb(spec: HDBSpec, input_shape: TensorShape) -> tuple:
 
 
 def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
-                     c_in: int, tag: str = "trans") -> int:
-    """Channel-compressing transition after an HDB.
+                     tag: str = "trans") -> int:
+    """Channel-compressing transition after ``input_node``, an HDB output.
 
     standard: Conv1x1 then 2x2 pooling (if downsampling);
     inverted: avg+max pool -> concat -> Conv1x1.
     """
+    c_in = graph.shapes[input_node].channels
     t_out = spec.t if spec.t is not None else round_even(spec.red * c_in)
     if spec.inverted:
         if not spec.downsample:
@@ -238,13 +239,12 @@ def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
         for pi, depth in enumerate(stage):
             spec = HDBSpec(depth, k, m, use_bottleneck=True, keep_base=True)
             res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-            c = g.shapes[res.output].channels
             last_stage = si == len(stages) - 1
             last_in_stage = pi == len(stage) - 1
             # the final HDB keeps a (non-downsampling) transition before pooling
             tr = TransitionSpec(red=_SL_RED, downsample=last_in_stage and not last_stage,
                                 pool="avg")
-            node = build_transition(res.output, tr, g, c, tag=f"trans{bi}")
+            node = build_transition(res.output, tr, g, tag=f"trans{bi}")
             bi += 1
     node = g.add(GlobalPool(), [node], label="gap")
     g.add(Linear(NUM_CLASSES), [node], label="fc")
@@ -261,9 +261,8 @@ def _build_hardnet_cls(cfg: _ClsConfig, input_shape: TensorShape) -> ArchGraph:
         spec = HDBSpec(depth, k, cfg.m, use_bottleneck=cfg.bottleneck,
                        depthwise=cfg.depthwise, keep_base=cfg.keep_base)
         res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-        c = g.shapes[res.output].channels
         tr = TransitionSpec(t=t, downsample=False) if t else TransitionSpec(red=cfg.red, downsample=False)
-        node = build_transition(res.output, tr, g, c, tag=f"trans{bi}")
+        node = build_transition(res.output, tr, g, tag=f"trans{bi}")
         if bi in cfg.downsample_after:
             node = g.add(Pool(cfg.pool), [node], label=f"down{bi}")
     node = g.add(GlobalPool(), [node], label="gap")
@@ -302,9 +301,8 @@ def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
         spec = HDBSpec(cfg.depths[bi], cfg.growth[bi], cfg.m, keep_base=True)
         res = build_hdb(spec, node, g, tag=f"enc{bi}")
         skips.append(res.output)
-        c = g.shapes[res.output].channels
-        node = build_transition(res.output, TransitionSpec(red=_FC_RED, pool="avg"),
-                                g, c, tag=f"down{bi}")
+        node = build_transition(res.output, TransitionSpec(red=_FC_RED, pool="avg"), g,
+                                tag=f"down{bi}")
     # bottom block
     spec = HDBSpec(cfg.depths[-1], cfg.growth[-1], cfg.m, keep_base=False)
     res = build_hdb(spec, node, g, tag="bottom")

@@ -76,8 +76,8 @@ def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
 
 def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
-    report = LatencyReport(total_seconds=0.0)
     crit = platform.critical_moc(dtype_bytes)
+    layers, total = [], 0.0
     for node, lm in zip(graph.nodes, layer_metrics(graph, dtype_bytes)):
         if lm.cio_elements:
             t = layer_time(lm, platform)
@@ -90,6 +90,6 @@ def model_latency(graph: ArchGraph, platform: PlatformModel,
         else:
             t = 0.0
             bound = "none"
-        report.layers.append(LayerTime(node.id, t, bound))
-        report.total_seconds += t
-    return report
+        layers.append(LayerTime(node.id, t, bound))
+        total += t  # left to right: sum() compensates float error on 3.12+
+    return LatencyReport(total, layers)

@@ -6,17 +6,16 @@ nobody consumes (graph outputs) stay live to the end.  Concat materializes a
 new tensor by default; concat_free mode treats it as a zero-copy view, which
 extends the lifetimes of its inputs instead.
 
-Peak memory is one sweep over birth and death events.  A tensor is born at its
-producer's step, so events are indexed by step with no sort: each tensor adds
-its size at its birth step and subtracts it one step after its death, and a
-running sum of those changes gives the live bytes at every step.  The cost is
-O(nodes + edges).
+Peak memory is one sweep over per-step changes, with no sort: each tensor
+adds its size at its birth (its producer's step) and subtracts it one step
+after its death, and their running sum is the live size at every step.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional
 
 from .graph_ir import ArchGraph, Concat
@@ -37,36 +36,34 @@ class MemoryProfile:
         self.dtype_bytes, self.weight_bytes = dtype_bytes, weight_bytes
 
 
+def _lifetimes(graph: ArchGraph, schedule: list, concat_free: bool) -> tuple:
+    """Each tensor's death step and size in elements, as two columns in
+    schedule order; a tensor's birth step is its index."""
+    nodes = [graph.nodes[nid] for nid in schedule]
+    # walking the schedule, each consumer overwrites its inputs' death, so the
+    # latest one is kept; a tensor nothing consumes lives to the last step
+    death = dict.fromkeys(schedule, len(schedule) - 1)
+    for step, n in enumerate(nodes):
+        for i in n.inputs:
+            death[i] = step
+    shapes = graph.shapes
+    sizes = [shapes[nid].element_count for nid in schedule]
+    if concat_free:
+        # a zero-copy concat stores nothing and keeps its inputs alive as
+        # long as its own output
+        for step, n in reversed(list(enumerate(nodes))):
+            if type(n.kind) is Concat:
+                sizes[step] = 0
+                for i in n.inputs:
+                    death[i] = max(death[i], death[n.id])
+    return [death[nid] for nid in schedule], sizes
+
+
 def tensor_lifetimes(graph: ArchGraph, schedule: list,
                      concat_free: bool = False) -> list:
     """One LifeInterval per node output, in schedule order."""
-    pos = {nid: i for i, nid in enumerate(schedule)}
-    last = len(schedule) - 1
-    # one pass over the inputs: a tensor dies at its latest consumer's step,
-    # or at the last step if nothing consumes it
-    death = dict.fromkeys(schedule, -1)
-    for n in graph.nodes:
-        step = pos[n.id]
-        for i in n.inputs:
-            if death[i] < step:
-                death[i] = step
-    for nid, d in death.items():
-        if d < 0:
-            death[nid] = last
-    if concat_free:
-        # a zero-copy concat keeps its inputs alive as long as its own output
-        for nid in reversed(schedule):
-            n = graph.node(nid)
-            if type(n.kind) is Concat:
-                for i in n.inputs:
-                    death[i] = max(death[i], death[nid])
-    out = []
-    for nid in schedule:
-        size = graph.shapes[nid].element_count
-        if concat_free and type(graph.node(nid).kind) is Concat:
-            size = 0
-        out.append(LifeInterval(nid, pos[nid], death[nid], size))
-    return out
+    deaths, sizes = _lifetimes(graph, schedule, concat_free)
+    return list(map(LifeInterval, schedule, range(len(schedule)), deaths, sizes))
 
 
 def peak_memory(graph: ArchGraph, schedule: Optional[list] = None,
@@ -75,23 +72,19 @@ def peak_memory(graph: ArchGraph, schedule: Optional[list] = None,
     """Live bytes at every step; the peak is the first step with the maximum."""
     if schedule is None:
         schedule = graph.schedule()
-    intervals = tensor_lifetimes(graph, schedule, concat_free=concat_free)
+    deaths, sizes = _lifetimes(graph, schedule, concat_free)
     prof = MemoryProfile(dtype_bytes=dtype_bytes)
     if include_weights:
         from .metrics import model_summary
         prof.weight_bytes = model_summary(graph, dtype_bytes).params * dtype_bytes
-    delta = [0] * (len(schedule) + 1)   # change in live elements at each step
-    for iv in intervals:
-        delta[iv.birth] += iv.size_elements
-        delta[iv.death + 1] -= iv.size_elements
-    live = 0
-    for step in range(len(schedule)):
-        live += delta[step]
-        total = live * dtype_bytes + prof.weight_bytes
-        prof.steps.append(total)
-        if total > prof.peak_bytes:
-            prof.peak_bytes = total
-            prof.peak_step = step
+    delta = sizes + [0]  # change in live elements at each step: births, then deaths
+    for death, size in zip(deaths, sizes):
+        delta[death + 1] -= size
+    weight_bytes = prof.weight_bytes
+    prof.steps = [live * dtype_bytes + weight_bytes for live in accumulate(delta[:-1])]
+    peak = max(prof.steps, default=0)
+    if peak > 0:
+        prof.peak_bytes, prof.peak_step = peak, prof.steps.index(peak)
     return prof
 
 
@@ -104,20 +97,17 @@ def verify_flush(graph: ArchGraph, layer_nodes: Mapping[int, int]) -> list:
     """
     schedule = graph.schedule()
     pos = {nid: i for i, nid in enumerate(schedule)}
-    intervals = {iv.tensor_id: iv for iv in tensor_lifetimes(graph, schedule)}
+    death = dict(zip(schedule, _lifetimes(graph, schedule, False)[0]))
     depth = max(i for i in layer_nodes if i > 0)
     out = []
     p = 2
     while p <= depth:
         step = pos[layer_nodes[p]]
-        flushed = []
         for l in range(1, p):
-            iv = intervals[layer_nodes[l]]
-            if iv.death > step:
-                raise AssertionError(
-                    f"layer {l} still live after layer {p} (dies at step {iv.death} > {step})")
-            flushed.append(l)
-        out.append((p, flushed))
+            if death[layer_nodes[l]] > step:
+                raise AssertionError(f"layer {l} still live after layer {p} "
+                                     f"(dies at step {death[layer_nodes[l]]} > {step})")
+        out.append((p, list(range(1, p))))
         p *= 2
     return out
 
@@ -132,9 +122,8 @@ def timeline_csv(graph: ArchGraph, profile: MemoryProfile,
     if header:
         for k in sorted(header):
             buf.write(f"# {k}: {header[k]}\n")
+    labels = [graph.nodes[nid].label or str(nid) for nid in schedule]
     w = csv.writer(buf)
     w.writerow(["step", "node", "live_bytes"])
-    for step, nid in enumerate(schedule):
-        label = graph.node(nid).label or str(nid)
-        w.writerow([step, label, profile.steps[step]])
+    w.writerows(zip(range(len(schedule)), labels, profile.steps))
     return buf.getvalue()

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from math import copysign
+from operator import not_
 from typing import NamedTuple, Optional
 
 from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv
@@ -144,19 +146,25 @@ def check_moc(graph: ArchGraph, threshold: float) -> list:
 
 # --- report rendering -------------------------------------------------------
 
-def _rows(graph: ArchGraph, summary: ModelSummary):
-    for node, lm in zip(graph.nodes, summary.layers):
-        shape = graph.shapes[node.id]
-        yield {
-            "id": node.id,
-            "label": node.label or "",
-            "kind": _KIND_NAMES[type(node.kind)],
-            "out_shape": f"{shape.channels}x{shape.height}x{shape.width}",
-            "params": lm.params,
-            "macs": lm.macs,
-            "cio_elements": lm.cio_elements,
-            "moc": round(lm.moc, 6),
-        }
+class Table(NamedTuple):
+    """Report rows held as columns of equal length: row r maps ``keys[i]`` to
+    ``columns[i][r]``.  ``dumps_json`` writes it as that list of dicts."""
+    keys: tuple
+    columns: tuple
+
+
+def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
+    """The per-layer report rows, as columns."""
+    nodes, shapes = graph.nodes, graph.shapes
+    ids, params, macs, cio, _, moc = zip(*summary.layers) if summary.layers else [()] * 6
+    node_shapes = list(map(shapes.__getitem__, ids))
+    texts = {i: f"{s.channels}x{s.height}x{s.width}"  # one string per interned shape
+             for i, s in dict(zip(map(id, node_shapes), node_shapes)).items()}
+    return Table(("id", "label", "kind", "out_shape", "params", "macs", "cio_elements", "moc"),
+                 (ids, [n.label or "" for n in nodes],
+                  [_KIND_NAMES[type(n.kind)] for n in nodes],
+                  list(map(texts.__getitem__, map(id, node_shapes))),
+                  params, macs, cio, [round(m, 6) for m in moc]))
 
 
 def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
@@ -164,64 +172,46 @@ def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] =
     if header:
         for k in sorted(header):
             buf.write(f"# {k}: {header[k]}\n")
-    w = csv.DictWriter(buf, fieldnames=[
-        "id", "label", "kind", "out_shape", "params", "macs", "cio_elements", "moc"])
-    w.writeheader()
-    for row in _rows(graph, summary):
-        w.writerow(row)
-    w.writerow({
-        "id": "", "label": "TOTAL", "kind": "", "out_shape": "",
-        "params": summary.params, "macs": summary.macs,
-        "cio_elements": summary.cio_elements,
-        "moc": round(summary.macs / summary.cio_elements, 6) if summary.cio_elements else 0,
-    })
+    table = _rows(graph, summary)
+    w = csv.writer(buf)
+    w.writerow(table.keys)
+    w.writerows(zip(*table.columns))
+    w.writerow(["", "TOTAL", "", "", summary.params, summary.macs, summary.cio_elements,
+                round(summary.macs / summary.cio_elements, 6) if summary.cio_elements else 0])
     return buf.getvalue()
 
 
 def report_json(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
     doc = {
         "header": header or {},
-        "layers": list(_rows(graph, summary)),
-        "summary": {
-            "params": summary.params,
-            "macs": summary.macs,
-            "cio_elements": summary.cio_elements,
-            "cio_bytes": summary.cio_bytes,
-            "cio_mb": summary.cio_mb,
-            "dtype_bytes": summary.dtype_bytes,
-            "ds_weight": summary.ds_weight,
-        },
+        "layers": _rows(graph, summary),
+        "summary": {k: getattr(summary, k) for k in (
+            "params", "macs", "cio_elements", "cio_bytes", "cio_mb", "dtype_bytes", "ds_weight")},
     }
     return dumps_json(doc)
 
 
 # --- JSON writer ------------------------------------------------------------
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 _encode_scalar = json.JSONEncoder().encode
 
 
 def dumps_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, but fast
-    on long lists of flat rows.  Dict keys must be strings.
-
-    The stdlib encoder takes its pure-Python path whenever ``indent`` is set,
-    one generator step per token.  Here a list of non-empty dicts with scalar
-    values (a report's per-layer rows) goes to the C encoder in one call,
-    with the row's own line break and indent as the item separator; every
-    other value is laid out as ``indent=2`` would.
-    """
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with a
+    ``Table`` written as its list of rows; keys must be strings.  With an
+    indent the stdlib takes one Python step per token; a table is instead
+    encoded column by column and filled into one ``%`` template per row."""
     return _dumps(doc, 0)
 
 
 def _dumps(value, level: int) -> str:
+    if type(value) is Table:
+        return _dumps_table(value, level)
     if isinstance(value, dict) and value:
         # encode_basestring_ascii raises TypeError on a key that is not a str
         return _block("{", [f"{encode_basestring_ascii(k)}: {_dumps(v, level + 1)}"
                             for k, v in sorted(value.items())], "}", level)
     if isinstance(value, (list, tuple)) and value:
-        if _flat_rows(value):
-            return _dumps_rows(value, level)
         return _block("[", [_dumps(v, level + 1) for v in value], "]", level)
     return _encode_scalar(value)  # a scalar, {} or []
 
@@ -231,20 +221,30 @@ def _block(opener: str, items: list, closer: str, level: int) -> str:
     return opener + pad + ("," + pad).join(items) + "\n" + "  " * level + closer
 
 
-def _flat_rows(items) -> bool:
-    """True for dicts that are all non-empty, with string keys and scalar values."""
-    return (set(map(type, items)) == {dict} and all(items)
-            and set(map(type, chain.from_iterable(items))) == {str}
-            and set(map(type, chain.from_iterable(map(dict.values, items)))) <= _SCALARS)
+def _dumps_table(table: Table, level: int) -> str:
+    columns = sorted(zip(table.keys, table.columns))  # keys are unique: sorts by key
+    cells = [_encode_column(column, level + 2) for _, column in columns]
+    if not cells or not cells[0]:
+        return "[]"
+    # a key's '%' is doubled, so only the '%s' value slots are filled
+    row = _block("{", [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                       for k, _ in columns], "}", level + 1)
+    return _block("[", list(map(row.__mod__, zip(*cells))), "]", level)
 
 
-def _dumps_rows(rows: list, level: int) -> str:
-    # One C-encoder call with the key indent as item separator gives
-    # '[{"a": 1,<key pad>"b": 2},<key pad>{"a": 3, ...}]'.  Within a row the
-    # separator is followed by a key's opening quote, so '},<key pad>{' is
-    # always a row boundary: encoded strings hold no raw newline.
-    key_pad = "\n" + "  " * (level + 2)
-    row_pad = "\n" + "  " * (level + 1)
-    text = json.JSONEncoder(sort_keys=True, separators=("," + key_pad, ": ")).encode(rows)
-    body = text[2:-2].replace("}," + key_pad + "{", row_pad + "}," + row_pad + "{" + key_pad)
-    return "[" + row_pad + "{" + key_pad + body + row_pad + "}" + "\n" + "  " * level + "]"
+def _encode_column(column, level: int) -> list:
+    """A table column's values as JSON text: strings in one call, all ints or all floats once
+    per distinct value, unless -0.0 (== 0.0), NaN or an infinity (spelt apart) is there."""
+    types = set(map(type, column))
+    if types == {str}:
+        return list(map(encode_basestring_ascii, column))
+    if types == {int} or types == {float} and min(
+            map(copysign, repeat(1.0), filter(not_, column)), default=1.0) > 0:
+        texts = dict(zip(distinct := set(column), map(repr, distinct)))
+        if {"nan", "inf", "-inf"}.isdisjoint(texts.values()):
+            return list(map(texts.__getitem__, column))
+    elif types <= {int, float}:
+        cells = list(map(repr, column))
+        if {"nan", "inf", "-inf"}.isdisjoint(cells):
+            return cells
+    return [_dumps(v, level) for v in column]

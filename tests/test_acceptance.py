@@ -141,7 +141,7 @@ def test_criterion_11_inverted_transition():
         i = g.add(Input(), [])
         x = g.add(Conv(100, kernel_h=1, kernel_w=1), [i])
         g.infer_shapes(TensorShape(3, 56, 56))
-        out = build_transition(x, TransitionSpec(red=0.85, inverted=inverted), g, 100)
+        out = build_transition(x, TransitionSpec(red=0.85, inverted=inverted), g)
         g.infer_shapes(TensorShape(3, 56, 56))
         conv = next(n for n in g.nodes[2:] if isinstance(n.kind, Conv))
         return g.conv_input_shape(conv).element_count

@@ -10,8 +10,11 @@ reports moved and why.
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 from contextlib import redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -24,13 +27,25 @@ from hardgraph.registry import MODEL_NAMES
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 INPUTS = (None, "256x320")  # None is each model's default input
 BARE_DEPTHS = (1, 2, 3, 7, 64, 4096)
+# the per-layer reports, each run on every model and on the deepest bare HDB
+REPORTS = (["analyze", "--format", "json"], ["latency", "--platform", "gpu-like"],
+           ["liveness"], ["liveness", "--concat-free"])
+BARE_FILE = "bare-hdb-L4096.json"  # a relative path: the report headers name it
 
 
 def _cli_cases():
     for model in MODEL_NAMES:
         for hw in INPUTS:
+            size = ["--input", hw] if hw else []
             for cmd in ("build", "analyze"):
-                yield [cmd, model] + (["--input", hw] if hw else [])
+                yield [cmd, model] + size
+            for cmd, *flags in REPORTS:
+                yield [cmd, model] + size + flags
+
+
+def _bare_cases():
+    for cmd, *flags in REPORTS:
+        yield [cmd, BARE_FILE] + flags
 
 
 def _cli_text(argv) -> str:
@@ -40,9 +55,23 @@ def _cli_text(argv) -> str:
     return buf.getvalue()
 
 
+@lru_cache(maxsize=None)
 def _bare_text(depth: int) -> str:
     g, _ = build_bare_hdb(HDBSpec(depth, 8, 1.6), TensorShape(16, 64, 64))
     return g.to_json()
+
+
+def _bare_cli_text(argv) -> str:
+    """The report of ``argv`` on the L=4096 bare HDB, saved as BARE_FILE in
+    a fresh directory that is the working directory while the CLI runs."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, BARE_FILE).write_text(_bare_text(4096))
+        os.chdir(tmp)
+        try:
+            return _cli_text(argv)
+        finally:
+            os.chdir(cwd)
 
 
 def _sha(text: str) -> str:
@@ -51,6 +80,7 @@ def _sha(text: str) -> str:
 
 def _all_digests() -> dict:
     doc = {" ".join(argv): _sha(_cli_text(argv)) for argv in _cli_cases()}
+    doc.update({" ".join(argv): _sha(_bare_cli_text(argv)) for argv in _bare_cases()})
     doc.update({f"bare-hdb L={d}": _sha(_bare_text(d)) for d in BARE_DEPTHS})
     return doc
 
@@ -59,13 +89,18 @@ GOLDEN = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
 
 
 def test_golden_covers_every_case():
-    keys = [" ".join(argv) for argv in _cli_cases()] + [f"bare-hdb L={d}" for d in BARE_DEPTHS]
-    assert sorted(GOLDEN) == sorted(keys)
+    keys = [" ".join(argv) for argv in (*_cli_cases(), *_bare_cases())]
+    assert sorted(GOLDEN) == sorted(keys + [f"bare-hdb L={d}" for d in BARE_DEPTHS])
 
 
 @pytest.mark.parametrize("argv", list(_cli_cases()), ids=" ".join)
 def test_cli_report_bytes(argv):
     assert _sha(_cli_text(argv)) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", list(_bare_cases()), ids=" ".join)
+def test_bare_hdb_report_bytes(argv):
+    assert _sha(_bare_cli_text(argv)) == GOLDEN[" ".join(argv)]
 
 
 @pytest.mark.parametrize("depth", BARE_DEPTHS)

@@ -232,6 +232,9 @@ MALFORMED = {
     "missing out_channels": (lambda d: node(d, 1)["params"].pop("out_channels"),
                              "out_channels"),
     "unknown param": (lambda d: node(d, 1)["params"].update(kernal=[1, 1]), "kernal"),
+    "list out_channels": (lambda d: node(d, 1)["params"].update(out_channels=[8]),
+                          "out_channels"),
+    "nested kernel": (lambda d: node(d, 1)["params"].update(kernel=[[1], 3]), "kernel_h"),
     "string bias": (lambda d: node(d, 1)["params"].update(bias="no"), "bias"),
     "params not an object": (lambda d: node(d, 3).update(params=[]), "params"),
     "unknown kind": (lambda d: node(d, 1).update(kind="deconv"), "deconv"),
@@ -258,6 +261,22 @@ class TestFromJsonChecks:
             node(d, 2)["params"].update(out_channels=True)
         with pytest.raises(GraphError, match="out_channels"):
             ArchGraph.from_json(with_change(change))
+
+    @pytest.mark.parametrize("first, then, word", [
+        ({"kernel": [1, 3]}, {"kernel": [True, 3]}, "kernel_h"),
+        ({"kernel": [1, 3]}, {"kernel": [1.0, 3]}, "kernel_h"),
+        ({"kernel": [3, 1]}, {"kernel": [3, True]}, "kernel_w"),
+        ({"out_channels": 1}, {"out_channels": 1.0}, "out_channels"),
+    ], ids=["bool kernel", "float kernel", "bool kernel_w", "float out_channels"])
+    def test_typed_value_after_equal_one_is_still_rejected(self, first, then, word):
+        # true == 1 == 1.0, so the interning key must keep each value's type,
+        # also for the elements of a kernel list
+        def change(d):
+            node(d, 1)["params"].update(first)
+            node(d, 2)["params"].update(then)
+        with pytest.raises(GraphError, match=word) as err:
+            ArchGraph.from_json(with_change(change))
+        assert "\n" not in str(err.value)
 
     def test_equal_kinds_are_shared(self):
         g = ArchGraph.from_json(with_change(lambda d: None))

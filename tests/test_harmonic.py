@@ -157,7 +157,7 @@ class TestTransition:
 
     def test_standard_reduction_rounding(self):
         g, x = self.graph(328)
-        out = build_transition(x, TransitionSpec(red=0.85), g, 328)
+        out = build_transition(x, TransitionSpec(red=0.85), g)
         g.infer_shapes(TensorShape(3, 56, 56))
         conv = g.node(g.node(out).inputs[0])
         assert conv.kind.out_channels == 278  # 0.85 * 328 = 278.8
@@ -165,7 +165,7 @@ class TestTransition:
 
     def test_inverted_halves_conv_input(self):
         g, x = self.graph(100)
-        out = build_transition(x, TransitionSpec(red=0.85, inverted=True), g, 100)
+        out = build_transition(x, TransitionSpec(red=0.85, inverted=True), g)
         g.infer_shapes(TensorShape(3, 56, 56))
         conv = g.node(out)
         cat_elems = g.conv_input_shape(conv).element_count
@@ -174,7 +174,7 @@ class TestTransition:
 
     def test_explicit_t(self):
         g, x = self.graph(300)
-        out = build_transition(x, TransitionSpec(t=256, downsample=False), g, 300)
+        out = build_transition(x, TransitionSpec(t=256, downsample=False), g)
         g.infer_shapes(TensorShape(3, 56, 56))
         assert g.shapes[out].channels == 256
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
                                 Pool, TensorShape, TransposedConv)
-from hardgraph.metrics import (_flat_rows, check_moc, dumps_json, layer_macs, model_summary,
+from hardgraph.metrics import (Table, check_moc, dumps_json, layer_macs, model_summary,
                                node_metrics, report_csv, report_json)
 
 
@@ -171,9 +171,9 @@ def stdlib_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# text that looks like the JSON structure the writer rewrites
-tricky_text = st.text(st.sampled_from(list('{}[],:"\\\n\t x\u00e9\u4e2d\U0001f600')) | st.characters(),
-                      max_size=12)
+# text that looks like the JSON structure, or the row template, the writer fills
+tricky_text = st.text(st.sampled_from(list('{}[],:"\\\n\t x%s\u00e9\u4e2d\U0001f600'))
+                      | st.characters(), max_size=12)
 scalars = (tricky_text | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
            | st.booleans() | st.none())
 flat_row = st.dictionaries(tricky_text, scalars, min_size=1, max_size=4)
@@ -189,6 +189,18 @@ def rows_with_nested(draw):
     row[draw(tricky_text)] = draw(nested)
     rows.insert(draw(st.integers(0, len(rows))), row)
     return rows
+
+
+@st.composite
+def tables(draw):
+    """A Table of 0-4 rows whose columns are each all ints, all strings, all
+    floats (NaN and infinities among them), ints and floats, or any scalars."""
+    keys = draw(st.lists(tricky_text, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 4))
+    values = (st.integers() | tricky_text | st.floats(allow_nan=True, allow_infinity=True)
+              | (st.integers() | st.floats()) | scalars)
+    return Table(tuple(keys), tuple(draw(st.lists(values, min_size=n, max_size=n))
+                                    for _ in keys))
 
 
 json_values = st.recursive(
@@ -208,7 +220,6 @@ class TestJsonWriter:
     @settings(deadline=None)
     @given(flat_rows, st.integers(0, 3))
     def test_flat_rows_at_any_depth(self, rows, depth):
-        assert _flat_rows(rows)
         doc = rows
         for _ in range(depth):
             doc = {"layers": doc, "n": len(rows)}
@@ -217,7 +228,6 @@ class TestJsonWriter:
     @settings(deadline=None)
     @given(rows_with_nested())
     def test_nested_rows_take_the_fallback(self, rows):
-        assert not _flat_rows(rows)
         assert dumps_json({"layers": rows}) == stdlib_dumps({"layers": rows})
 
     @pytest.mark.parametrize("rows", [
@@ -225,15 +235,34 @@ class TestJsonWriter:
         [{"a": (1, 2)}],
     ])
     def test_not_flat(self, rows):
-        assert not _flat_rows(rows)
         assert dumps_json({"x": rows}) == stdlib_dumps({"x": rows})
 
     @pytest.mark.parametrize("bad", [{"a": object()}, [{"a": object()}], {(1, 2): 1},
-                                     {"a": 1, 2: 3}, {1: "a"}, [{1: "a"}]])
+                                     {"a": 1, 2: 3}, {1: "a"}, [{1: "a"}],
+                                     Table((1,), ([2],)), Table(("a",), ([object()],))])
     def test_type_errors(self, bad):
         # the stdlib writes int keys as strings; reports only have string keys
         with pytest.raises(TypeError):
             dumps_json(bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables(), st.integers(0, 2))
+    def test_table_matches_its_rows(self, table, depth):
+        rows = [dict(zip(table.keys, row)) for row in zip(*table.columns)]
+        doc, want = table, rows
+        for _ in range(depth):
+            doc, want = {"layers": doc, "n": len(rows)}, {"layers": want, "n": len(rows)}
+        assert dumps_json(doc) == stdlib_dumps(want)
+
+    @pytest.mark.parametrize("table, rows", [
+        (Table(("a", "b"), ([], [])), []),
+        (Table((), ()), []),
+        (Table(("%s", "b%"), ([1], ["%d"])), [{"%s": 1, "b%": "%d"}]),
+        (Table(("x",), ([1.5, 2, float("nan"), True, None, "s"],)),
+         [{"x": v} for v in (1.5, 2, float("nan"), True, None, "s")]),
+    ])
+    def test_empty_one_row_and_mixed_tables(self, table, rows):
+        assert dumps_json({"layers": table}) == stdlib_dumps({"layers": rows})
 
     @pytest.mark.parametrize("name", ["hardnet39ds", "fc-hardnet68", "resnet18"])
     def test_reports(self, name):
