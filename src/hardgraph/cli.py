@@ -200,74 +200,61 @@ _ds_weight = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _threshold = _checked(float, math.isfinite, "a finite number")
 
 
-def build_parser() -> _Parser:
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_MODEL = _arg("model")
+_OUTPUT = _arg("--output", "-o", default=None)
+_COMMON = (_arg("--input", default=None, help="input size as HxW"),
+           _arg("--dtype-bytes", type=_dtype_bytes, default=4), _OUTPUT)
+
+# name: (help, handler, arguments); build_parser reads each subparser from here
+COMMANDS = {
+    "list-models": ("list built-in model names", _cmd_list_models, ()),
+    "build": ("emit a model graph as JSON", _cmd_build, (_MODEL, *_COMMON)),
+    "analyze": ("per-layer params/MACs/CIO/MoC report", _cmd_analyze, (
+        _arg("model", help="built-in name or graph JSON path"),
+        _arg("--format", choices=("csv", "json"), default="csv"),
+        _arg("--ds-weight", type=_ds_weight, default=None,
+             help="CIO weighting for pointwise/depthwise convs"), *_COMMON)),
+    "compare": ("metric deltas between two models", _cmd_compare, (
+        _arg("model_a"), _arg("model_b"),
+        _arg("--metrics", default=None, help="comma list: params,macs,cio,cio_mb"), *_COMMON)),
+    "check-moc": ("list conv layers below a MoC threshold", _cmd_check_moc, (
+        _MODEL, _arg("--threshold", type=_threshold, required=True), *_COMMON)),
+    "liveness": ("memory timeline and peak usage", _cmd_liveness, (
+        _MODEL, _arg("--concat-free", action="store_true",
+                     help="model concatenation as zero-copy"), *_COMMON)),
+    "latency": ("roofline latency estimate", _cmd_latency, (
+        _MODEL, _arg("--platform", required=True, help="preset name or platform JSON path"),
+        _arg("--concat-copy", action="store_true", help="charge DRAM time for concat copies"),
+        *_COMMON)),
+    "export-dot": ("Graphviz DOT export", _cmd_export_dot, (_MODEL, *_COMMON)),
+    "validate-tables": ("reproduce the published efficiency tables", _cmd_validate, (_OUTPUT,)),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand, or with only ``command``'s subparser:
+    a call that names its subcommand never shows the others."""
     p = _Parser(prog="hardgraph", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, input_default=None):
-        sp.add_argument("--input", default=input_default, help="input size as HxW")
-        sp.add_argument("--dtype-bytes", type=_dtype_bytes, default=4)
-        sp.add_argument("--output", "-o", default=None)
-
-    sub.add_parser("list-models", help="list built-in model names").set_defaults(func=_cmd_list_models)
-
-    sp = sub.add_parser("build", help="emit a model graph as JSON")
-    sp.add_argument("model")
-    common(sp)
-    sp.set_defaults(func=_cmd_build)
-
-    sp = sub.add_parser("analyze", help="per-layer params/MACs/CIO/MoC report")
-    sp.add_argument("model", help="built-in name or graph JSON path")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--ds-weight", type=_ds_weight, default=None,
-                    help="CIO weighting for pointwise/depthwise convs")
-    common(sp)
-    sp.set_defaults(func=_cmd_analyze)
-
-    sp = sub.add_parser("compare", help="metric deltas between two models")
-    sp.add_argument("model_a")
-    sp.add_argument("model_b")
-    sp.add_argument("--metrics", default=None, help="comma list: params,macs,cio,cio_mb")
-    common(sp)
-    sp.set_defaults(func=_cmd_compare)
-
-    sp = sub.add_parser("check-moc", help="list conv layers below a MoC threshold")
-    sp.add_argument("model")
-    sp.add_argument("--threshold", type=_threshold, required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_check_moc)
-
-    sp = sub.add_parser("liveness", help="memory timeline and peak usage")
-    sp.add_argument("model")
-    sp.add_argument("--concat-free", action="store_true",
-                    help="model concatenation as zero-copy")
-    common(sp)
-    sp.set_defaults(func=_cmd_liveness)
-
-    sp = sub.add_parser("latency", help="roofline latency estimate")
-    sp.add_argument("model")
-    sp.add_argument("--platform", required=True,
-                    help="preset name or platform JSON path")
-    sp.add_argument("--concat-copy", action="store_true",
-                    help="charge DRAM time for concat copies")
-    common(sp)
-    sp.set_defaults(func=_cmd_latency)
-
-    sp = sub.add_parser("export-dot", help="Graphviz DOT export")
-    sp.add_argument("model")
-    common(sp)
-    sp.set_defaults(func=_cmd_export_dot)
-
-    sp = sub.add_parser("validate-tables", help="reproduce the published efficiency tables")
-    sp.add_argument("--output", "-o", default=None)
-    sp.set_defaults(func=_cmd_validate)
+    for name, (text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=text)
+            for flags, options in arguments:
+                sp.add_argument(*flags, **options)
+            sp.set_defaults(func=func)
     return p
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # an argv that does not start with a subcommand (help, --version, a usage
+    # error) gets every subparser, so its text still lists all nine
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as e:

@@ -7,7 +7,6 @@ every analysis in the other modules is a pure read.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional
 
 
@@ -286,6 +285,7 @@ class ArchGraph:
                 for n in self.nodes
             ],
         }
+        import json  # only graph JSON I/O needs it, so a cold start skips it
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -298,6 +298,7 @@ class ArchGraph:
         the stored input, or at ``input_hw`` = (height, width) when given,
         with the stored channel count (3 if the file stores no input).
         """
+        import json
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError

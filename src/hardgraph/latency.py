@@ -32,7 +32,10 @@ class PlatformModel(_Value):
     def from_json(cls, text: str) -> "PlatformModel":
         """Load platform JSON: an object whose two rates are JSON numbers
         (not booleans) and whose optional ``name`` is a string."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+            raise ValueError(f"malformed platform JSON: {e}") from e
         if type(doc) is not dict:
             raise ValueError(f"platform JSON must be an object, got {type(doc).__name__}")
         name = doc.get("name", "platform")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hardgraph
 from hardgraph import registry
-from hardgraph.cli import run
+from hardgraph.cli import COMMANDS, UsageError, build_parser, run
 from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
 from test_graph_ir import MALFORMED, one_kind_doc, with_change
 from test_latency import BAD_PLATFORMS
@@ -346,3 +347,88 @@ def test_compare_checks_metrics_before_building(capsys, monkeypatch):
     assert builds == []
     assert invoke(capsys, "compare", "hardnet68", "resnet50", "--metrics", "cio")[0] == 0
     assert len(builds) == 2
+
+
+# one representative argv per subcommand, every option of it given
+EVERY_OPTION = {
+    "list-models": ["list-models"],
+    "build": ["build", "hardnet68", "--input", "256x256", "--dtype-bytes", "2", "-o", "g.json"],
+    "analyze": ["analyze", "hardnet39ds", "--format", "json", "--ds-weight", "0.6",
+                "--input", "192x192", "--dtype-bytes", "2", "--output", "r.json"],
+    "compare": ["compare", "hardnet68", "densenet121", "--metrics", "params,cio_mb",
+                "--input", "256x256", "--dtype-bytes", "1", "-o", "c.json"],
+    "check-moc": ["check-moc", "resnet50", "--threshold", "40", "--input", "256x256",
+                  "--dtype-bytes", "1", "-o", "m.txt"],
+    "liveness": ["liveness", "fc-hardnet68", "--concat-free", "--input", "352x480",
+                 "--dtype-bytes", "2", "-o", "t.csv"],
+    "latency": ["latency", "vgg16", "--platform", "edge-like", "--concat-copy",
+                "--input", "256x256", "--dtype-bytes", "2", "-o", "l.json"],
+    "export-dot": ["export-dot", "hardnet68", "--input", "256x256", "--dtype-bytes", "2",
+                   "-o", "g.dot"],
+    "validate-tables": ["validate-tables", "-o", "tables.txt"],
+}
+
+
+def help_text(parser, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        parser.parse_args(argv)
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
+@pytest.fixture
+def subparsers_added(monkeypatch):
+    """The names of the subparsers added while the test runs."""
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    return added
+
+
+class TestParserPerCommand:
+    """A call that names its subcommand builds only that subparser; the full
+    parser, which help, --version and errors still build, is the oracle."""
+
+    def test_every_subcommand_has_a_representative_argv(self):
+        assert list(EVERY_OPTION) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", EVERY_OPTION)
+    def test_narrowed_parser_parses_as_the_full_one(self, command):
+        argv = EVERY_OPTION[command]
+        narrowed = vars(build_parser(command).parse_args(argv))
+        assert narrowed == vars(build_parser().parse_args(argv))
+        assert help_text(build_parser(command), [command, "-h"]) == \
+            help_text(build_parser(), [command, "-h"])
+
+    def test_named_subcommand_adds_one_subparser(self, capsys, subparsers_added):
+        assert invoke(capsys, "analyze", "hardnet68")[0] == 0
+        assert subparsers_added == ["analyze"]
+
+    def test_narrowed_parser_knows_no_other_subcommand(self):
+        with pytest.raises(UsageError, match="liveness"):
+            build_parser("analyze").parse_args(["liveness", "hardnet68"])
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_subcommand(self, capsys, subparsers_added, flag):
+        with pytest.raises(SystemExit) as exit_:
+            run([flag])
+        assert exit_.value.code == 0
+        assert subparsers_added == list(COMMANDS)
+        out, err = capsys.readouterr()
+        assert (out, err) == (build_parser().format_help(), "")
+
+    def test_version(self, capsys, subparsers_added):
+        with pytest.raises(SystemExit) as exit_:
+            run(["--version"])
+        assert exit_.value.code == 0
+        assert subparsers_added == list(COMMANDS)
+        assert capsys.readouterr() == (hardgraph.__version__ + "\n", "")
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["Analyze", "hardnet68"], ["--input", "8x8"]])
+    def test_no_subcommand_is_one_usage_error(self, capsys, subparsers_added, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert subparsers_added == list(COMMANDS)

@@ -130,7 +130,8 @@ BAD_PLATFORMS = {
     "missing rate": ('{"peak_macs_per_second": 1e11}', "dram_bytes_per_second"),
     "number name": ('{"name": 5, "peak_macs_per_second": 1e11, "dram_bytes_per_second": 1e10}',
                     "name"),
-    "not JSON": ("{peak", "Expecting"),
+    "not JSON": ("{peak", "malformed platform JSON: Expecting"),
+    "nested arrays": ("[" * 200_000 + "]" * 200_000, "malformed platform JSON"),
 }
 
 
@@ -140,6 +141,12 @@ class TestPlatformJson:
         text, word = BAD_PLATFORMS[case]
         with pytest.raises(ValueError, match=word):
             PlatformModel.from_json(text)
+
+    def test_decode_failure_is_one_line(self):
+        # the decoder gives up on deep nesting with a RecursionError, not a ValueError
+        with pytest.raises(ValueError, match="^malformed platform JSON: ") as err:
+            PlatformModel.from_json(BAD_PLATFORMS["nested arrays"][0])
+        assert type(err.value.__cause__) is RecursionError and "\n" not in str(err.value)
 
     def test_integer_rates_are_floats(self):
         p = PlatformModel.from_json(

@@ -5,7 +5,6 @@ subcommand imports the analysis modules it runs.  Each case runs in a fresh
 interpreter, because this test process has imported every module already.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -46,15 +45,22 @@ def test_unknown_name_is_an_attribute_error():
         exec("from hardgraph import no_such_name", {})
 
 
-def loaded_after(code: str) -> set:
-    """The hardgraph modules loaded in a fresh interpreter after ``code``."""
-    probe = (f"import io, contextlib, json, sys\n{code}\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hardgraph'))))")
+def modules_after(code: str) -> tuple:
+    """The modules a fresh interpreter holds at start, and after ``code``.
+    The probe itself imports no more than ``contextlib`` and ``io``."""
+    probe = (f"import sys\nat_start = sorted(sys.modules)\nimport contextlib, io\n{code}\n"
+             "print(*at_start)\nprint(*sorted(sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    at_start, after = out.splitlines()[-2:]
+    return set(at_start.split()), set(after.split())
+
+
+def loaded_after(code: str) -> set:
+    """The hardgraph modules loaded in a fresh interpreter after ``code``."""
+    return {m for m in modules_after(code)[1] if m.startswith("hardgraph")}
 
 
 def run_cli(*argv) -> str:
@@ -77,3 +83,11 @@ def test_each_subcommand_loads_only_what_it_runs(argv, absent):
     loaded = loaded_after(run_cli(*argv))
     assert "hardgraph.cli" in loaded
     assert loaded.isdisjoint(f"hardgraph.{m}" for m in absent), sorted(loaded)
+
+
+@pytest.mark.parametrize("argv", [("list-models",), ("liveness", "resnet50")])
+def test_commands_without_json_io_do_not_load_json(argv):
+    at_start, after = modules_after(run_cli(*argv))
+    if "json" in at_start:
+        pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
+    assert "hardgraph.cli" in after and "json" not in after
