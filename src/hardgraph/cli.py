@@ -260,6 +260,8 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except SystemExit as e:  # --help and --version print, then argparse exits
+        return e.code
     args.flags = " ".join(argv[1:])
     try:
         return args.func(args)

@@ -7,6 +7,7 @@ every analysis in the other modules is a pure read.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional
 
 
@@ -22,7 +23,13 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        slots = cls.__slots__
+        cls._setters = tuple(vars(cls)[name].__set__ for name in slots)
+        # the fields as a tuple, read in C (to_json hashes one kind per node);
+        # attrgetter gives a bare value for one name and takes no zero names
+        get = attrgetter(*slots) if slots else None
+        cls._fields = property(get if len(slots) > 1 else
+                               (lambda self: (get(self),)) if slots else lambda self: ())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -41,17 +48,14 @@ class _Value:
                 raise GraphError(f"{type(self).__name__}.{name} must be a positive integer, "
                                  f"got {value!r}")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+        return self._fields == other._fields if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields)
 
     def __reduce__(self):  # for copy and pickle: __init__ takes the fields in slot order
-        return type(self), self._fields()
+        return type(self), self._fields
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
@@ -271,22 +275,28 @@ class ArchGraph:
     # --- serialization ---
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "input": self.input_shape.as_list() if self.input_shape else None,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": _KIND_NAMES[type(n.kind)],
-                    "params": {p: getattr(n.kind, p) for p in n.kind.json_params},
-                    "inputs": list(n.inputs),
-                    **({"label": n.label} if n.label else {}),
-                }
-                for n in self.nodes
-            ],
-        }
-        import json  # only graph JSON I/O needs it, so a cold start skips it
-        return json.dumps(doc, indent=2, sort_keys=True)
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the graph, byte for byte:
+        one template per node, each distinct kind's name and params encoded
+        once (kind fields are type-checked, so equal kinds print alike)."""
+        # metrics holds the JSON writer and loads json, which a cold start skips
+        from .metrics import _block, _dumps, _frame, _template
+        plain = _template(("id", "inputs", "kind", "params"), 2)
+        labelled = _template(("id", "inputs", "kind", "label", "params"), 2)
+        head, sep, tail = _frame("[", "]", 3)  # an inputs list
+        kinds, texts = {}, []
+        for n in self.nodes:
+            k, inputs = n.kind, n.inputs
+            kind = kinds.get(k)
+            if kind is None:
+                kind = kinds[k] = (_dumps(_KIND_NAMES[type(k)], 3),
+                                   _dumps({p: getattr(k, p) for p in k.json_params}, 3))
+            # inputs are ints (see _check_links), which JSON writes as str() does
+            ins = head + sep.join(map(str, inputs)) + tail if inputs else "[]"
+            texts.append(labelled % (n.id, ins, kind[0], _dumps(n.label, 3), kind[1])
+                         if n.label else plain % (n.id, ins, *kind))
+        return _template(("input", "name", "nodes"), 0) % (
+            _dumps(self.input_shape.as_list() if self.input_shape else None, 1),
+            _dumps(self.name, 1), _block("[", texts, "]", 1) if texts else "[]")
 
     @classmethod
     def from_json(cls, text: str, input_hw: Optional[tuple] = None) -> "ArchGraph":

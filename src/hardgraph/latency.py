@@ -80,19 +80,21 @@ def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
 def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
     crit = platform.critical_moc(dtype_bytes)
-    layers, total = [], 0.0
+    # a graph has few distinct (MACs, CIO) rows: each one's time and bound is found once
+    rows, layers, total = {}, [], 0.0
     for node, lm in zip(graph.nodes, layer_metrics(graph, dtype_bytes)):
         if lm.cio_elements:
-            t = layer_time(lm, platform)
-            bound = "memory" if lm.moc < crit else "compute"
-        elif concat_copy and isinstance(node.kind, Concat):
+            row = rows.get(key := lm[2:])
+            if row is None:
+                row = rows[key] = (layer_time(lm, platform),
+                                   "memory" if lm.moc < crit else "compute")
+        elif concat_copy and type(node.kind) is Concat:
             # explicit copy: read + write of the concatenated tensor
             moved = 2 * graph.shapes[node.id].element_count * dtype_bytes
-            t = moved / platform.dram_bytes_per_second
-            bound = "memory"
+            row = (moved / platform.dram_bytes_per_second, "memory")
         else:
-            t = 0.0
-            bound = "none"
+            row = (0.0, "none")
+        t, bound = row
         layers.append(LayerTime(node.id, t, bound))
         total += t  # left to right: sum() compensates float error on 3.12+
     return LatencyReport(total, layers)

@@ -194,6 +194,7 @@ def report_json(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] 
 # --- JSON writer ------------------------------------------------------------
 
 _encode_scalar = json.JSONEncoder().encode
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}  # as json writes them
 
 
 def dumps_json(doc) -> str:
@@ -205,6 +206,9 @@ def dumps_json(doc) -> str:
 
 
 def _dumps(value, level: int) -> str:
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if type(value) is Table:
         return _dumps_table(value, level)
     if isinstance(value, dict) and value:
@@ -217,8 +221,21 @@ def _dumps(value, level: int) -> str:
 
 
 def _block(opener: str, items: list, closer: str, level: int) -> str:
+    head, sep, tail = _frame(opener, closer, level)
+    return head + sep.join(items) + tail
+
+
+def _frame(opener: str, closer: str, level: int) -> tuple:
+    """The text before, between and after the items of a non-empty block."""
     pad = "\n" + "  " * (level + 1)
-    return opener + pad + ("," + pad).join(items) + "\n" + "  " * level + closer
+    return opener + pad, "," + pad, "\n" + "  " * level + closer
+
+
+def _template(keys, level: int) -> str:
+    """A JSON object at ``level`` whose sorted ``keys`` each hold a ``%s`` slot;
+    a key's '%' is doubled, so ``%`` fills only the slots."""
+    return _block("{", [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                        for k in sorted(keys)], "}", level)
 
 
 def _dumps_table(table: Table, level: int) -> str:
@@ -226,9 +243,7 @@ def _dumps_table(table: Table, level: int) -> str:
     cells = [_encode_column(column, level + 2) for _, column in columns]
     if not cells or not cells[0]:
         return "[]"
-    # a key's '%' is doubled, so only the '%s' value slots are filled
-    row = _block("{", [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                       for k, _ in columns], "}", level + 1)
+    row = _template(table.keys, level + 1)
     return _block("[", list(map(row.__mod__, zip(*cells))), "]", level)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hardgraph
 from hardgraph import registry
-from hardgraph.cli import COMMANDS, UsageError, build_parser, run
+from hardgraph.cli import COMMANDS, UsageError, build_parser, main, run
 from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
 from test_graph_ir import MALFORMED, one_kind_doc, with_change
 from test_latency import BAD_PLATFORMS
@@ -412,19 +412,28 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_lists_every_subcommand(self, capsys, subparsers_added, flag):
-        with pytest.raises(SystemExit) as exit_:
-            run([flag])
-        assert exit_.value.code == 0
+        assert run([flag]) == 0
         assert subparsers_added == list(COMMANDS)
         out, err = capsys.readouterr()
         assert (out, err) == (build_parser().format_help(), "")
 
     def test_version(self, capsys, subparsers_added):
-        with pytest.raises(SystemExit) as exit_:
-            run(["--version"])
-        assert exit_.value.code == 0
+        assert run(["--version"]) == 0
         assert subparsers_added == list(COMMANDS)
         assert capsys.readouterr() == (hardgraph.__version__ + "\n", "")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_returns_zero(self, capsys, command):
+        assert invoke(capsys, command, "-h") == \
+            (0, help_text(build_parser(), [command, "-h"]), "")
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--version"], 0),
+                                           (["analyze", "--help"], 0), ([], 1)])
+    def test_main_exit_codes(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["hardgraph", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == code
 
     @pytest.mark.parametrize("argv", [[], ["nope"], ["Analyze", "hardnet68"], ["--input", "8x8"]])
     def test_no_subcommand_is_one_usage_error(self, capsys, subparsers_added, argv):
