@@ -47,8 +47,8 @@ def seg_gmacs(graph: ArchGraph, summary: Optional[ModelSummary] = None) -> float
     separately, transposed convolutions costed on their input grid."""
     if summary is None:
         summary = model_summary(graph)
-    tu = sum(lm.macs for n, lm in zip(graph.nodes, summary.layers)
-             if isinstance(n.kind, TransposedConv))
+    tu = sum(macs for kind, macs in zip(graph.kinds, summary.columns[2])
+             if isinstance(kind, TransposedConv))
     return 2 * (summary.macs - tu + tu // 4) / 1e9
 
 

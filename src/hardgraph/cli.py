@@ -119,7 +119,7 @@ def _cmd_check_moc(args) -> int:
     g = _load_graph(args.model, args.input)
     violations = check_moc(g, args.threshold)
     for nid, moc in violations:
-        label = g.node(nid).label or str(nid)
+        label = g.labels[nid] or str(nid)
         print(f"{nid}\t{label}\t{moc:.3f}")
     print(f"# {len(violations)} layer(s) below MoC threshold {args.threshold}")
     return 0
@@ -160,7 +160,7 @@ def _cmd_latency(args) -> int:
                      "dram_bytes_per_second": platform.dram_bytes_per_second,
                      "critical_moc": platform.critical_moc(args.dtype_bytes)},
         "total_seconds": rep.total_seconds,
-        "layers": Table(("id", "seconds", "bound"), tuple(zip(*rep.layers))),
+        "layers": Table(("id", "seconds", "bound"), rep.columns),
     }
     _write(dumps_json(doc) + "\n", args.output)
     return 0

@@ -7,6 +7,7 @@ every analysis in the other modules is a pure read.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -51,8 +52,8 @@ class _Value:
     def __eq__(self, other):
         return self._fields == other._fields if type(other) is type(self) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._fields)
+    def __hash__(self):  # by type too, so field-less kinds do not all collide
+        return hash((type(self), self._fields))
 
     def __reduce__(self):  # for copy and pickle: __init__ takes the fields in slot order
         return type(self), self._fields
@@ -172,49 +173,84 @@ class Node(_Value):
     __slots__ = ("id", "kind", "inputs", "label")
 
     def __init__(self, id: int, kind: _Kind, inputs: tuple, label: Optional[str] = None):
-        # built once per graph node, so unpacked setters rather than _set_fields's loop
-        set_id, set_kind, set_inputs, set_label = self._setters
-        set_id(self, id)
-        set_kind(self, kind)
-        set_inputs(self, inputs)
-        set_label(self, label)
+        self._set_fields(id, kind, inputs, label)
+
+
+class _Nodes:
+    """``ArchGraph.nodes``: each Node read from the columns on access; ``len`` reads none."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "ArchGraph"):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.kinds)
+
+    def __getitem__(self, i):
+        g, nid = self._graph, range(len(self._graph.kinds))[i]
+        if type(nid) is range:  # a slice
+            return list(map(self.__getitem__, nid))
+        return Node(nid, g.kinds[nid], g.inputs[nid], g.labels[nid])
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, _Nodes)) else NotImplemented
 
 
 class ArchGraph:
+    """A dataflow graph as columns: node ``nid`` is ``kinds[nid]`` applied to
+    ``inputs[nid]`` (earlier ids), with ``labels[nid]`` and ``shapes[nid]``.
+    Nodes of one class share kind and input shapes, so analyses compute one
+    row per class and broadcast it through ``classes`` (each node's class;
+    class c first appears at node ``class_first[c]``)."""
+
     def __init__(self, name: str = "graph", nodes: Optional[list] = None,
                  shapes: Optional[dict] = None, input_shape: Optional[TensorShape] = None):
         self.name, self.input_shape = name, input_shape
-        self.nodes = [] if nodes is None else nodes
+        nodes = [] if nodes is None else list(nodes)
+        self.kinds, self.inputs, self.labels = (list(map(attrgetter(f), nodes))
+                                                for f in ("kind", "inputs", "label"))
         self.shapes = {} if shapes is None else shapes
+        self.classes, self.class_first = list(range(len(nodes))), list(range(len(nodes)))
         # the shape maker the shape rules call; equal shapes share one object
         self._shape = _interner()
+        if nodes:  # the one way in that bypasses add's and from_json's checks
+            if [n.id for n in nodes] != self.class_first:
+                raise GraphError("node ids must be contiguous from 0")
+            self.validate()
+
+    @property
+    def nodes(self) -> _Nodes:
+        return _Nodes(self)
 
     # --- construction ---
 
     def add(self, kind: _Kind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
-        """Append a node; with ``input_shape`` set, its shape is inferred now."""
-        inputs = tuple(inputs)
-        nid = len(self.nodes)
+        """Append a node, in a class of its own; with ``input_shape`` set, shape it now."""
+        inputs, kinds = tuple(inputs), self.kinds
+        nid = len(kinds)
         kind_type = type(kind)
-        has_input = kind_type is Input and any(type(n.kind) is Input for n in self.nodes)
-        _check_links(nid, kind_type, inputs, has_input)
-        node = Node(nid, kind, inputs, label)
+        _check_links(nid, kind_type, inputs, kind_type is Input and Input in map(type, kinds))
         if self.input_shape is not None:
-            self._shape_nodes((node,))
-        self.nodes.append(node)
+            self.shapes[nid] = self._rule(nid, kind, inputs, label)
+        kinds.append(kind)
+        self.inputs.append(inputs)
+        self.labels.append(label)
+        self.classes.append(len(self.class_first))
+        self.class_first.append(nid)
         return nid
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
 
     def validate(self) -> None:
-        n_inputs = sum(type(n.kind) is Input for n in self.nodes)
+        n_inputs = list(map(type, self.kinds)).count(Input)
         if n_inputs != 1:
             raise GraphError(f"graph must have exactly one Input node, found {n_inputs}")
-        for n in self.nodes:
-            if n.inputs and max(n.inputs) >= n.id:
-                bad = next(i for i in n.inputs if i >= n.id)
-                raise GraphError(f"node {n.id} references non-preceding input {bad}")
+        for nid, inputs in enumerate(self.inputs):
+            if inputs and max(inputs) >= nid:
+                bad = next(i for i in inputs if i >= nid)
+                raise GraphError(f"node {nid} references non-preceding input {bad}")
 
     # --- shape inference ---
 
@@ -222,55 +258,60 @@ class ArchGraph:
         """Shape every node at ``input_shape``: for a graph built without an
         input shape, or to re-shape a graph at a new one."""
         self.validate()
-        before = self.input_shape, self.shapes, self._shape
-        self.input_shape, self.shapes, self._shape = input_shape, {}, _interner()
+        before = vars(self).copy()
+        self.input_shape, self._shape = input_shape, _interner()
         try:
-            self._shape_nodes(self.nodes)
+            self._shape_nodes()
         except GraphError:
-            self.input_shape, self.shapes, self._shape = before
+            vars(self).update(before)
             raise
         return self
 
-    def _shape_nodes(self, nodes: Iterable[Node]) -> None:
-        """Give each node, in order, its output shape from its inputs' shapes:
-        the one place shape rules run, and where shape errors get the node's
-        name.  ``add`` passes one node, ``infer_shapes`` all of them."""
-        shapes, shape, input_shape = self.shapes, self._shape, self.input_shape
-        for n in nodes:
-            kind_type = type(n.kind)
-            if kind_type is Input:
-                shapes[n.id] = input_shape
-                continue
-            rule = _SHAPE_RULES.get(kind_type)
-            if rule is None:
-                raise GraphError(f"unknown kind {n.kind!r}")
-            try:
-                ins = [shapes[i] for i in n.inputs]
-                shapes[n.id] = rule(n.kind, ins, shape)
-            except KeyError as e:  # nodes or input_shape were set without add()
-                raise GraphError(f"{_node_name(n)}: input {e} has no shape; "
-                                 "call infer_shapes") from None
-            except GraphError as e:
-                given = ", ".join(f"{s.channels}x{s.height}x{s.width}" for s in ins)
-                raise GraphError(f"{_node_name(n)}: {e}; input shapes {given}") from None
+    def _shape_nodes(self) -> None:
+        """Shape every node and group the nodes into classes: a node whose kind
+        and input shapes are an earlier node's objects shares that node's class
+        and output shape, so each class runs its shape rule once."""
+        self.shapes, self.classes, self.class_first = shapes, classes, firsts = {}, [], []
+        index, outs, labels = {}, [], self.labels
+        get = shapes.__getitem__
+        for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
+            key = (id(kind), *map(id, map(get, inputs)))  # ints: hashed in C
+            c = index.get(key)
+            if c is None:
+                c = index[key] = len(firsts)
+                firsts.append(nid)
+                outs.append(self._rule(nid, kind, inputs, labels[nid]))
+            classes.append(c)
+            shapes[nid] = outs[c]
 
-    def conv_input_shape(self, n: Node) -> TensorShape:
-        """Effective (possibly concatenated) input tensor of a node."""
-        ins = [self.shapes[i] for i in n.inputs]
-        if len(ins) == 1:
-            return ins[0]
-        return TensorShape(sum(i.channels for i in ins), ins[0].height, ins[0].width)
+    def _rule(self, nid: int, kind: _Kind, inputs: tuple, label: Optional[str]) -> TensorShape:
+        """A node's output shape: the one place shape rules run and shape errors get its name."""
+        kind_type = type(kind)
+        if kind_type is Input:
+            return self.input_shape
+        rule = _SHAPE_RULES.get(kind_type)
+        if rule is None:
+            raise GraphError(f"unknown kind {kind!r}")
+        try:
+            ins = [self.shapes[i] for i in inputs]
+            return rule(kind, ins, self._shape)
+        except KeyError as e:  # input_shape was set without add(), or nodes given without shapes
+            raise GraphError(f"{_node_name(nid, kind, label)}: input {e} has no shape; "
+                             "call infer_shapes") from None
+        except GraphError as e:
+            given = ", ".join(f"{s.channels}x{s.height}x{s.width}" for s in ins)
+            raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
 
     # --- scheduling ---
 
     def schedule(self) -> list:
         """Deterministic topological order; ties broken by ascending node id.
 
-        validate() rejects any input that does not precede its node, so
-        ascending id order is itself the tie-broken topological order.
+        ``add``, ``from_json`` and the constructor reject any input that does
+        not precede its node, so ascending id order is itself the tie-broken
+        topological order.
         """
-        self.validate()
-        return [n.id for n in self.nodes]
+        return list(range(len(self.kinds)))
 
     # --- serialization ---
 
@@ -284,29 +325,29 @@ class ArchGraph:
         labelled = _template(("id", "inputs", "kind", "label", "params"), 2)
         head, sep, tail = _frame("[", "]", 3)  # an inputs list
         kinds, texts = {}, []
-        for n in self.nodes:
-            k, inputs = n.kind, n.inputs
+        for nid, k, inputs, label in zip(count(), self.kinds, self.inputs, self.labels):
             kind = kinds.get(k)
             if kind is None:
                 kind = kinds[k] = (_dumps(_KIND_NAMES[type(k)], 3),
                                    _dumps({p: getattr(k, p) for p in k.json_params}, 3))
             # inputs are ints (see _check_links), which JSON writes as str() does
             ins = head + sep.join(map(str, inputs)) + tail if inputs else "[]"
-            texts.append(labelled % (n.id, ins, kind[0], _dumps(n.label, 3), kind[1])
-                         if n.label else plain % (n.id, ins, *kind))
+            texts.append(labelled % (nid, ins, kind[0], _dumps(label, 3), kind[1])
+                         if label else plain % (nid, ins, *kind))
         return _template(("input", "name", "nodes"), 0) % (
             _dumps(self.input_shape.as_list() if self.input_shape else None, 1),
             _dumps(self.name, 1), _block("[", texts, "]", 1) if texts else "[]")
 
     @classmethod
     def from_json(cls, text: str, input_hw: Optional[tuple] = None) -> "ArchGraph":
-        """Load graph JSON in one pass over its nodes.
+        """Load graph JSON in one pass over its nodes, then one shape pass.
 
         Each node passes the checks ``add`` makes.  Each distinct (kind,
         params) pair is built and validated once and shared by every node
-        that names it (see ``_kind_key``).  Shapes are inferred once: at
-        the stored input, or at ``input_hw`` = (height, width) when given,
-        with the stored channel count (3 if the file stores no input).
+        that names it (see ``_kind_key``), so nodes group into classes and
+        each class's shape rule runs once: at the stored input, or at
+        ``input_hw`` = (height, width) when given, with the stored channel
+        count (3 if the file stores no input).
         """
         import json
         try:
@@ -321,36 +362,31 @@ class ArchGraph:
         if type(records) is not list:
             raise GraphError("graph JSON needs a 'nodes' list")
         # nodes may come in any order, but ids 0 .. n-1 must each appear once
-        ordered = [None] * len(records)
+        kinds, inputs, labels = [None] * len(records), [None] * len(records), [None] * len(records)
+        interned, has_input = {}, False
         for d in records:
             nid = d.get("id") if type(d) is dict else None
             if type(nid) is not int:
                 raise GraphError(f"every node must be an object with an integer id, got {nid!r}")
-            if not 0 <= nid < len(ordered) or ordered[nid] is not None:
+            if not 0 <= nid < len(kinds) or kinds[nid] is not None:
                 raise GraphError("node ids must be contiguous from 0")
-            ordered[nid] = d
-        g = cls(name=name)
-        nodes, kinds, has_input = g.nodes, {}, False
-        for nid, d in enumerate(ordered):
             kind_name, params = d.get("kind"), d.get("params", {})
             key = _kind_key(kind_name, params)
             try:
-                kind = kinds.get(key)
+                kind = interned.get(key)
             except TypeError:  # a list or object where a number belongs: the build raises
                 kind = None
             if kind is None:
-                kind = kinds[key] = _kind_from_json(kind_name, params, nid)
-            inputs = d.get("inputs", [])
-            if type(inputs) is not list:
-                raise GraphError(f"node {nid}: inputs must be a list of node ids, got {inputs!r}")
-            inputs = tuple(inputs)
-            kind_type = type(kind)
-            _check_links(nid, kind_type, inputs, has_input)
-            has_input = has_input or kind_type is Input
-            label = d.get("label")
+                kind = interned[key] = _kind_from_json(kind_name, params, nid)
+            ins = d.get("inputs", [])
+            if type(ins) is not list:
+                raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
+            kinds[nid], inputs[nid] = kind, tuple(ins)
+            _check_links(nid, type(kind), inputs[nid], has_input)
+            has_input = has_input or type(kind) is Input
+            label = labels[nid] = d.get("label")
             if label is not None and type(label) is not str:
                 raise GraphError(f"node {nid}: label must be a string, got {label!r}")
-            nodes.append(Node(nid, kind, inputs, label))
         shape, input_shape = doc.get("input"), None
         if shape is not None:
             if type(shape) is not list or len(shape) != 3:
@@ -361,18 +397,21 @@ class ArchGraph:
                 raise GraphError(f"input {shape!r}: {e}") from None
         if input_hw is not None:
             input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
+        g = cls(name=name)
+        g.kinds, g.inputs, g.labels = kinds, inputs, labels
+        g.classes, g.class_first = list(range(len(kinds))), list(range(len(kinds)))
         if input_shape is not None:
             # each node passed _check_links, so a graph with nodes has its one
             # Input at node 0: of validate()'s checks, only the empty graph is left
-            if not nodes:
+            if not kinds:
                 raise GraphError("graph must have exactly one Input node, found 0")
             g.input_shape = input_shape
-            g._shape_nodes(nodes)
+            g._shape_nodes()
         return g
 
 
-def _node_name(n: Node) -> str:
-    return f"{_KIND_NAMES[type(n.kind)]} {n.id}" + (f" ({n.label})" if n.label else "")
+def _node_name(nid: int, kind: _Kind, label: Optional[str]) -> str:
+    return f"{_KIND_NAMES[type(kind)]} {nid}" + (f" ({label})" if label else "")
 
 
 def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> None:
@@ -481,14 +520,12 @@ def _kind_from_json(name, params, nid: int) -> _Kind:
 def to_dot(graph: ArchGraph) -> str:
     """Graphviz DOT rendering, one DOT node per graph node."""
     lines = [f'digraph "{graph.name}" {{', "  rankdir=TB;"]
-    for n in graph.nodes:
-        kind = _KIND_NAMES[type(n.kind)]
-        shape = graph.shapes.get(n.id)
+    for nid, kind, label in zip(count(), graph.kinds, graph.labels):
+        shape = graph.shapes.get(nid)
         extra = f"\\n{shape.channels}x{shape.height}x{shape.width}" if shape else ""
-        label = n.label or kind
-        lines.append(f'  n{n.id} [label="{n.id}: {label}{extra}"];')
-    for n in graph.nodes:
-        for i in n.inputs:
-            lines.append(f"  n{i} -> n{n.id};")
+        lines.append(f'  n{nid} [label="{nid}: {label or _KIND_NAMES[type(kind)]}{extra}"];')
+    for nid, inputs in enumerate(graph.inputs):
+        for i in inputs:
+            lines.append(f"  n{i} -> n{nid};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Optional
 
 from .graph_ir import ArchGraph, Concat, _Value
-from .metrics import LayerMetrics, layer_metrics
+from .metrics import LayerMetrics, _class_rows, _PerClass
 
 
 class PlatformModel(_Value):
@@ -65,10 +67,13 @@ class LayerTime(NamedTuple):
     bound: str  # "compute" | "memory" | "none"
 
 
-class LatencyReport:
-    def __init__(self, total_seconds: float, layers: Optional[list] = None):
+class LatencyReport(_PerClass):
+    _record = LayerTime
+
+    def __init__(self, total_seconds: float, rows: Optional[list] = None,
+                 classes: Optional[list] = None):
+        super().__init__(rows or [], classes or [])
         self.total_seconds = total_seconds
-        self.layers = [] if layers is None else layers
 
 
 def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
@@ -79,22 +84,16 @@ def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
 
 def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
-    crit = platform.critical_moc(dtype_bytes)
-    # a graph has few distinct (MACs, CIO) rows: each one's time and bound is found once
-    rows, layers, total = {}, [], 0.0
-    for node, lm in zip(graph.nodes, layer_metrics(graph, dtype_bytes)):
+    crit, rows, classes = platform.critical_moc(dtype_bytes), [], graph.classes[:]
+    for lm in _class_rows(graph, dtype_bytes):
+        nid, t, bound = lm.node_id, 0.0, "none"
         if lm.cio_elements:
-            row = rows.get(key := lm[2:])
-            if row is None:
-                row = rows[key] = (layer_time(lm, platform),
-                                   "memory" if lm.moc < crit else "compute")
-        elif concat_copy and type(node.kind) is Concat:
+            t, bound = layer_time(lm, platform), "memory" if lm.moc < crit else "compute"
+        elif concat_copy and type(graph.kinds[nid]) is Concat:
             # explicit copy: read + write of the concatenated tensor
-            moved = 2 * graph.shapes[node.id].element_count * dtype_bytes
-            row = (moved / platform.dram_bytes_per_second, "memory")
-        else:
-            row = (0.0, "none")
-        t, bound = row
-        layers.append(LayerTime(node.id, t, bound))
-        total += t  # left to right: sum() compensates float error on 3.12+
-    return LatencyReport(total, layers)
+            moved = 2 * graph.shapes[nid].element_count * dtype_bytes
+            t, bound = moved / platform.dram_bytes_per_second, "memory"
+        rows.append(LayerTime(nid, t, bound))
+    seconds = [row.seconds for row in rows]
+    # left to right in node order: sum() compensates float error on 3.12+
+    return LatencyReport(reduce(add, map(seconds.__getitem__, classes), 0.0), rows, classes)

@@ -39,23 +39,25 @@ class MemoryProfile:
 def _lifetimes(graph: ArchGraph, schedule: list, concat_free: bool) -> tuple:
     """Each tensor's death step and size in elements, as two columns in
     schedule order; a tensor's birth step is its index."""
-    nodes = [graph.nodes[nid] for nid in schedule]
+    inputs = graph.inputs
     # walking the schedule, each consumer overwrites its inputs' death, so the
     # latest one is kept; a tensor nothing consumes lives to the last step
     death = dict.fromkeys(schedule, len(schedule) - 1)
-    for step, n in enumerate(nodes):
-        for i in n.inputs:
+    for step, nid in enumerate(schedule):
+        for i in inputs[nid]:
             death[i] = step
     shapes = graph.shapes
     sizes = [shapes[nid].element_count for nid in schedule]
     if concat_free:
         # a zero-copy concat stores nothing and keeps its inputs alive as
         # long as its own output
-        for step, n in reversed(list(enumerate(nodes))):
-            if type(n.kind) is Concat:
+        kinds = graph.kinds
+        for step in reversed(range(len(schedule))):
+            nid = schedule[step]
+            if type(kinds[nid]) is Concat:
                 sizes[step] = 0
-                for i in n.inputs:
-                    death[i] = max(death[i], death[n.id])
+                for i in inputs[nid]:
+                    death[i] = max(death[i], death[nid])
     return [death[nid] for nid in schedule], sizes
 
 
@@ -122,7 +124,7 @@ def timeline_csv(graph: ArchGraph, profile: MemoryProfile,
     if header:
         for k in sorted(header):
             buf.write(f"# {k}: {header[k]}\n")
-    labels = [graph.nodes[nid].label or str(nid) for nid in schedule]
+    labels = [graph.labels[nid] or str(nid) for nid in schedule]
     w = csv.writer(buf)
     w.writerow(["step", "node", "live_bytes"])
     w.writerows(zip(range(len(schedule)), labels, profile.steps))

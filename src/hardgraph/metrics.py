@@ -7,16 +7,17 @@ MoC is MACs / CIO-elements.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from itertools import repeat
+from collections import Counter
+from functools import reduce
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import copysign
-from operator import not_
+from operator import add, attrgetter, mul, not_
 from typing import NamedTuple, Optional
 
-from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv
+from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv, _Kind
 
 
 class LayerMetrics(NamedTuple):
@@ -28,17 +29,39 @@ class LayerMetrics(NamedTuple):
     moc: float
 
 
-class ModelSummary:
+class _PerClass:
+    """Records kept once per node class, each with its class's first node id,
+    and each node's class; ``layers`` makes one record per node on access."""
+
+    _record = LayerMetrics
+
+    def __init__(self, rows: list, classes: list):
+        self._rows, self._classes = rows, classes
+
+    @property
+    def columns(self) -> list:
+        """The ``layers`` fields as columns, one value per node."""
+        fields = list(zip(*self._rows))[1:] or [()] * (len(self._record._fields) - 1)
+        return [range(len(self._classes)), *(list(map(f.__getitem__, self._classes))
+                                             for f in fields)]
+
+    @property
+    def layers(self) -> list:
+        return list(map(self._record, *self.columns))
+
+
+class ModelSummary(_PerClass):
     def __init__(self, name: str, params: int = 0, macs: int = 0, cio_elements: float = 0,
                  cio_bytes: float = 0, dtype_bytes: int = 4, ds_weight: Optional[float] = None,
-                 layers: Optional[list] = None, per_stride: Optional[dict] = None):
+                 per_stride: Optional[dict] = None):
+        super().__init__([], [])
         self.name, self.params, self.macs, self.cio_elements = name, params, macs, cio_elements
         self.cio_bytes, self.dtype_bytes, self.ds_weight = cio_bytes, dtype_bytes, ds_weight
-        self.layers = [] if layers is None else layers
         self.per_stride = {} if per_stride is None else per_stride  # downscale factor -> totals
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is ModelSummary else NotImplemented
+        public = lambda s: ({k: v for k, v in vars(s).items() if k[0] != "_"}, s.layers)
+        return public(self) == public(other) if type(other) is ModelSummary else NotImplemented
 
     @property
     def params_m(self) -> float:
@@ -53,21 +76,18 @@ class ModelSummary:
         return self.cio_bytes / 2 ** 20
 
 
-def _layer_row(shapes: dict, node: Node, dtype_bytes: int,
+def _layer_row(shapes: dict, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
                ds_weight: Optional[float]) -> LayerMetrics:
-    """One node's params, MACs, CIO and MoC: the only place these formulas
+    """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
     live.  A conv or transposed conv reads the channels of all its inputs
     (their concatenation) on the first input's grid, as shape inference does;
     a Linear reads the elements of that same tensor."""
-    nid = node.id
     out = shapes.get(nid)
     if out is None:
         raise KeyError(f"node {nid} has no inferred shape")
-    k = node.kind
     kind_type = type(k)
     if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear:
         return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
-    inputs = node.inputs
     first = shapes[inputs[0]]
     c_in = first.channels if len(inputs) == 1 else sum(shapes[i].channels for i in inputs)
     in_elements = c_in * first.height * first.width
@@ -89,59 +109,81 @@ def _layer_row(shapes: dict, node: Node, dtype_bytes: int,
     return LayerMetrics(nid, params, macs, cio, cio * dtype_bytes, macs / cio if cio else 0.0)
 
 
+def _class_rows(graph: ArchGraph, dtype_bytes: int = 4,
+                ds_weight: Optional[float] = None) -> list:
+    """One LayerMetrics per node class, from the class's first node: the
+    table every report reads, broadcast to nodes through ``graph.classes``.
+    Raises KeyError naming the first node without a shape."""
+    shapes, kinds, inputs = graph.shapes, graph.kinds, graph.inputs
+    return [_layer_row(shapes, f, kinds[f], inputs[f], dtype_bytes, ds_weight)
+            for f in graph.class_first]
+
+
 def layer_metrics(graph: ArchGraph, dtype_bytes: int = 4,
                   ds_weight: Optional[float] = None) -> list:
-    """One LayerMetrics per node, in node order: the table every report reads.
+    """One LayerMetrics per node, in node order.
 
     CIO counts conv and transposed-conv nodes only (input plus output
     elements); with ``ds_weight``, a pointwise or depthwise conv's CIO is
     scaled by it.  Raises KeyError naming the first node without a shape."""
-    shapes = graph.shapes
-    return [_layer_row(shapes, n, dtype_bytes, ds_weight) for n in graph.nodes]
+    return _PerClass(_class_rows(graph, dtype_bytes, ds_weight), graph.classes).layers
 
 
 def node_metrics(graph: ArchGraph, node: Node, dtype_bytes: int = 4,
                  ds_weight: Optional[float] = None) -> LayerMetrics:
-    return _layer_row(graph.shapes, node, dtype_bytes, ds_weight)
+    return _layer_row(graph.shapes, node.id, node.kind, node.inputs, dtype_bytes, ds_weight)
 
 
 def layer_macs(graph: ArchGraph, node: Node) -> int:
-    return _layer_row(graph.shapes, node, 1, None).macs
+    return _layer_row(graph.shapes, node.id, node.kind, node.inputs, 1, None).macs
+
+
+def _totals(column, counts: list, classes: list, groups: list) -> list:
+    """A per-class column summed over the nodes of each group of classes: ints
+    as count × value, floats left to right in node order, as a running sum
+    over the nodes adds them (``sum`` would compensate float error on 3.12+)."""
+    if type(sum(column)) is float:
+        def total(group):
+            keep = list(map(set(group).__contains__, range(len(column))))
+            return reduce(add, compress(map(column.__getitem__, classes),
+                                        map(keep.__getitem__, classes)), 0)
+    else:
+        weighted = list(map(mul, counts, column))
+        total = lambda group: sum(map(weighted.__getitem__, group))
+    return list(map(total, groups))
 
 
 def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
                   ds_weight: Optional[float] = None) -> ModelSummary:
     if not graph.shapes:
         raise ValueError("run shape inference before computing metrics")
-    layers = layer_metrics(graph, dtype_bytes, ds_weight)
-    s = ModelSummary(name=graph.name, dtype_bytes=dtype_bytes, ds_weight=ds_weight,
-                     layers=layers)
-    in_h, shapes, buckets = graph.input_shape.height, graph.shapes, {}
-    params = macs = cio = cio_bytes = 0
-    for node, (_, p, m, c, cb, _) in zip(graph.nodes, layers):
-        params += p
-        macs += m
-        cio += c
-        cio_bytes += cb
-        h = shapes[node.id].height
-        bucket = buckets.get(h)
-        if bucket is None:  # one bucket per output height, shared by its stride
-            bucket = buckets[h] = s.per_stride.setdefault(
-                max(1, round(in_h / h)), {"params": 0, "macs": 0, "cio_elements": 0})
-        bucket["params"] += p
-        bucket["macs"] += m
-        bucket["cio_elements"] += c
-    s.params, s.macs, s.cio_elements, s.cio_bytes = params, macs, cio, cio_bytes
+    s = ModelSummary(name=graph.name, dtype_bytes=dtype_bytes, ds_weight=ds_weight)
+    rows, classes = _class_rows(graph, dtype_bytes, ds_weight), graph.classes[:]
+    s._rows, s._classes = rows, classes
+    firsts, params, macs, cio, cio_bytes, _ = zip(*rows)
+    # the classes of each stride, which comes in the node order of its first output height
+    in_h, shapes, strides = graph.input_shape.height, graph.shapes, {}
+    heights = list(map(attrgetter("height"), map(shapes.__getitem__, firsts)))
+    stride = {h: max(1, round(in_h / h)) for h in dict.fromkeys(heights)}
+    for c, h in enumerate(heights):
+        strides.setdefault(stride[h], []).append(c)
+    groups = [range(len(rows)), *strides.values()]
+    counts = list(map(Counter(classes).__getitem__, groups[0]))
+    (s.params, *p), (s.macs, *m), (s.cio_elements, *c), (s.cio_bytes, *_) = (
+        _totals(column, counts, classes, groups) for column in (params, macs, cio, cio_bytes))
+    for st, values in zip(strides, zip(p, m, c)):
+        s.per_stride[st] = dict(zip(("params", "macs", "cio_elements"), values))
     return s
 
 
 def check_moc(graph: ArchGraph, threshold: float) -> list:
     """Conv nodes whose MoC falls below the threshold, ascending by MoC."""
     # conv and transposed-conv rows are the ones with a non-zero CIO
-    out = [(lm.node_id, lm.moc) for lm in layer_metrics(graph)
-           if lm.cio_elements and lm.moc < threshold]
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    rows, classes = _class_rows(graph), graph.classes
+    low = {c for c, lm in enumerate(rows) if lm.cio_elements and lm.moc < threshold}
+    return sorted(((nid, rows[classes[nid]].moc) for nid in
+                   compress(range(len(classes)), map(low.__contains__, classes))),
+                  key=lambda t: (t[1], t[0]))
 
 
 # --- report rendering -------------------------------------------------------
@@ -154,17 +196,19 @@ class Table(NamedTuple):
 
 
 def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
-    """The per-layer report rows, as columns."""
-    nodes, shapes = graph.nodes, graph.shapes
-    ids, params, macs, cio, _, moc = zip(*summary.layers) if summary.layers else [()] * 6
-    node_shapes = list(map(shapes.__getitem__, ids))
+    """The per-layer report rows, as columns: each class's cells are made
+    once, and each distinct shape's text once."""
+    firsts, params, macs, cio, _, moc = list(zip(*summary._rows)) or [()] * 6
+    shapes = list(map(graph.shapes.__getitem__, firsts))
     texts = {i: f"{s.channels}x{s.height}x{s.width}"  # one string per interned shape
-             for i, s in dict(zip(map(id, node_shapes), node_shapes)).items()}
+             for i, s in dict(zip(map(id, shapes), shapes)).items()}
+    cells = (list(map(_KIND_NAMES.__getitem__, map(type, map(graph.kinds.__getitem__, firsts)))),
+             list(map(texts.__getitem__, map(id, shapes))), params, macs, cio,
+             [round(m, 6) for m in moc])
+    classes = summary._classes
     return Table(("id", "label", "kind", "out_shape", "params", "macs", "cio_elements", "moc"),
-                 (ids, [n.label or "" for n in nodes],
-                  [_KIND_NAMES[type(n.kind)] for n in nodes],
-                  list(map(texts.__getitem__, map(id, node_shapes))),
-                  params, macs, cio, [round(m, 6) for m in moc]))
+                 (range(len(classes)), [label or "" for label in graph.labels],
+                  *(list(map(column.__getitem__, classes)) for column in cells)))
 
 
 def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
@@ -173,6 +217,7 @@ def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] =
         for k in sorted(header):
             buf.write(f"# {k}: {header[k]}\n")
     table = _rows(graph, summary)
+    import csv  # here, so that loading metrics (as to_json does) skips it
     w = csv.writer(buf)
     w.writerow(table.keys)
     w.writerows(zip(*table.columns))

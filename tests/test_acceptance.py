@@ -23,6 +23,7 @@ from hardgraph.harmonic import (HDBSpec, TransitionSpec, build_bare_hdb,
 from hardgraph.latency import PlatformModel, model_latency
 from hardgraph.liveness import verify_flush
 from hardgraph.metrics import model_summary
+from test_layer_table import conv_input_shape
 
 
 RESULTS: list = []  # printed by the pytest_terminal_summary hook in conftest.py
@@ -144,7 +145,7 @@ def test_criterion_11_inverted_transition():
         out = build_transition(x, TransitionSpec(red=0.85, inverted=inverted), g)
         g.infer_shapes(TensorShape(3, 56, 56))
         conv = next(n for n in g.nodes[2:] if isinstance(n.kind, Conv))
-        return g.conv_input_shape(conv).element_count
+        return conv_input_shape(g, conv).element_count
 
     std, inv = conv_input_elems(False), conv_input_elems(True)
     record(11, "inverted transition halves the Conv1x1 input element count exactly",

@@ -145,11 +145,19 @@ class TestSchedule:
         assert g.schedule() == [0]
 
     def test_forward_reference_rejected(self):
-        # validate() is what keeps the id order topological
-        g, i, c = chain_graph()
-        g.nodes[c] = Node(c, Conv(64), (c,))
-        with pytest.raises(GraphError, match="non-preceding"):
-            g.schedule()
+        # add and from_json check each node as it comes; nodes handed to the
+        # constructor are what validate() checks, and keep the id order topological
+        with pytest.raises(GraphError, match=r"^node 1 references non-preceding input 1$"):
+            ArchGraph(nodes=[Node(0, Input(), ()), Node(1, Conv(64), (1,))])
+        with pytest.raises(GraphError, match=r"^graph must have exactly one Input node, found 2$"):
+            ArchGraph(nodes=[Node(0, Input(), ()), Node(1, Input(), ())])
+        with pytest.raises(GraphError, match=r"^node ids must be contiguous from 0$"):
+            ArchGraph(nodes=[Node(0, Input(), ()), Node(2, Conv(64), (0,))])
+
+    def test_schedule_does_not_revalidate(self, monkeypatch):
+        g = hardgraph.build("hardnet68")
+        monkeypatch.setattr(ArchGraph, "validate", None)
+        assert g.schedule() == list(range(len(g.nodes)))
 
     def test_every_node_after_its_inputs(self):
         import hardgraph
@@ -333,6 +341,16 @@ def kind_counts(g) -> dict:
     return counts
 
 
+def class_kind_counts(g) -> dict:
+    """kind_counts over the first node of each class."""
+    counts = {}
+    for nid in g.class_first:
+        kind = type(g.nodes[nid].kind)
+        if kind is not Input:
+            counts[kind] = counts.get(kind, 0) + 1
+    return counts
+
+
 class TestShapesOnAppend:
     @pytest.mark.parametrize("shape", [None, TensorShape(3, 256, 320)])
     def test_each_rule_runs_once_per_node_in_catalog_builds(self, monkeypatch, shape):
@@ -444,7 +462,8 @@ class TestFromJsonInputSize:
         text = hardgraph.build("hardnet68").to_json()
         calls = counting_rules(monkeypatch)
         g = ArchGraph.from_json(text, (256, 256))
-        assert calls == kind_counts(g)  # each node's shape rule ran once
+        assert calls == class_kind_counts(g)  # each class's shape rule ran once
+        assert sum(calls.values()) < sum(kind_counts(g).values())
         assert g.input_shape == TensorShape(3, 256, 256)
         assert g.shapes == hardgraph.build("hardnet68", TensorShape(3, 256, 256)).shapes
 

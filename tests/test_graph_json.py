@@ -178,7 +178,23 @@ class TestValueFields:
         assert Linear(8) != Linear(9) and Linear(8) != (8,) and Linear(8) != 8
         assert Conv(8, 1, 3) != Conv(8, 3, 1) and Conv(8, bias=True) != Conv(8)
         assert Pool("avg") != Pool("max")
-        # field-less kinds of two types share a hash but stay apart as keys
+        # field-less kinds of two types stay apart as keys
         table = {Concat(): "concat", Add(): "add", GlobalPool(): "global_pool", Input(): "input"}
         assert [table[k()] for k in (Concat, Add, GlobalPool, Input)] == \
             ["concat", "add", "global_pool", "input"]
+
+    def test_field_less_kinds_hash_apart(self):
+        # the hash covers the type, so kinds with equal (empty) fields do not collide
+        assert len({hash(k()) for k in (Concat, Add, GlobalPool, Input)}) == 4
+        assert hash(Linear(8)) != hash((8,)) and Linear(8) != (8,)
+
+    @pytest.mark.parametrize("name", ["hardnet68", "fc-hardnet84", "resnet50"])
+    def test_to_json_compares_each_repeated_kind_once(self, monkeypatch, name):
+        # builders make a fresh kind per node, so a lookup that finds an equal
+        # kind compares once; a hash shared across types would compare more
+        from hardgraph.graph_ir import _Value
+        g, calls, eq = registry.build(name), [], _Value.__eq__
+        monkeypatch.setattr(_Value, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+        g.to_json()
+        distinct = {(type(k), k._fields) for k in g.kinds}
+        assert len(calls) == len(g.kinds) - len(distinct)

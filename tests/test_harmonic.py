@@ -8,6 +8,7 @@ from hardgraph.harmonic import (HDBSpec, TransitionSpec, bottleneck_channels,
                                 build_bare_hdb, build_hdb, build_model,
                                 build_transition, channel_width, hdb_links, round_even, v2)
 from hardgraph.metrics import layer_metrics
+from test_layer_table import conv_input_shape
 
 
 def brute_links(k, max_n=12):
@@ -138,7 +139,7 @@ class TestBuildHDB:
         for l in range(1, 5):
             dw = g.node(res.layer_nodes[l])
             pw = g.node(dw.inputs[0])
-            c_in = g.conv_input_shape(pw).channels
+            c_in = conv_input_shape(g, pw).channels
             w = dw.kind.out_channels
             area = g.shapes[dw.id].height * g.shapes[dw.id].width
             ours = rows[pw.id].cio_elements + rows[dw.id].cio_elements
@@ -168,7 +169,7 @@ class TestTransition:
         out = build_transition(x, TransitionSpec(red=0.85, inverted=True), g)
         g.infer_shapes(TensorShape(3, 56, 56))
         conv = g.node(out)
-        cat_elems = g.conv_input_shape(conv).element_count
+        cat_elems = conv_input_shape(g, conv).element_count
         assert cat_elems == 200 * 28 * 28
         assert cat_elems * 2 == 100 * 56 * 56
 

@@ -15,7 +15,15 @@ from hardgraph.latency import PRESETS, PlatformModel, model_latency
 from hardgraph.metrics import check_moc, layer_macs, layer_metrics, model_summary, node_metrics
 from hardgraph.registry import MODEL_NAMES
 
-# --- reference: one node at a time, through ArchGraph.conv_input_shape ------
+# --- reference: one node at a time, through conv_input_shape ---------------
+
+
+def conv_input_shape(graph, node) -> TensorShape:
+    """Effective (possibly concatenated) input tensor of a node."""
+    ins = [graph.shapes[i] for i in node.inputs]
+    if len(ins) == 1:
+        return ins[0]
+    return TensorShape(sum(i.channels for i in ins), ins[0].height, ins[0].width)
 
 
 def ref_is_pointwise(k):
@@ -32,7 +40,7 @@ def ref_layer_cio(graph, node, ds_weight=None):
         return 0
     if node.id not in graph.shapes:
         raise KeyError(f"node {node.id} has no inferred shape")
-    in_shape = graph.conv_input_shape(node)
+    in_shape = conv_input_shape(graph, node)
     out_shape = graph.shapes[node.id]
     cio = in_shape.element_count + out_shape.element_count
     if ds_weight is not None and isinstance(k, Conv) and (
@@ -47,26 +55,26 @@ def ref_layer_macs(graph, node):
         raise KeyError(f"node {node.id} has no inferred shape")
     out = graph.shapes[node.id]
     if isinstance(k, Conv):
-        c_in = graph.conv_input_shape(node).channels
+        c_in = conv_input_shape(graph, node).channels
         return (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w * out.height * out.width
     if isinstance(k, TransposedConv):
-        c_in = graph.conv_input_shape(node).channels
+        c_in = conv_input_shape(graph, node).channels
         return c_in * k.out_channels * k.kernel * k.kernel * out.height * out.width
     if isinstance(k, Linear):
-        return graph.conv_input_shape(node).element_count * k.out_features
+        return conv_input_shape(graph, node).element_count * k.out_features
     return 0
 
 
 def ref_layer_params(graph, node):
     k = node.kind
     if isinstance(k, Conv):
-        c_in = graph.conv_input_shape(node).channels
+        c_in = conv_input_shape(graph, node).channels
         p = (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w
         return p + (k.out_channels if k.bias else 0)
     if isinstance(k, TransposedConv):
-        return graph.conv_input_shape(node).channels * k.out_channels * k.kernel * k.kernel
+        return conv_input_shape(graph, node).channels * k.out_channels * k.kernel * k.kernel
     if isinstance(k, Linear):
-        n_in = graph.conv_input_shape(node).element_count
+        n_in = conv_input_shape(graph, node).element_count
         return n_in * k.out_features + k.out_features
     return 0
 
@@ -244,7 +252,6 @@ def test_reports_read_only_the_table(monkeypatch):
     for mod in (metrics, latency, catalog):
         for name in ("node_metrics", "layer_macs"):
             monkeypatch.setattr(mod, name, per_node, raising=False)
-    monkeypatch.setattr(ArchGraph, "conv_input_shape", per_node)
     g = built("fc-hardnet68")  # has tconvs
     s = model_summary(g)
     latency.model_latency(g, PRESETS["gpu-like"])

@@ -91,3 +91,13 @@ def test_commands_without_json_io_do_not_load_json(argv):
     if "json" in at_start:
         pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
     assert "hardgraph.cli" in after and "json" not in after
+
+
+@pytest.mark.parametrize("argv", [("latency", "densenet121", "--platform", "gpu-like"),
+                                  ("build", "hardnet68", "-o", os.devnull)])
+def test_commands_without_csv_output_do_not_load_csv(argv):
+    # metrics loads csv inside report_csv alone; build reaches metrics through to_json
+    at_start, after = modules_after(run_cli(*argv))
+    if "csv" in at_start:
+        pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
+    assert "hardgraph.metrics" in after and "csv" not in after
