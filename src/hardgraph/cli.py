@@ -52,11 +52,10 @@ def _load_graph(model: str, input_hw: Optional[str]) -> ArchGraph:
 
 
 def _header(args, model: str, graph: ArchGraph) -> dict:
-    s = graph.input_shape
     return {
         "tool": f"hardgraph {__version__}",
         "model": model,
-        "input": f"{s.channels}x{s.height}x{s.width}",
+        "input": str(graph.input_shape),
         "dtype_bytes": getattr(args, "dtype_bytes", 4),
         "flags": args.flags,
     }

@@ -77,6 +77,9 @@ class TensorShape(_Value):
     def as_list(self) -> list:
         return [self.channels, self.height, self.width]
 
+    def __str__(self):  # CxHxW, as reports print a shape
+        return f"{self.channels}x{self.height}x{self.width}"
+
 
 def _interner():
     """A shape maker: equal (c, h, w) give one shared TensorShape, which is
@@ -176,27 +179,6 @@ class Node(_Value):
         self._set_fields(id, kind, inputs, label)
 
 
-class _Nodes:
-    """``ArchGraph.nodes``: each Node read from the columns on access; ``len`` reads none."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "ArchGraph"):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.kinds)
-
-    def __getitem__(self, i):
-        g, nid = self._graph, range(len(self._graph.kinds))[i]
-        if type(nid) is range:  # a slice
-            return list(map(self.__getitem__, nid))
-        return Node(nid, g.kinds[nid], g.inputs[nid], g.labels[nid])
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, _Nodes)) else NotImplemented
-
-
 class ArchGraph:
     """A dataflow graph as columns: node ``nid`` is ``kinds[nid]`` applied to
     ``inputs[nid]`` (earlier ids), with ``labels[nid]`` and ``shapes[nid]``.
@@ -204,36 +186,28 @@ class ArchGraph:
     row per class and broadcast it through ``classes`` (each node's class;
     class c first appears at node ``class_first[c]``)."""
 
-    def __init__(self, name: str = "graph", nodes: Optional[list] = None,
-                 shapes: Optional[dict] = None, input_shape: Optional[TensorShape] = None):
+    def __init__(self, name: str = "graph", *, input_shape: Optional[TensorShape] = None):
         self.name, self.input_shape = name, input_shape
-        nodes = [] if nodes is None else list(nodes)
-        self.kinds, self.inputs, self.labels = (list(map(attrgetter(f), nodes))
-                                                for f in ("kind", "inputs", "label"))
-        self.shapes = {} if shapes is None else shapes
-        self.classes, self.class_first = list(range(len(nodes))), list(range(len(nodes)))
+        self.kinds, self.inputs, self.labels, self.shapes = [], [], [], {}
+        self.classes, self.class_first = [], []
         # the shape maker the shape rules call; equal shapes share one object
         self._shape = _interner()
-        if nodes:  # the one way in that bypasses add's and from_json's checks
-            if [n.id for n in nodes] != self.class_first:
-                raise GraphError("node ids must be contiguous from 0")
-            self.validate()
 
     @property
-    def nodes(self) -> _Nodes:
-        return _Nodes(self)
+    def nodes(self) -> list:
+        """Each node as a ``Node``, built from the columns on every read."""
+        return list(map(Node, count(), self.kinds, self.inputs, self.labels))
 
     # --- construction ---
 
     def add(self, kind: _Kind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
         """Append a node, in a class of its own; with ``input_shape`` set, shape it now."""
-        inputs, kinds = tuple(inputs), self.kinds
-        nid = len(kinds)
-        kind_type = type(kind)
-        _check_links(nid, kind_type, inputs, kind_type is Input and Input in map(type, kinds))
+        inputs, nid = tuple(inputs), len(self.kinds)
+        # node 0 is the one Input: no other node can come first, with no earlier id to read
+        _check_links(nid, type(kind), inputs, nid > 0)
         if self.input_shape is not None:
             self.shapes[nid] = self._rule(nid, kind, inputs, label)
-        kinds.append(kind)
+        self.kinds.append(kind)
         self.inputs.append(inputs)
         self.labels.append(label)
         self.classes.append(len(self.class_first))
@@ -244,45 +218,38 @@ class ArchGraph:
         return self.nodes[nid]
 
     def validate(self) -> None:
-        n_inputs = list(map(type, self.kinds)).count(Input)
-        if n_inputs != 1:
-            raise GraphError(f"graph must have exactly one Input node, found {n_inputs}")
-        for nid, inputs in enumerate(self.inputs):
-            if inputs and max(inputs) >= nid:
-                bad = next(i for i in inputs if i >= nid)
-                raise GraphError(f"node {nid} references non-preceding input {bad}")
+        # add and from_json give node 0 as the one Input, and inputs that precede their node
+        if not self.kinds:
+            raise GraphError("graph must have exactly one Input node, found 0")
 
     # --- shape inference ---
 
     def infer_shapes(self, input_shape: TensorShape) -> "ArchGraph":
         """Shape every node at ``input_shape``: for a graph built without an
-        input shape, or to re-shape a graph at a new one."""
+        input shape, or to re-shape a graph at a new one.  Nodes group into
+        classes: a node whose kind and input shapes are an earlier node's
+        objects shares that node's class and output shape, so each class runs
+        its shape rule once."""
         self.validate()
         before = vars(self).copy()
         self.input_shape, self._shape = input_shape, _interner()
+        self.shapes, self.classes, self.class_first = shapes, classes, firsts = {}, [], []
+        index, outs, labels = {}, [], self.labels
+        get = shapes.__getitem__
         try:
-            self._shape_nodes()
+            for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
+                key = (id(kind), *map(id, map(get, inputs)))  # ints: hashed in C
+                c = index.get(key)
+                if c is None:
+                    c = index[key] = len(firsts)
+                    firsts.append(nid)
+                    outs.append(self._rule(nid, kind, inputs, labels[nid]))
+                classes.append(c)
+                shapes[nid] = outs[c]
         except GraphError:
             vars(self).update(before)
             raise
         return self
-
-    def _shape_nodes(self) -> None:
-        """Shape every node and group the nodes into classes: a node whose kind
-        and input shapes are an earlier node's objects shares that node's class
-        and output shape, so each class runs its shape rule once."""
-        self.shapes, self.classes, self.class_first = shapes, classes, firsts = {}, [], []
-        index, outs, labels = {}, [], self.labels
-        get = shapes.__getitem__
-        for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
-            key = (id(kind), *map(id, map(get, inputs)))  # ints: hashed in C
-            c = index.get(key)
-            if c is None:
-                c = index[key] = len(firsts)
-                firsts.append(nid)
-                outs.append(self._rule(nid, kind, inputs, labels[nid]))
-            classes.append(c)
-            shapes[nid] = outs[c]
 
     def _rule(self, nid: int, kind: _Kind, inputs: tuple, label: Optional[str]) -> TensorShape:
         """A node's output shape: the one place shape rules run and shape errors get its name."""
@@ -295,11 +262,11 @@ class ArchGraph:
         try:
             ins = [self.shapes[i] for i in inputs]
             return rule(kind, ins, self._shape)
-        except KeyError as e:  # input_shape was set without add(), or nodes given without shapes
+        except KeyError as e:  # input_shape was set by hand, not by infer_shapes
             raise GraphError(f"{_node_name(nid, kind, label)}: input {e} has no shape; "
                              "call infer_shapes") from None
         except GraphError as e:
-            given = ", ".join(f"{s.channels}x{s.height}x{s.width}" for s in ins)
+            given = ", ".join(map(str, ins))
             raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
 
     # --- scheduling ---
@@ -307,9 +274,8 @@ class ArchGraph:
     def schedule(self) -> list:
         """Deterministic topological order; ties broken by ascending node id.
 
-        ``add``, ``from_json`` and the constructor reject any input that does
-        not precede its node, so ascending id order is itself the tie-broken
-        topological order.
+        ``add`` and ``from_json`` reject any input that does not precede its
+        node, so ascending id order is itself the tie-broken topological order.
         """
         return list(range(len(self.kinds)))
 
@@ -397,16 +363,11 @@ class ArchGraph:
                 raise GraphError(f"input {shape!r}: {e}") from None
         if input_hw is not None:
             input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
-        g = cls(name=name)
+        g = cls(name)
         g.kinds, g.inputs, g.labels = kinds, inputs, labels
-        g.classes, g.class_first = list(range(len(kinds))), list(range(len(kinds)))
         if input_shape is not None:
-            # each node passed _check_links, so a graph with nodes has its one
-            # Input at node 0: of validate()'s checks, only the empty graph is left
-            if not kinds:
-                raise GraphError("graph must have exactly one Input node, found 0")
-            g.input_shape = input_shape
-            g._shape_nodes()
+            return g.infer_shapes(input_shape)
+        g.classes, g.class_first = list(range(len(kinds))), list(range(len(kinds)))
         return g
 
 
@@ -522,7 +483,7 @@ def to_dot(graph: ArchGraph) -> str:
     lines = [f'digraph "{graph.name}" {{', "  rankdir=TB;"]
     for nid, kind, label in zip(count(), graph.kinds, graph.labels):
         shape = graph.shapes.get(nid)
-        extra = f"\\n{shape.channels}x{shape.height}x{shape.width}" if shape else ""
+        extra = f"\\n{shape}" if shape else ""
         lines.append(f'  n{nid} [label="{nid}: {label or _KIND_NAMES[type(kind)]}{extra}"];')
     for nid, inputs in enumerate(graph.inputs):
         for i in inputs:

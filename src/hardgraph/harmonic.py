@@ -185,32 +185,28 @@ def default_input(name: str) -> TensorShape:
 class _ClsConfig(NamedTuple):
     """One HarDNet classification model (per-stride HDB stacks)."""
     name: str
-    stem: tuple                      # (out_channels, kernel, stride, depthwise) tuples
-    blocks: tuple                    # (depth, k, t_or_None) per HDB, in order
-    downsample_after: tuple          # indices into blocks after which to down-sample
+    stem: tuple                      # (out_channels, kernel, stride) tuples
+    blocks: tuple                    # (depth, k, t) per HDB, in order
+    downsample_after: tuple          # indices into blocks after which to max-pool
     m: float
-    red: Optional[float]
-    bottleneck: bool
     depthwise: bool
-    keep_base: bool
-    pool: str                        # down-sampling flavor: "max" or "avg"
 
 
 # Per-HDB (depth, k, t); HarDNet-68/39DS carry explicit per-block k and t.
 _HARDNET_CONFIGS = {
     "hardnet68": _ClsConfig(
         "hardnet68",
-        stem=((32, 3, 2, False), (64, 3, 1, False)),
+        stem=((32, 3, 2), (64, 3, 1)),
         blocks=((8, 14, 128), (16, 16, 256), (16, 20, 320), (16, 40, 640), (4, 160, 1024)),
         downsample_after=(0, 2, 3),
-        m=1.7, red=None, bottleneck=False, depthwise=False, keep_base=False, pool="max",
+        m=1.7, depthwise=False,
     ),
     "hardnet39ds": _ClsConfig(
         "hardnet39ds",
-        stem=((24, 3, 2, False), (48, 1, 1, False)),
+        stem=((24, 3, 2), (48, 1, 1)),
         blocks=((4, 16, 96), (16, 20, 320), (8, 64, 640), (4, 160, 1024)),
         downsample_after=(0, 1, 2),
-        m=1.6, red=None, bottleneck=False, depthwise=True, keep_base=False, pool="max",
+        m=1.6, depthwise=True,
     ),
 }
 
@@ -254,17 +250,15 @@ def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
 def _build_hardnet_cls(cfg: _ClsConfig, input_shape: TensorShape) -> ArchGraph:
     g = ArchGraph(name=cfg.name, input_shape=input_shape)
     node = g.add(Input(), [])
-    for i, (c, ksz, stride, _) in enumerate(cfg.stem):
+    for i, (c, ksz, stride) in enumerate(cfg.stem):
         node = g.add(Conv(c, kernel_h=ksz, kernel_w=ksz, stride=stride), [node], label=f"stem{i}")
-    node = g.add(Pool(cfg.pool), [node], label="stem/pool")
+    node = g.add(Pool("max"), [node], label="stem/pool")
     for bi, (depth, k, t) in enumerate(cfg.blocks):
-        spec = HDBSpec(depth, k, cfg.m, use_bottleneck=cfg.bottleneck,
-                       depthwise=cfg.depthwise, keep_base=cfg.keep_base)
-        res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-        tr = TransitionSpec(t=t, downsample=False) if t else TransitionSpec(red=cfg.red, downsample=False)
-        node = build_transition(res.output, tr, g, tag=f"trans{bi}")
+        res = build_hdb(HDBSpec(depth, k, cfg.m, depthwise=cfg.depthwise), node, g, tag=f"hdb{bi}")
+        node = build_transition(res.output, TransitionSpec(t=t, downsample=False), g,
+                                tag=f"trans{bi}")
         if bi in cfg.downsample_after:
-            node = g.add(Pool(cfg.pool), [node], label=f"down{bi}")
+            node = g.add(Pool("max"), [node], label=f"down{bi}")
     node = g.add(GlobalPool(), [node], label="gap")
     g.add(Linear(NUM_CLASSES), [node], label="fc")
     return g

@@ -11,7 +11,7 @@ import json
 import math
 from functools import reduce
 from operator import add
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .graph_ir import ArchGraph, Concat, _Value
 from .metrics import LayerMetrics, _class_rows, _PerClass
@@ -70,9 +70,8 @@ class LayerTime(NamedTuple):
 class LatencyReport(_PerClass):
     _record = LayerTime
 
-    def __init__(self, total_seconds: float, rows: Optional[list] = None,
-                 classes: Optional[list] = None):
-        super().__init__(rows or [], classes or [])
+    def __init__(self, total_seconds: float, rows: list, classes: list):
+        super().__init__(rows, classes)
         self.total_seconds = total_seconds
 
 

@@ -51,13 +51,11 @@ class _PerClass:
 
 
 class ModelSummary(_PerClass):
-    def __init__(self, name: str, params: int = 0, macs: int = 0, cio_elements: float = 0,
-                 cio_bytes: float = 0, dtype_bytes: int = 4, ds_weight: Optional[float] = None,
-                 per_stride: Optional[dict] = None):
-        super().__init__([], [])
-        self.name, self.params, self.macs, self.cio_elements = name, params, macs, cio_elements
-        self.cio_bytes, self.dtype_bytes, self.ds_weight = cio_bytes, dtype_bytes, ds_weight
-        self.per_stride = {} if per_stride is None else per_stride  # downscale factor -> totals
+    def __init__(self, name: str, rows: list, classes: list, dtype_bytes: int = 4,
+                 ds_weight: Optional[float] = None):
+        super().__init__(rows, classes)
+        self.name, self.dtype_bytes, self.ds_weight = name, dtype_bytes, ds_weight
+        self.per_stride = {}  # downscale factor -> totals
 
     def __eq__(self, other):
         public = lambda s: ({k: v for k, v in vars(s).items() if k[0] != "_"}, s.layers)
@@ -157,9 +155,8 @@ def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
                   ds_weight: Optional[float] = None) -> ModelSummary:
     if not graph.shapes:
         raise ValueError("run shape inference before computing metrics")
-    s = ModelSummary(name=graph.name, dtype_bytes=dtype_bytes, ds_weight=ds_weight)
     rows, classes = _class_rows(graph, dtype_bytes, ds_weight), graph.classes[:]
-    s._rows, s._classes = rows, classes
+    s = ModelSummary(graph.name, rows, classes, dtype_bytes, ds_weight)
     firsts, params, macs, cio, cio_bytes, _ = zip(*rows)
     # the classes of each stride, which comes in the node order of its first output height
     in_h, shapes, strides = graph.input_shape.height, graph.shapes, {}
@@ -178,12 +175,11 @@ def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
 
 def check_moc(graph: ArchGraph, threshold: float) -> list:
     """Conv nodes whose MoC falls below the threshold, ascending by MoC."""
-    # conv and transposed-conv rows are the ones with a non-zero CIO
-    rows, classes = _class_rows(graph), graph.classes
-    low = {c for c, lm in enumerate(rows) if lm.cio_elements and lm.moc < threshold}
-    return sorted(((nid, rows[classes[nid]].moc) for nid in
-                   compress(range(len(classes)), map(low.__contains__, classes))),
-                  key=lambda t: (t[1], t[0]))
+    # per class, its MoC if low, else None: conv and transposed-conv rows have a non-zero CIO
+    low = [lm.moc if lm.cio_elements and lm.moc < threshold else None for lm in _class_rows(graph)]
+    out = [(nid, m) for nid, m in enumerate(map(low.__getitem__, graph.classes)) if m is not None]
+    out.sort(key=lambda t: (t[1], t[0]))
+    return out
 
 
 # --- report rendering -------------------------------------------------------
@@ -200,8 +196,7 @@ def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
     once, and each distinct shape's text once."""
     firsts, params, macs, cio, _, moc = list(zip(*summary._rows)) or [()] * 6
     shapes = list(map(graph.shapes.__getitem__, firsts))
-    texts = {i: f"{s.channels}x{s.height}x{s.width}"  # one string per interned shape
-             for i, s in dict(zip(map(id, shapes), shapes)).items()}
+    texts = {i: str(s) for i, s in dict(zip(map(id, shapes), shapes)).items()}
     cells = (list(map(_KIND_NAMES.__getitem__, map(type, map(graph.kinds.__getitem__, firsts)))),
              list(map(texts.__getitem__, map(id, shapes))), params, macs, cio,
              [round(m, 6) for m in moc])

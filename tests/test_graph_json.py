@@ -146,7 +146,8 @@ def test_generated_graphs(data):
                                     min_size=2 if type(kind) is Concat else 1, max_size=4))
         g.add(kind, inputs, data.draw(st.none() | st.text(max_size=6)))
     shape = data.draw(st.none() | st.builds(TensorShape, COUNTS, COUNTS, COUNTS))
-    written_as_oracle(ArchGraph(g.name, g.nodes, input_shape=shape))
+    g.input_shape = shape
+    written_as_oracle(g)
 
 
 # one class with no field, one with one field and one with several: to_json
