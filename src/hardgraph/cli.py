@@ -56,7 +56,7 @@ def _header(args, model: str, graph: ArchGraph) -> dict:
         "tool": f"hardgraph {__version__}",
         "model": model,
         "input": str(graph.input_shape),
-        "dtype_bytes": getattr(args, "dtype_bytes", 4),
+        "dtype_bytes": args.dtype_bytes,
         "flags": args.flags,
     }
 
@@ -127,14 +127,12 @@ def _cmd_check_moc(args) -> int:
 def _cmd_liveness(args) -> int:
     from .liveness import peak_memory, timeline_csv
     g = _load_graph(args.model, args.input)
-    schedule = g.schedule()
-    prof = peak_memory(g, schedule, dtype_bytes=args.dtype_bytes,
-                       concat_free=args.concat_free)
+    prof = peak_memory(g, dtype_bytes=args.dtype_bytes, concat_free=args.concat_free)
     header = _header(args, args.model, g)
     header["concat_free"] = args.concat_free
     header["peak_bytes"] = prof.peak_bytes
     header["peak_step"] = prof.peak_step
-    _write(timeline_csv(g, prof, schedule, header=header), args.output)
+    _write(timeline_csv(g, prof, header=header), args.output)
     return 0
 
 

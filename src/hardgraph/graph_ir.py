@@ -214,9 +214,6 @@ class ArchGraph:
         self.class_first.append(nid)
         return nid
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
-
     def validate(self) -> None:
         # add and from_json give node 0 as the one Input, and inputs that precede their node
         if not self.kinds:

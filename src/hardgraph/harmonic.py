@@ -58,11 +58,11 @@ def bottleneck_channels(c_in: int, c_out: int) -> int:
 
 
 class TransitionSpec(_Value):
-    __slots__ = ("red", "t", "inverted", "downsample", "pool")  # red: rate, t: channels out
+    __slots__ = ("red", "t", "inverted", "downsample")  # red: rate, t: channels out
 
     def __init__(self, red: Optional[float] = None, t: Optional[int] = None,
-                 inverted: bool = False, downsample: bool = True, pool: str = "avg"):
-        self._set_fields(red, t, inverted, downsample, pool)
+                 inverted: bool = False, downsample: bool = True):
+        self._set_fields(red, t, inverted, downsample)
         if (red is None) == (t is None):
             raise ValueError("exactly one of red / t must be given")
 
@@ -150,7 +150,7 @@ def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
                      tag: str = "trans") -> int:
     """Channel-compressing transition after ``input_node``, an HDB output.
 
-    standard: Conv1x1 then 2x2 pooling (if downsampling);
+    standard: Conv1x1 then 2x2 average pooling (if downsampling);
     inverted: avg+max pool -> concat -> Conv1x1.
     """
     c_in = graph.shapes[input_node].channels
@@ -164,7 +164,7 @@ def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
         return graph.add(Conv(t_out, kernel_h=1, kernel_w=1), [cat], label=f"{tag}/conv")
     conv = graph.add(Conv(t_out, kernel_h=1, kernel_w=1), [input_node], label=f"{tag}/conv")
     if spec.downsample:
-        return graph.add(Pool(spec.pool), [conv], label=f"{tag}/pool")
+        return graph.add(Pool("avg"), [conv], label=f"{tag}/pool")
     return conv
 
 
@@ -238,8 +238,7 @@ def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
             last_stage = si == len(stages) - 1
             last_in_stage = pi == len(stage) - 1
             # the final HDB keeps a (non-downsampling) transition before pooling
-            tr = TransitionSpec(red=_SL_RED, downsample=last_in_stage and not last_stage,
-                                pool="avg")
+            tr = TransitionSpec(red=_SL_RED, downsample=last_in_stage and not last_stage)
             node = build_transition(res.output, tr, g, tag=f"trans{bi}")
             bi += 1
     node = g.add(GlobalPool(), [node], label="gap")
@@ -295,7 +294,7 @@ def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
         spec = HDBSpec(cfg.depths[bi], cfg.growth[bi], cfg.m, keep_base=True)
         res = build_hdb(spec, node, g, tag=f"enc{bi}")
         skips.append(res.output)
-        node = build_transition(res.output, TransitionSpec(red=_FC_RED, pool="avg"), g,
+        node = build_transition(res.output, TransitionSpec(red=_FC_RED), g,
                                 tag=f"down{bi}")
     # bottom block
     spec = HDBSpec(cfg.depths[-1], cfg.growth[-1], cfg.m, keep_base=False)

@@ -63,10 +63,9 @@ def analyses(g, dtype_bytes, ds_weight, threshold) -> list:
             out += [repr(rep.total_seconds), repr(rep.layers),
                     dumps_json(Table(("id", "seconds", "bound"), rep.columns))]
     for concat_free in (False, True):
-        for weights in (False, True):
-            prof = peak_memory(g, None, dtype_bytes, concat_free, weights)
-            out += [repr((prof.steps, prof.peak_bytes, prof.peak_step, prof.weight_bytes)),
-                    timeline_csv(g, prof, header=header)]
+        prof = peak_memory(g, dtype_bytes=dtype_bytes, concat_free=concat_free)
+        out += [repr((prof.steps, prof.peak_bytes, prof.peak_step)),
+                timeline_csv(g, prof, header=header)]
     return out
 
 

@@ -119,9 +119,9 @@ class TestBuildHDB:
     def test_depthwise_pairs_in_order(self):
         g, res = hdb_on(48, HDBSpec(4, 16, 1.6, depthwise=True))
         for l in range(1, 5):
-            node = g.node(res.layer_nodes[l])
+            node = g.nodes[res.layer_nodes[l]]
             assert node.label.endswith("/dw")
-            pw = g.node(node.inputs[0])
+            pw = g.nodes[node.inputs[0]]
             assert pw.label.endswith("/pw")
             assert node.kind.groups == node.kind.out_channels
 
@@ -137,8 +137,8 @@ class TestBuildHDB:
         g, res = hdb_on(200, HDBSpec(4, 16, 1.6, depthwise=True))
         rows = layer_metrics(g)
         for l in range(1, 5):
-            dw = g.node(res.layer_nodes[l])
-            pw = g.node(dw.inputs[0])
+            dw = g.nodes[res.layer_nodes[l]]
+            pw = g.nodes[dw.inputs[0]]
             c_in = conv_input_shape(g, pw).channels
             w = dw.kind.out_channels
             area = g.shapes[dw.id].height * g.shapes[dw.id].width
@@ -160,7 +160,7 @@ class TestTransition:
         g, x = self.graph(328)
         out = build_transition(x, TransitionSpec(red=0.85), g)
         g.infer_shapes(TensorShape(3, 56, 56))
-        conv = g.node(g.node(out).inputs[0])
+        conv = g.nodes[g.nodes[out].inputs[0]]
         assert conv.kind.out_channels == 278  # 0.85 * 328 = 278.8
         assert g.shapes[out].height == 28
 
@@ -168,7 +168,7 @@ class TestTransition:
         g, x = self.graph(100)
         out = build_transition(x, TransitionSpec(red=0.85, inverted=True), g)
         g.infer_shapes(TensorShape(3, 56, 56))
-        conv = g.node(out)
+        conv = g.nodes[out]
         cat_elems = conv_input_shape(g, conv).element_count
         assert cat_elems == 200 * 28 * 28
         assert cat_elems * 2 == 100 * 56 * 56

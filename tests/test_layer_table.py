@@ -242,7 +242,7 @@ def test_unshaped_node_is_named():
     with pytest.raises(KeyError, match="node 1 has no inferred shape"):
         layer_metrics(g)
     with pytest.raises(KeyError, match="node 1 has no inferred shape"):
-        node_metrics(g, g.node(c))
+        node_metrics(g, g.nodes[c])
 
 
 

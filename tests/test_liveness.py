@@ -4,50 +4,37 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import HDBSpec, build_bare_hdb, build_hdb
-from hardgraph.liveness import (MemoryProfile, peak_memory, tensor_lifetimes, timeline_csv,
-                                verify_flush)
-from hardgraph.metrics import model_summary
+from hardgraph.liveness import peak_memory, tensor_lifetimes, timeline_csv, verify_flush
 from hardgraph.registry import MODEL_NAMES
 
 
-def brute_force_deaths(graph, schedule):
-    """Independent last-consumer scan over raw node inputs."""
-    pos = {nid: i for i, nid in enumerate(schedule)}
+def brute_force_deaths(graph):
+    """Independent last-consumer scan over raw node inputs, in node order."""
+    nodes = graph.nodes
     deaths = {}
-    for nid in schedule:
-        users = [pos[n.id] for n in graph.nodes if nid in n.inputs]
-        deaths[nid] = max(users) if users else len(schedule) - 1
+    for node in nodes:
+        users = [n.id for n in nodes if node.id in n.inputs]
+        deaths[node.id] = max(users) if users else len(nodes) - 1
     return deaths
 
 
-def _scan_peak_memory(graph, schedule=None, dtype_bytes=4, concat_free=False,
-                      include_weights=False):
-    """Reference peak memory: sums every live interval at every step, O(steps x nodes)."""
-    if schedule is None:
-        schedule = graph.schedule()
-    intervals = tensor_lifetimes(graph, schedule, concat_free=concat_free)
-    prof = MemoryProfile(dtype_bytes=dtype_bytes)
-    if include_weights:
-        prof.weight_bytes = model_summary(graph, dtype_bytes).params * dtype_bytes
-    for step in range(len(schedule)):
+def _scan_peak_memory(graph, dtype_bytes=4, concat_free=False):
+    """Reference (steps, peak_bytes, peak_step): sums every live interval at
+    every step, O(steps x nodes)."""
+    intervals = tensor_lifetimes(graph, concat_free=concat_free)
+    steps, peak_bytes, peak_step = [], 0, 0
+    for step in range(len(graph.nodes)):
         live = [iv for iv in intervals if iv.birth <= step <= iv.death]
-        total = sum(iv.size_elements for iv in live) * dtype_bytes + prof.weight_bytes
-        prof.steps.append(total)
-        if total > prof.peak_bytes:
-            prof.peak_bytes = total
-            prof.peak_step = step
-    return prof
+        total = sum(iv.size_elements for iv in live) * dtype_bytes
+        steps.append(total)
+        if total > peak_bytes:
+            peak_bytes, peak_step = total, step
+    return steps, peak_bytes, peak_step
 
 
-def assert_matches_scan(graph, schedule=None, **kwargs):
-    got = peak_memory(graph, schedule, **kwargs)
-    want = _scan_peak_memory(graph, schedule, **kwargs)
-    assert (got.steps, got.peak_bytes, got.peak_step, got.weight_bytes) == \
-        (want.steps, want.peak_bytes, want.peak_step, want.weight_bytes)
-
-
-FLAG_COMBOS = [dict(concat_free=cf, include_weights=w) for cf in (False, True)
-               for w in (False, True)]
+def assert_matches_scan(graph, **kwargs):
+    got = peak_memory(graph, **kwargs)
+    assert (got.steps, got.peak_bytes, got.peak_step) == _scan_peak_memory(graph, **kwargs)
 
 
 @st.composite
@@ -67,26 +54,6 @@ def random_dags(draw):
     return g
 
 
-@st.composite
-def random_schedules(draw, graph):
-    """A topological order of ``graph``, drawn among the nodes ready at each step."""
-    waiting = {n.id: len(n.inputs) for n in graph.nodes}
-    users = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        for i in n.inputs:
-            users[i].append(n.id)
-    ready = [nid for nid, k in waiting.items() if k == 0]
-    order = []
-    while ready:
-        nid = ready.pop(draw(st.integers(0, len(ready) - 1)))
-        order.append(nid)
-        for u in users[nid]:
-            waiting[u] -= 1
-            if waiting[u] == 0:
-                ready.append(u)
-    return order
-
-
 def chain():
     g = ArchGraph()
     i = g.add(Input(), [])
@@ -99,7 +66,7 @@ def chain():
 class TestLifetimes:
     def test_chain_deaths(self):
         g, (i, a, b) = chain()
-        ivs = {iv.tensor_id: iv for iv in tensor_lifetimes(g, g.schedule())}
+        ivs = {iv.tensor_id: iv for iv in tensor_lifetimes(g)}
         assert ivs[i].death == 1
         assert ivs[a].death == 2
         assert ivs[b].death == 2  # output lives to the end
@@ -107,18 +74,18 @@ class TestLifetimes:
     def test_matches_brute_force_on_models(self):
         for name in ("hardnet39ds", "fc-hardnet68"):
             g = hardgraph.build(name)
-            sched = g.schedule()
-            expected = brute_force_deaths(g, sched)
-            for iv in tensor_lifetimes(g, sched):
+            expected = brute_force_deaths(g)
+            for iv in tensor_lifetimes(g):
                 assert iv.death == expected[iv.tensor_id]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), random_dags(), st.booleans())
-    def test_matches_brute_force_on_random_schedules(self, data, g, concat_free):
-        sched = data.draw(random_schedules(g))
-        expected = brute_force_deaths(g, sched)
-        for iv in tensor_lifetimes(g, sched, concat_free=concat_free):
-            assert iv.birth == sched.index(iv.tensor_id)
+    @given(random_dags(), st.booleans())
+    def test_matches_brute_force_on_random_dags(self, g, concat_free):
+        expected = brute_force_deaths(g)
+        ivs = tensor_lifetimes(g, concat_free=concat_free)
+        assert [iv.tensor_id for iv in ivs] == [n.id for n in g.nodes]
+        for iv in ivs:
+            assert iv.birth == iv.tensor_id
             if concat_free:
                 assert iv.death >= expected[iv.tensor_id]
             else:
@@ -126,11 +93,9 @@ class TestLifetimes:
 
     def test_bare_hdb_even_layer_dies_at_next_power(self):
         g, res = build_bare_hdb(HDBSpec(8, 10, 1.6), TensorShape(16, 32, 32))
-        sched = g.schedule()
-        pos = {nid: i for i, nid in enumerate(sched)}
-        ivs = {iv.tensor_id: iv for iv in tensor_lifetimes(g, sched)}
+        ivs = tensor_lifetimes(g)
         # layer 3 is consumed only by layer 4 (through its concat)
-        assert ivs[res.layer_nodes[3]].death < pos[res.layer_nodes[4]]
+        assert ivs[res.layer_nodes[3]].death < res.layer_nodes[4]
 
     def test_output_concat_extends_odd_lifetimes(self):
         g = ArchGraph()
@@ -138,14 +103,11 @@ class TestLifetimes:
         g.infer_shapes(TensorShape(16, 32, 32))
         res = build_hdb(HDBSpec(8, 10, 1.6), i, g)
         g.infer_shapes(TensorShape(16, 32, 32))
-        sched = g.schedule()
-        pos = {nid: i for i, nid in enumerate(sched)}
-        ivs = {iv.tensor_id: iv for iv in tensor_lifetimes(g, sched)}
-        out_pos = pos[res.output]
+        ivs = tensor_lifetimes(g)
         for l in (1, 3, 5, 7):
-            assert ivs[res.layer_nodes[l]].death >= out_pos
+            assert ivs[res.layer_nodes[l]].death >= res.output
         for l in (2, 4, 6):
-            assert ivs[res.layer_nodes[l]].death < out_pos
+            assert ivs[res.layer_nodes[l]].death < res.output
 
 
 class TestPeakMemory:
@@ -183,12 +145,16 @@ class TestPeakMemory:
         assert free.peak_bytes <= materialized.peak_bytes
         assert all(f <= m for f, m in zip(free.steps, materialized.steps))
 
-    def test_include_weights_adds_constant(self):
+    def test_schedule_is_not_an_argument(self):
+        # an old positional schedule would land in concat_free or header
         g, _ = chain()
-        base = peak_memory(g, dtype_bytes=4)
-        with_w = peak_memory(g, dtype_bytes=4, include_weights=True)
-        assert with_w.peak_bytes > base.peak_bytes
-        assert with_w.weight_bytes == (3 * 16 * 9 + 16 * 8 * 9) * 4
+        prof = peak_memory(g)
+        with pytest.raises(TypeError):
+            peak_memory(g, g.schedule())
+        with pytest.raises(TypeError):
+            tensor_lifetimes(g, g.schedule())
+        with pytest.raises(TypeError):
+            timeline_csv(g, prof, g.schedule())
 
     def test_timeline_csv_rows(self):
         g, _ = chain()
@@ -212,12 +178,10 @@ class TestFlushProperty:
     @pytest.mark.parametrize("L", [2, 4, 8, 16, 32])
     def test_flush_against_brute_force(self, L):
         g, res = build_bare_hdb(HDBSpec(L, 8, 1.6), TensorShape(16, 64, 64))
-        sched = g.schedule()
-        pos = {nid: i for i, nid in enumerate(sched)}
-        deaths = brute_force_deaths(g, sched)
+        deaths = brute_force_deaths(g)
         p = 2
         while p <= L:
-            step = pos[res.layer_nodes[p]]
+            step = res.layer_nodes[p]
             for l in range(1, p):
                 assert deaths[res.layer_nodes[l]] <= step, (L, p, l)
             p *= 2
@@ -237,20 +201,16 @@ class TestSweepMatchesScan:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_catalog_models(self, name):
         g = hardgraph.build(name)
-        for flags in FLAG_COMBOS:
-            assert_matches_scan(g, **flags)
+        for concat_free in (False, True):
+            assert_matches_scan(g, concat_free=concat_free)
 
     @pytest.mark.parametrize("L", [1, 2, 7, 64, 256])
     def test_bare_hdbs(self, L):
         g, _ = build_bare_hdb(HDBSpec(L, 8, 1.6), TensorShape(16, 16, 16))
-        for flags in FLAG_COMBOS:
-            assert_matches_scan(g, **flags)
+        for concat_free in (False, True):
+            assert_matches_scan(g, concat_free=concat_free)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), random_dags(), st.sampled_from([1, 2, 4]), st.booleans(), st.booleans())
-    def test_random_dags_and_schedules(self, data, g, dtype_bytes, concat_free,
-                                       include_weights):
-        flags = dict(dtype_bytes=dtype_bytes, concat_free=concat_free,
-                     include_weights=include_weights)
-        assert_matches_scan(g, **flags)
-        assert_matches_scan(g, data.draw(random_schedules(g)), **flags)
+    @given(random_dags(), st.sampled_from([1, 2, 4]), st.booleans())
+    def test_random_dags(self, g, dtype_bytes, concat_free):
+        assert_matches_scan(g, dtype_bytes=dtype_bytes, concat_free=concat_free)

@@ -15,7 +15,7 @@ def single_conv(conv, in_shape):
     i = g.add(Input(), [])
     c = g.add(conv, [i])
     g.infer_shapes(in_shape)
-    return g, g.node(c)
+    return g, g.nodes[c]
 
 
 class TestLayerCIO:
@@ -30,7 +30,7 @@ class TestLayerCIO:
         b = g.add(Conv(8), [i])
         cat = g.add(Concat(), [a, b])
         g.infer_shapes(TensorShape(3, 8, 8))
-        assert node_metrics(g, g.node(cat)).cio_elements == 0
+        assert node_metrics(g, g.nodes[cat]).cio_elements == 0
 
     def test_depthwise_with_ds_weight(self):
         g, n = single_conv(Conv(64, groups=64), TensorShape(64, 56, 56))
@@ -56,7 +56,7 @@ class TestLayerMACs:
         i = g.add(Input(), [])
         p = g.add(Pool("avg"), [i])
         g.infer_shapes(TensorShape(8, 8, 8))
-        assert layer_macs(g, g.node(p)) == 0
+        assert layer_macs(g, g.nodes[p]) == 0
 
 
 class TestLayerParams:
@@ -75,7 +75,7 @@ class TestLayerParams:
         b = g.add(Conv(8), [i])
         cat = g.add(Concat(), [a, b])
         g.infer_shapes(TensorShape(3, 8, 8))
-        assert node_metrics(g, g.node(cat)).params == 0
+        assert node_metrics(g, g.nodes[cat]).params == 0
 
     def test_linear_has_bias(self):
         g = ArchGraph()
@@ -83,7 +83,7 @@ class TestLayerParams:
         p = g.add(GlobalPool(), [i])
         f = g.add(Linear(1000), [p])
         g.infer_shapes(TensorShape(512, 7, 7))
-        assert node_metrics(g, g.node(f)).params == 512 * 1000 + 1000
+        assert node_metrics(g, g.nodes[f]).params == 512 * 1000 + 1000
 
 
 class TestCheckMoc:

@@ -63,11 +63,11 @@ class TestBuilders:
         g = build_reference("fc-sparsenet-ref100")
         # an 8-layer block's layer 8 reads 4 predecessors under the log rule
         l8 = next(n for n in g.nodes if n.label == "enc0/l8")
-        cat = g.node(l8.inputs[0])
+        cat = g.nodes[l8.inputs[0]]
         assert len(cat.inputs) == 4
         # the fixed block output reads like a layer 9: layers 8, 7, 5 and 1
         out = next(n for n in g.nodes if n.label == "enc0/out")
-        assert [g.node(i).label for i in out.inputs] == ["enc0/l8", "enc0/l7", "enc0/l5", "enc0/l1"]
+        assert [g.nodes[i].label for i in out.inputs] == ["enc0/l8", "enc0/l7", "enc0/l5", "enc0/l1"]
 
     def test_resnet_projection_only_on_downsample(self):
         g = build_reference("resnet50")
