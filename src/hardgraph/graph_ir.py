@@ -307,65 +307,76 @@ class ArchGraph:
 
         Each node passes the checks ``add`` makes.  Each distinct (kind,
         params) pair is built and validated once and shared by every node
-        that names it (see ``_kind_key``), so nodes group into classes and
-        each class's shape rule runs once: at the stored input, or at
-        ``input_hw`` = (height, width) when given, with the stored channel
-        count (3 if the file stores no input).
+        that names it, so nodes group into classes and each class's shape
+        rule runs once: at the stored input, or at ``input_hw`` = (height,
+        width) when given, with the stored channel count (3 if the file
+        stores no input).  The load makes no reference cycles, so the cyclic
+        collector is paused over it, then left as the caller had it.
         """
-        import json
+        import gc, json, marshal
+        collecting = gc.isenabled()
+        gc.disable()
         try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-            raise GraphError(f"malformed graph JSON: {e}") from e
-        if type(doc) is not dict:
-            raise GraphError(f"graph JSON must be an object, got {type(doc).__name__}")
-        name, records = doc.get("name", "graph"), doc.get("nodes")
-        if type(name) is not str:
-            raise GraphError(f"graph name must be a string, got {name!r}")
-        if type(records) is not list:
-            raise GraphError("graph JSON needs a 'nodes' list")
-        # nodes may come in any order, but ids 0 .. n-1 must each appear once
-        kinds, inputs, labels = [None] * len(records), [None] * len(records), [None] * len(records)
-        interned, has_input = {}, False
-        for d in records:
-            nid = d.get("id") if type(d) is dict else None
-            if type(nid) is not int:
-                raise GraphError(f"every node must be an object with an integer id, got {nid!r}")
-            if not 0 <= nid < len(kinds) or kinds[nid] is not None:
-                raise GraphError("node ids must be contiguous from 0")
-            kind_name, params = d.get("kind"), d.get("params", {})
-            key = _kind_key(kind_name, params)
             try:
-                kind = interned.get(key)
-            except TypeError:  # a list or object where a number belongs: the build raises
-                kind = None
-            if kind is None:
-                kind = interned[key] = _kind_from_json(kind_name, params, nid)
-            ins = d.get("inputs", [])
-            if type(ins) is not list:
-                raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
-            kinds[nid], inputs[nid] = kind, tuple(ins)
-            _check_links(nid, type(kind), inputs[nid], has_input)
-            has_input = has_input or type(kind) is Input
-            label = labels[nid] = d.get("label")
-            if label is not None and type(label) is not str:
-                raise GraphError(f"node {nid}: label must be a string, got {label!r}")
-        shape, input_shape = doc.get("input"), None
-        if shape is not None:
-            if type(shape) is not list or len(shape) != 3:
-                raise GraphError(f"input must be [channels, height, width], got {shape!r}")
-            try:
-                input_shape = TensorShape(*shape)
-            except GraphError as e:
-                raise GraphError(f"input {shape!r}: {e}") from None
-        if input_hw is not None:
-            input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
-        g = cls(name)
-        g.kinds, g.inputs, g.labels = kinds, inputs, labels
-        if input_shape is not None:
-            return g.infer_shapes(input_shape)
-        g.classes, g.class_first = list(range(len(kinds))), list(range(len(kinds)))
-        return g
+                doc = json.loads(text)
+            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+                raise GraphError(f"malformed graph JSON: {e}") from e
+            if type(doc) is not dict:
+                raise GraphError(f"graph JSON must be an object, got {type(doc).__name__}")
+            name, records = doc.get("name", "graph"), doc.get("nodes")
+            if type(name) is not str:
+                raise GraphError(f"graph name must be a string, got {name!r}")
+            if type(records) is not list:
+                raise GraphError("graph JSON needs a 'nodes' list")
+            # nodes may come in any order, but ids 0 .. n-1 must each appear once
+            n = len(records)
+            kinds, inputs, labels = [None] * n, [None] * n, [None] * n
+            interned, has_input = {}, False
+            for d in records:
+                nid = d.get("id") if type(d) is dict else None
+                if type(nid) is not int:
+                    raise GraphError("every node must be an object with an integer id, "
+                                     f"got {nid!r}")
+                if not 0 <= nid < n or kinds[nid] is not None:
+                    where = "repeats" if 0 <= nid < n else f"is outside 0..{n - 1}"
+                    raise GraphError(f"node id {nid} {where}: node ids must be contiguous from 0")
+                kind_name, params = d.get("kind"), d.get("params", {})
+                # marshal writes each value's type and exact bits (true, 1, 1.0 and
+                # -0.0 stay apart, in a kernel list too), and version 2 no back-references
+                try:
+                    kind = interned.get(key := (kind_name, marshal.dumps(params, 2)))
+                except (TypeError, ValueError):  # unhashable or too deep: the build raises
+                    key = kind = None
+                if kind is None:
+                    kind = interned[key] = _kind_from_json(kind_name, params, nid)
+                ins = d.get("inputs", [])
+                if type(ins) is not list:
+                    raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
+                kinds[nid], inputs[nid] = kind, tuple(ins)
+                _check_links(nid, type(kind), inputs[nid], has_input)
+                has_input = has_input or type(kind) is Input
+                label = labels[nid] = d.get("label")
+                if label is not None and type(label) is not str:
+                    raise GraphError(f"node {nid}: label must be a string, got {label!r}")
+            shape, input_shape = doc.get("input"), None
+            if shape is not None:
+                if type(shape) is not list or len(shape) != 3:
+                    raise GraphError(f"input must be [channels, height, width], got {shape!r}")
+                try:
+                    input_shape = TensorShape(*shape)
+                except GraphError as e:
+                    raise GraphError(f"input {shape!r}: {e}") from None
+            if input_hw is not None:
+                input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
+            g = cls(name)
+            g.kinds, g.inputs, g.labels = kinds, inputs, labels
+            if input_shape is not None:
+                return g.infer_shapes(input_shape)
+            g.classes, g.class_first = list(range(n)), list(range(n))
+            return g
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def _node_name(nid: int, kind: _Kind, label: Optional[str]) -> str:
@@ -437,18 +448,6 @@ def _conv_out(size: int, kernel: int, stride: int, dilation: int) -> int:
     # "same" padding for odd kernels; even kernels pad to keep stride tiling.
     pad = dilation * (kernel - 1) // 2
     return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
-
-
-def _kind_key(name, params):
-    """``from_json``'s key for a kind: its name, each param's name, type and value
-    (``true``, ``1``, ``1.0`` stay apart, in a kernel list too)."""
-    if type(params) is not dict:
-        return None  # the build raises, so None is never stored
-    kernel = params.get("kernel")
-    if type(kernel) is list:  # the one list a kind accepts
-        params = {**params, "kernel": (*map(type, kernel), *kernel)}
-    values = params.values()
-    return (name, *params, *map(type, values), *values)
 
 
 def _kind_from_json(name, params, nid: int) -> _Kind:

@@ -224,6 +224,7 @@ MALFORMED = {
     "string id": (lambda d: node(d, 1).update(id="1"), "integer id"),
     "bool id": (lambda d: node(d, 1).update(id=True), "integer id"),
     "duplicate id": (lambda d: node(d, 2).update(id=1), "contiguous"),
+    "id out of range": (lambda d: node(d, 3).update(id=4), "node id 4 is outside 0..3"),
     "node not an object": (lambda d: d["nodes"].append(7), "integer id"),
     "nodes not a list": (lambda d: d.update(nodes={"0": {}}), "nodes"),
     "string inputs": (lambda d: node(d, 1).update(inputs="0"), "inputs"),
@@ -273,7 +274,10 @@ class TestFromJsonChecks:
         ({"kernel": [1, 3]}, {"kernel": [1.0, 3]}, "kernel_h"),
         ({"kernel": [3, 1]}, {"kernel": [3, True]}, "kernel_w"),
         ({"out_channels": 1}, {"out_channels": 1.0}, "out_channels"),
-    ], ids=["bool kernel", "float kernel", "bool kernel_w", "float out_channels"])
+        ({"out_channels": 2 ** 64}, {"out_channels": 2.0 ** 64}, "out_channels"),
+        ({"bias": False}, {"bias": -0.0}, "bias"),
+    ], ids=["bool kernel", "float kernel", "bool kernel_w", "float out_channels",
+            "float big out_channels", "negative zero bias"])
     def test_typed_value_after_equal_one_is_still_rejected(self, first, then, word):
         # true == 1 == 1.0, so the interning key must keep each value's type,
         # also for the elements of a kernel list
@@ -283,6 +287,16 @@ class TestFromJsonChecks:
         with pytest.raises(GraphError, match=word) as err:
             ArchGraph.from_json(with_change(change))
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: node(d, 2).update(id=1), "node id 1 repeats: node ids must be contiguous from 0"),
+        (lambda d: node(d, 0).update(id=-1),
+         "node id -1 is outside 0..3: node ids must be contiguous from 0"),
+    ], ids=["repeats", "negative"])
+    def test_node_id_error_names_the_id(self, change, message):
+        with pytest.raises(GraphError) as err:
+            ArchGraph.from_json(with_change(change))
+        assert str(err.value) == message
 
     def test_equal_kinds_are_shared(self):
         g = ArchGraph.from_json(with_change(lambda d: None))

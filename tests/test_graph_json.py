@@ -8,6 +8,7 @@ two byte for byte.
 """
 
 import copy
+import gc
 import json
 import pickle
 
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardgraph import registry
-from hardgraph.graph_ir import (_KIND_NAMES, Add, ArchGraph, Concat, Conv, GlobalPool, Input,
-                                Linear, Pool, TensorShape, TransposedConv)
+from hardgraph.graph_ir import (_KIND_NAMES, Add, ArchGraph, Concat, Conv, GlobalPool, GraphError,
+                                Input, Linear, Pool, TensorShape, TransposedConv, _kind_from_json)
 from hardgraph.harmonic import HDBSpec, build_bare_hdb
 
 
@@ -199,3 +200,147 @@ class TestValueFields:
         g.to_json()
         distinct = {(type(k), k._fields) for k in g.kinds}
         assert len(calls) == len(g.kinds) - len(distinct)
+
+
+# --- loading: kinds interned by their params' bytes -------------------------
+
+# per kind name, values each graph-JSON param accepts; unknown kind names use conv's
+GOOD_PARAMS = {
+    "conv": {"out_channels": (8, 1, 2 ** 64), "kernel": ([1, 3], [3, 3]), "stride": (1, 2),
+             "dilation": (1,), "groups": (1,), "bias": (False, True)},
+    "pool": {"mode": ("avg", "max"), "kernel": (2, 1), "stride": (1, 2)},
+    "tconv": {"out_channels": (4, 1), "kernel": (2,), "stride": (2, 1)},
+    "linear": {"out_features": (10, 1)},
+    "concat": {}, "add": {}, "global_pool": {},
+}
+ANY_KIND_NAMES = (*GOOD_PARAMS, "deconv", "Conv", 1, None, ["conv"])
+JUNK = ("8", None, {"h": 1}, [[1], 3], [1, [3]], [], -1, 0)
+
+
+def twins(value) -> list:
+    """Values that ``==`` ``value`` but have another JSON type or float bits; for a
+    list, the lists that differ from it in one such element."""
+    if type(value) is list:
+        return [[*value[:i], t, *value[i + 1:]] for i, v in enumerate(value) for t in twins(v)]
+    if type(value) is str:
+        return []
+    return [t for t in (True, False, int(value), float(value), 0.0, -0.0)
+            if t == value and repr(t) != repr(value)]
+
+
+@st.composite
+def kind_records(draw) -> list:
+    """(kind name, params) records: a first one, mostly of accepted values, and
+    variants of it with one value swapped for an equal twin or for junk.  Now and
+    then the kind name is unknown, a param is unknown or params is no object."""
+    known = draw(st.integers(0, 9)) > 0
+    name = draw(st.sampled_from(list(GOOD_PARAMS) if known else ANY_KIND_NAMES))
+    if draw(st.integers(0, 19)) == 0:
+        return [(name, draw(st.sampled_from([[], "conv", 7])))]
+    accepted = GOOD_PARAMS.get(name) if type(name) is str else None
+    if accepted is None:
+        accepted = GOOD_PARAMS["conv"]
+    # the first param has no default: present in four records of five
+    params = {param: draw(st.sampled_from(good)) for i, (param, good) in enumerate(accepted.items())
+              if draw(st.sampled_from([True] * 4 + [False]) if i == 0 else st.booleans())}
+    if draw(st.integers(0, 9)) == 0:
+        params["kernal"] = 1
+    records = [(name, params)]
+    swappable = sorted(param for param, value in params.items() if twins(value))
+    for _ in range(draw(st.integers(1, 3)) if swappable else 0):
+        param = draw(st.sampled_from(swappable))
+        swaps = twins(params[param]) if draw(st.integers(0, 4)) else JUNK
+        records.append((name, {**params, param: draw(st.sampled_from(swaps))}))
+    return records
+
+
+def loads_as_built_alone(records) -> None:
+    """Load the records as nodes 1, 2, ... after an input, and compare with the
+    oracle, which interns nothing: each node's kind built on its own, up to the
+    first error, whose first line the load must raise."""
+    kinds, error = [], None
+    for nid, (name, params) in enumerate(records, 1):
+        try:
+            kinds.append(_kind_from_json(name, params, nid))
+        except GraphError as e:
+            error = str(e).splitlines()[0]
+            break
+    text = json.dumps({"name": "kinds", "input": None, "nodes": [
+        {"id": 0, "kind": "input", "params": {}, "inputs": []},
+        *({"id": nid, "kind": name, "params": params, "inputs": [0, 0]}
+          for nid, (name, params) in enumerate(records, 1))]})
+    if error is None:
+        loaded = ArchGraph.from_json(text).kinds[1:]
+        assert [(type(k), k._fields) for k in loaded] == [(type(k), k._fields) for k in kinds]
+    else:
+        with pytest.raises(GraphError) as err:
+            ArchGraph.from_json(text)
+        assert str(err.value).splitlines()[0] == error
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(kind_records(), min_size=1, max_size=3), st.data())
+def test_interned_kinds_match_kinds_built_alone(pools, data):
+    # each pool's first record comes first, then nodes draw from every record, so
+    # a built kind is often looked up under equal or ==-equal params; one node in
+    # four reshuffles its params
+    pool, records = sum(pools, []), [records[0] for records in pools]
+    for _ in range(data.draw(st.integers(1, 8), label="nodes")):
+        name, params = data.draw(st.sampled_from(pool))
+        if type(params) is dict and data.draw(st.integers(0, 3)) == 0:
+            params = dict(data.draw(st.permutations(list(params.items()))))
+        records.append((name, params))
+    loads_as_built_alone(records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_built_kind_does_not_answer_for_an_equal_twin(data):
+    # params a kind accepts, then the same params with one value, or one kernel
+    # element, swapped for an ==-equal value of another type
+    name = data.draw(st.sampled_from(["conv", "pool", "tconv", "linear"]))
+    params = {param: data.draw(st.sampled_from(good))
+              for param, good in GOOD_PARAMS[name].items()}
+    param = data.draw(st.sampled_from(sorted(p for p, value in params.items() if twins(value))))
+    twin = {**params, param: data.draw(st.sampled_from(twins(params[param])))}
+    loads_as_built_alone([(name, params), (name, twin)])
+
+
+# one loadable graph, and one failure of each stage: parse, node record, shape pass
+HARDNET = registry.build("hardnet39ds").to_json()
+LOADS = {
+    "loads": (HARDNET, None, None),
+    "loads at input_hw": (HARDNET, (64, 96), None),
+    "malformed JSON": ("{nope", None, "malformed"),
+    "bad node record": (HARDNET.replace('"id": 1,', '"id": "1",', 1), None, "integer id"),
+    "shape error at input_hw": (HARDNET, (8, 8), "output shape would be"),
+}
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector's state, restored after the test."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", LOADS)
+    def test_from_json_leaves_the_collector_as_it_found_it(self, collector, case, enabled):
+        text, input_hw, error = LOADS[case]
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            ArchGraph.from_json(text, input_hw)
+        else:
+            with pytest.raises(GraphError, match=error):
+                ArchGraph.from_json(text, input_hw)
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_paused_over_the_shape_pass(self, collector, monkeypatch):
+        seen, rule = [], ArchGraph._rule
+        monkeypatch.setattr(ArchGraph, "_rule", lambda *a: seen.append(gc.isenabled()) or rule(*a))
+        gc.enable()
+        ArchGraph.from_json(HARDNET)
+        assert seen and not any(seen) and gc.isenabled()
