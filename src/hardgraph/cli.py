@@ -138,7 +138,7 @@ def _cmd_liveness(args) -> int:
 
 def _cmd_latency(args) -> int:
     from .latency import PRESETS, PlatformModel, model_latency
-    from .metrics import Table, dumps_json
+    from .metrics import dumps_json
     if args.platform in PRESETS:
         platform = PRESETS[args.platform]
     else:
@@ -157,7 +157,7 @@ def _cmd_latency(args) -> int:
                      "dram_bytes_per_second": platform.dram_bytes_per_second,
                      "critical_moc": platform.critical_moc(args.dtype_bytes)},
         "total_seconds": rep.total_seconds,
-        "layers": Table(("id", "seconds", "bound"), rep.columns),
+        "layers": rep.table(("seconds", "bound")),
     }
     _write(dumps_json(doc) + "\n", args.output)
     return 0

@@ -356,8 +356,9 @@ class ArchGraph:
                 _check_links(nid, type(kind), inputs[nid], has_input)
                 has_input = has_input or type(kind) is Input
                 label = labels[nid] = d.get("label")
-                if label is not None and type(label) is not str:
-                    raise GraphError(f"node {nid}: label must be a string, got {label!r}")
+                # a NUL would stop csv on 3.10 and has no use in a layer name
+                if label is not None and (type(label) is not str or "\0" in label):
+                    raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
             shape, input_shape = doc.get("input"), None
             if shape is not None:
                 if type(shape) is not list or len(shape) != 3:
@@ -475,12 +476,13 @@ def _kind_from_json(name, params, nid: int) -> _Kind:
 
 
 def to_dot(graph: ArchGraph) -> str:
-    """Graphviz DOT rendering, one DOT node per graph node."""
-    lines = [f'digraph "{graph.name}" {{', "  rankdir=TB;"]
+    """Graphviz DOT rendering, one DOT node per graph node; a quoted ID escapes ``\\`` and ``"``."""
+    quote = lambda text: text.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{quote(graph.name)}" {{', "  rankdir=TB;"]
     for nid, kind, label in zip(count(), graph.kinds, graph.labels):
         shape = graph.shapes.get(nid)
         extra = f"\\n{shape}" if shape else ""
-        lines.append(f'  n{nid} [label="{nid}: {label or _KIND_NAMES[type(kind)]}{extra}"];')
+        lines.append(f'  n{nid} [label="{nid}: {quote(label or _KIND_NAMES[type(kind)])}{extra}"];')
     for nid, inputs in enumerate(graph.inputs):
         for i in inputs:
             lines.append(f"  n{i} -> n{nid};")

@@ -15,9 +15,8 @@ after its death, and their running sum is the live size at every step.
 
 from __future__ import annotations
 
-import csv
 import io
-from itertools import accumulate, count
+from itertools import accumulate, chain, compress, count
 from typing import Mapping, NamedTuple, Optional
 
 from .graph_ir import ArchGraph, Concat
@@ -40,7 +39,7 @@ class MemoryProfile:
 def _lifetimes(graph: ArchGraph, concat_free: bool) -> tuple:
     """Each tensor's death step and size in elements, as two columns indexed
     by node id; a tensor's birth step is its node id."""
-    inputs, shapes = graph.inputs, graph.shapes
+    inputs, shapes, classes = graph.inputs, graph.shapes, graph.classes
     n = len(inputs)
     # in node order each consumer overwrites its inputs' death, so the latest
     # one is kept; a tensor nothing consumes lives to the last step
@@ -48,16 +47,16 @@ def _lifetimes(graph: ArchGraph, concat_free: bool) -> tuple:
     for nid, ins in enumerate(inputs):
         for i in ins:
             death[i] = nid
-    sizes = [shapes[nid].element_count for nid in range(n)]
+    sizes = list(map([shapes[f].element_count for f in graph.class_first].__getitem__, classes))
     if concat_free:
-        # a zero-copy concat stores nothing and keeps its inputs alive as
-        # long as its own output
-        kinds = graph.kinds
-        for nid in reversed(range(n)):
-            if type(kinds[nid]) is Concat:
-                sizes[nid] = 0
-                for i in inputs[nid]:
-                    death[i] = max(death[i], death[nid])
+        # a zero-copy concat stores nothing and keeps its inputs alive as long
+        # as its own output; latest first, so a concat of concats passes it on
+        concat = [type(graph.kinds[f]) is Concat for f in graph.class_first]
+        for nid in reversed(list(compress(range(n), map(concat.__getitem__, classes)))):
+            sizes[nid], last = 0, death[nid]
+            for i in inputs[nid]:
+                if death[i] < last:
+                    death[i] = last
     return death, sizes
 
 
@@ -103,12 +102,13 @@ def verify_flush(graph: ArchGraph, layer_nodes: Mapping[int, int]) -> list:
 def timeline_csv(graph: ArchGraph, profile: MemoryProfile, *,
                  header: Optional[dict] = None) -> str:
     """Memory timeline: step,node,live_bytes."""
-    buf = io.StringIO()
-    if header:
-        for k in sorted(header):
-            buf.write(f"# {k}: {header[k]}\n")
+    head = "".join(f"# {k}: {header[k]}\n" for k in sorted(header or ()))
     labels = [label or str(nid) for nid, label in enumerate(graph.labels)]
-    w = csv.writer(buf)
-    w.writerow(["step", "node", "live_bytes"])
-    w.writerows(zip(count(), labels, profile.steps))
-    return buf.getvalue()
+    rows = zip(count(), labels, profile.steps)
+    # the characters csv quotes (graph JSON cannot carry a NUL, which csv on 3.10 refuses)
+    if any(map("".join(labels).__contains__, ',"\r\n')):
+        import csv
+        buf = io.StringIO()
+        csv.writer(buf).writerows(chain([("step", "node", "live_bytes")], rows))
+        return head + buf.getvalue()
+    return "".join(chain((head, "step,node,live_bytes\r\n"), map("%d,%s,%d\r\n".__mod__, rows)))

@@ -11,11 +11,11 @@ import io
 import json
 from collections import Counter
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import copysign
 from operator import add, attrgetter, mul, not_
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv, _Kind
 
@@ -48,6 +48,11 @@ class _PerClass:
     @property
     def layers(self) -> list:
         return list(map(self._record, *self.columns))
+
+    def table(self, keys: tuple) -> "Table":
+        """A report table: ``id`` per node, and the other fields, named ``keys``, per class."""
+        return Table(("id",), (range(len(self._classes)),), keys, tuple(zip(*self._rows))[1:],
+                     self._classes)
 
 
 class ModelSummary(_PerClass):
@@ -185,37 +190,37 @@ def check_moc(graph: ArchGraph, threshold: float) -> list:
 # --- report rendering -------------------------------------------------------
 
 class Table(NamedTuple):
-    """Report rows held as columns of equal length: row r maps ``keys[i]`` to
-    ``columns[i][r]``.  ``dumps_json`` writes it as that list of dicts."""
+    """Report rows as columns: row r maps ``keys[i]`` to ``columns[i][r]`` and ``class_keys[j]``
+    to the class cell ``class_columns[j][classes[r]]``; ``dumps_json`` writes that list of dicts."""
     keys: tuple
     columns: tuple
+    class_keys: tuple = ()
+    class_columns: tuple = ()
+    classes: Sequence = ()
 
 
 def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
-    """The per-layer report rows, as columns: each class's cells are made
-    once, and each distinct shape's text once."""
+    """The per-layer report rows: ``id`` and ``label`` per node, the other
+    cells once per class, and each distinct shape's text once."""
     firsts, params, macs, cio, _, moc = list(zip(*summary._rows)) or [()] * 6
     shapes = list(map(graph.shapes.__getitem__, firsts))
     texts = {i: str(s) for i, s in dict(zip(map(id, shapes), shapes)).items()}
-    cells = (list(map(_KIND_NAMES.__getitem__, map(type, map(graph.kinds.__getitem__, firsts)))),
-             list(map(texts.__getitem__, map(id, shapes))), params, macs, cio,
-             [round(m, 6) for m in moc])
-    classes = summary._classes
-    return Table(("id", "label", "kind", "out_shape", "params", "macs", "cio_elements", "moc"),
-                 (range(len(classes)), [label or "" for label in graph.labels],
-                  *(list(map(column.__getitem__, classes)) for column in cells)))
+    kinds = [_KIND_NAMES[type(graph.kinds[f])] for f in firsts]
+    return Table(("id", "label"), (range(len(graph.labels)), [l or "" for l in graph.labels]),
+                 ("kind", "out_shape", "params", "macs", "cio_elements", "moc"),
+                 (kinds, list(map(texts.__getitem__, map(id, shapes))), params, macs, cio,
+                  [round(m, 6) for m in moc]), summary._classes)
 
 
 def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
     buf = io.StringIO()
-    if header:
-        for k in sorted(header):
-            buf.write(f"# {k}: {header[k]}\n")
+    buf.write("".join(f"# {k}: {header[k]}\n" for k in sorted(header or ())))
     table = _rows(graph, summary)
     import csv  # here, so that loading metrics (as to_json does) skips it
     w = csv.writer(buf)
-    w.writerow(table.keys)
-    w.writerows(zip(*table.columns))
+    w.writerow(table.keys + table.class_keys)
+    w.writerows(zip(*table.columns, *(map(column.__getitem__, table.classes)
+                                      for column in table.class_columns)))
     w.writerow(["", "TOTAL", "", "", summary.params, summary.macs, summary.cio_elements,
                 round(summary.macs / summary.cio_elements, 6) if summary.cio_elements else 0])
     return buf.getvalue()
@@ -238,10 +243,10 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}  # as json writ
 
 
 def dumps_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with a
-    ``Table`` written as its list of rows; keys must be strings.  With an
-    indent the stdlib takes one Python step per token; a table is instead
-    encoded column by column and filled into one ``%`` template per row."""
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with a ``Table`` written
+    as its list of rows; keys must be strings.  With an indent the stdlib takes one Python
+    step per token; a table is instead encoded column by column, its class cells once per
+    class, and an object's text is joined once, so a table's text is copied once per level."""
     return _dumps(doc, 0)
 
 
@@ -252,9 +257,13 @@ def _dumps(value, level: int) -> str:
     if type(value) is Table:
         return _dumps_table(value, level)
     if isinstance(value, dict) and value:
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        return _block("{", [f"{encode_basestring_ascii(k)}: {_dumps(v, level + 1)}"
-                            for k, v in sorted(value.items())], "}", level)
+        head, sep, tail = _frame("{", "}", level)
+        parts = [head]
+        for k, v in sorted(value.items()):
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            parts += encode_basestring_ascii(k), ": ", _dumps(v, level + 1), sep
+        parts[-1] = tail
+        return "".join(parts)
     if isinstance(value, (list, tuple)) and value:
         return _block("[", [_dumps(v, level + 1) for v in value], "]", level)
     return _encode_scalar(value)  # a scalar, {} or []
@@ -271,25 +280,39 @@ def _frame(opener: str, closer: str, level: int) -> tuple:
     return opener + pad, "," + pad, "\n" + "  " * level + closer
 
 
-def _template(keys, level: int) -> str:
-    """A JSON object at ``level`` whose sorted ``keys`` each hold a ``%s`` slot;
-    a key's '%' is doubled, so ``%`` fills only the slots."""
-    return _block("{", [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                        for k in sorted(keys)], "}", level)
+def _template(keys, level: int, node_keys=()) -> str:
+    """A JSON object at ``level`` whose sorted ``keys`` each hold a ``%s`` slot, or a NUL
+    for ``node_keys``; a key's '%' is doubled, so ``%`` fills only the slots."""
+    return _block("{", [encode_basestring_ascii(k).replace("%", "%%")
+                        + (": \0" if k in node_keys else ": %s") for k in sorted(keys)], "}", level)
 
 
 def _dumps_table(table: Table, level: int) -> str:
-    columns = sorted(zip(table.keys, table.columns))  # keys are unique: sorts by key
-    cells = [_encode_column(column, level + 2) for _, column in columns]
-    if not cells or not cells[0]:
+    """Class cells fill the row text around the node cells once per class; those pieces, through
+    ``classes``, and the node cells fill one list for one join.  No class columns: one class."""
+    classes = table.classes if table.class_keys else [0] * len((table.columns or [()])[0])
+    if not classes:
         return "[]"
-    row = _template(table.keys, level + 1)
-    return _block("[", list(map(row.__mod__, zip(*cells))), "]", level)
+    head, sep, tail = _frame("[", "]", level)
+    row = _template(table.keys + table.class_keys, level + 1, table.keys) + sep
+    by_class = sorted(zip(table.class_keys, table.class_columns))
+    cells = zip(*[_encode_column(c, level + 2) for _, c in by_class]) if by_class else [()]
+    # each class's row, cut at the node cells (no NUL in a cell): piece j of class c at c*width+j
+    pieces, width = "\0".join(map(row.__mod__, cells)).split("\0"), len(table.keys) + 1
+    nodes = [_encode_column(c, level + 2) for _, c in sorted(zip(table.keys, table.columns))]
+    columns = [map(pieces[j::width].__getitem__, classes) for j in range(width)]
+    parts = [head] + [None] * (len(classes) * (2 * width - 1))  # filled a column at a time, in C
+    for j, column in enumerate([*chain.from_iterable(zip(columns, nodes)), columns[-1]]):
+        parts[1 + j::2 * width - 1] = column
+    parts[-1] = parts[-1][:-len(sep)] + tail  # the last row closes the list
+    return "".join(parts)
 
 
 def _encode_column(column, level: int) -> list:
     """A table column's values as JSON text: strings in one call, all ints or all floats once
     per distinct value, unless -0.0 (== 0.0), NaN or an infinity (spelt apart) is there."""
+    if type(column) is range:  # node ids
+        return list(map(int.__repr__, column))
     types = set(map(type, column))
     if types == {str}:
         return list(map(encode_basestring_ascii, column))

@@ -60,8 +60,9 @@ def analyses(g, dtype_bytes, ds_weight, threshold) -> list:
     for platform in PLATFORMS:
         for concat_copy in (False, True):
             rep = model_latency(g, platform, dtype_bytes, concat_copy)
-            out += [repr(rep.total_seconds), repr(rep.layers),
-                    dumps_json(Table(("id", "seconds", "bound"), rep.columns))]
+            text = dumps_json(rep.table(("seconds", "bound")))
+            assert text == dumps_json(Table(("id", "seconds", "bound"), rep.columns))
+            out += [repr(rep.total_seconds), repr(rep.layers), text]
     for concat_free in (False, True):
         prof = peak_memory(g, dtype_bytes=dtype_bytes, concat_free=concat_free)
         out += [repr((prof.steps, prof.peak_bytes, prof.peak_step)),

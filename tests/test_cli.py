@@ -13,7 +13,7 @@ import hardgraph
 from hardgraph import registry
 from hardgraph.cli import COMMANDS, UsageError, build_parser, main, run
 from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
-from test_graph_ir import MALFORMED, one_kind_doc, with_change
+from test_graph_ir import MALFORMED, node, one_kind_doc, with_change
 from test_latency import BAD_PLATFORMS
 
 
@@ -221,6 +221,16 @@ class TestMalformedGraphFiles:
         path = tmp_path / "g.json"
         path.write_text(with_change(MALFORMED[case][0]))
         assert_one_line_error(*invoke(capsys, "analyze", str(path)))
+
+    @pytest.mark.parametrize("argv", [("liveness",), ("liveness", "--concat-free"), ("analyze",),
+                                      ("analyze", "--format", "json"), ("export-dot",)])
+    def test_nul_label_is_one_line_naming_the_node(self, capsys, tmp_path, argv):
+        # csv on 3.10 cannot write a NUL, so every version refuses it at load
+        path = tmp_path / "g.json"
+        path.write_text(with_change(lambda d: node(d, 2).update(label="b\0")))
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert_one_line_error(code, out, err)
+        assert err.startswith("error: node 2: label must be a NUL-free string")
 
     @pytest.mark.parametrize("argv", [("analyze", "--format", "json"),
                                       ("latency", "--platform", "gpu-like")])

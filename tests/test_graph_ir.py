@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,6 +198,27 @@ class TestSerialization:
         assert dot.startswith("digraph") and dot.rstrip().endswith("}")
 
 
+# a quoted DOT ID: characters other than " and \, or a backslash and the character after it
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+
+
+def dot_text(quoted: str) -> str:
+    """A quoted DOT ID's text: a backslash pair reads as its second character, \n as a newline."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], quoted)
+
+
+@pytest.mark.parametrize("name, label", [('a"b\\', 'a"b\\'), ("g\\", '"'), ("plain", "l\\n")])
+def test_dot_escapes_quotes_and_backslashes(name, label):
+    doc = small_graph_doc()
+    doc["name"], node(doc, 1)["label"] = name, label
+    lines = to_dot(ArchGraph.from_json(json.dumps(doc))).splitlines()
+    head = re.fullmatch(r"digraph %s \{" % QUOTED, lines[0])
+    assert head and dot_text(head[1]) == name
+    nodes = [re.fullmatch(r"  n\d+ \[label=%s\];" % QUOTED, line) for line in lines[2:6]]
+    assert [dot_text(m[1]) for m in nodes] == [
+        "0: input\n3x16x16", f"1: {label}\n8x16x16", "2: b\n8x16x16", "3: cat\n16x16x16"]
+
+
 def small_graph_doc() -> dict:
     g = ArchGraph(name="small")
     i = g.add(Input(), [])
@@ -247,6 +269,7 @@ MALFORMED = {
     "unknown kind": (lambda d: node(d, 1).update(kind="deconv"), "deconv"),
     "list kind": (lambda d: node(d, 1).update(kind=["conv"]), "kind"),
     "number label": (lambda d: node(d, 1).update(label=5), "label"),
+    "NUL label": (lambda d: node(d, 2).update(label="b\0"), "node 2: label must be a NUL-free"),
     "bool input channels": (lambda d: d.update(input=[True, 16, 16]), "channels"),
     "short input": (lambda d: d.update(input=[3, 16]), "input"),
     "string name": (lambda d: d.update(name=["x"]), "name"),

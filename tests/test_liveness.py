@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,20 @@ def brute_force_deaths(graph):
     for node in nodes:
         users = [n.id for n in nodes if node.id in n.inputs]
         deaths[node.id] = max(users) if users else len(nodes) - 1
+    return deaths
+
+
+def brute_force_concat_free_deaths(graph):
+    """Deaths when each concat is a view: a concat's inputs live as long as
+    the concat, repeated until nothing changes, so chained concats pass it on."""
+    deaths = brute_force_deaths(graph)
+    changed = True
+    while changed:
+        changed = False
+        for node in graph.nodes:
+            for i in node.inputs if isinstance(node.kind, Concat) else ():
+                if deaths[i] < deaths[node.id]:
+                    deaths[i], changed = deaths[node.id], True
     return deaths
 
 
@@ -91,6 +108,29 @@ class TestLifetimes:
             else:
                 assert iv.death == expected[iv.tensor_id]
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_dags())
+    def test_concat_free_deaths_match_brute_force(self, g):
+        # a loaded graph groups its nodes into classes; a built one does not
+        expected = brute_force_concat_free_deaths(g)
+        for graph in (g, ArchGraph.from_json(g.to_json())):
+            ivs = tensor_lifetimes(graph, concat_free=True)
+            assert [iv.death for iv in ivs] == [expected[nid] for nid in range(len(ivs))]
+            assert [iv.size_elements == 0 for iv in ivs] == \
+                [isinstance(k, Concat) for k in graph.kinds]
+
+    def test_chained_concats_extend_the_first_inputs(self):
+        g = ArchGraph()
+        i = g.add(Input(), [])
+        a, b = g.add(Conv(4), [i]), g.add(Conv(4), [i])
+        inner = g.add(Concat(), [a, b])
+        outer = g.add(Concat(), [inner, i])
+        last = g.add(Conv(4), [outer])
+        g.add(Conv(4), [last])
+        g.infer_shapes(TensorShape(3, 8, 8))
+        deaths = [iv.death for iv in tensor_lifetimes(g, concat_free=True)]
+        assert deaths[a] == deaths[b] == deaths[inner] == deaths[outer] == last
+
     def test_bare_hdb_even_layer_dies_at_next_power(self):
         g, res = build_bare_hdb(HDBSpec(8, 10, 1.6), TensorShape(16, 32, 32))
         ivs = tensor_lifetimes(g)
@@ -155,6 +195,29 @@ class TestPeakMemory:
             tensor_lifetimes(g, g.schedule())
         with pytest.raises(TypeError):
             timeline_csv(g, prof, g.schedule())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.none() | st.text(st.sampled_from(list(',"\r\n x\u00e9\u4e2d'))
+                                        | st.characters(blacklist_characters="\0")),
+                    min_size=1, max_size=8),
+           st.none() | st.dictionaries(st.sampled_from(["model", "peak_bytes", "a b"]),
+                                       st.integers() | st.text(max_size=3)))
+    def test_timeline_csv_matches_csv_writer(self, labels, header):
+        # graph JSON cannot carry a NUL label, which csv on 3.10 refuses to write
+        g = ArchGraph()
+        g.add(Input(), [], label=labels[0])
+        for label in labels[1:]:
+            g.add(Conv(4), [len(g.kinds) - 1], label=label)
+        g.infer_shapes(TensorShape(3, 4, 4))
+        prof = peak_memory(g)
+        buf = io.StringIO()
+        for k in sorted(header or ()):
+            buf.write(f"# {k}: {header[k]}\n")
+        w = csv.writer(buf)
+        w.writerow(["step", "node", "live_bytes"])
+        w.writerows((nid, label or str(nid), b) for nid, (label, b) in
+                    enumerate(zip(labels, prof.steps)))
+        assert timeline_csv(g, prof, header=header) == buf.getvalue()
 
     def test_timeline_csv_rows(self):
         g, _ = chain()

@@ -203,6 +203,48 @@ def tables(draw):
                                     for _ in keys))
 
 
+# keys that sort just before, between and after "id" and "label"
+near_keys = st.sampled_from(["", "%", "%s", "a", "i", "ia", "id", "id%", "id0", "ie", "kind",
+                             "l", "la", "label", "label%", "labels", "lb", "moc", "\u00e9"])
+class_cells = (st.sampled_from(["%", "%s", "%%d", "\u00e9", "\u4e2d", "\U0001f600", -0.0, 0.0,
+                                float("nan"), float("-inf")]) | scalars)
+class_columns = st.one_of(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4),
+    st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(tricky_text, min_size=1, max_size=4),
+    st.lists(class_cells, min_size=1, max_size=4))
+
+
+@st.composite
+def class_tables(draw):
+    """A Table with per-node columns and per-class columns of 1-4 classes,
+    whose keys sort around ``id`` and ``label``, or are ``id`` and ``label``."""
+    keys = draw(st.lists(near_keys | tricky_text, min_size=1, max_size=7, unique=True))
+    split = draw(st.integers(0, len(keys) - 1))
+    node_keys, class_keys = tuple(keys[:split]), tuple(keys[split:])
+    c = draw(st.integers(1, 4))
+    columns = tuple(draw(st.lists(class_columns, min_size=len(class_keys),
+                                  max_size=len(class_keys)).map(
+        lambda cols: [(col * 4)[:c] for col in cols])))
+    classes = draw(st.lists(st.integers(0, c - 1), max_size=6))
+    if node_keys and draw(st.booleans()):
+        node_columns = (range(len(classes)),) + tuple(
+            draw(st.lists(scalars, min_size=len(classes), max_size=len(classes)))
+            for _ in node_keys[1:])
+    else:
+        node_columns = tuple(draw(st.lists(scalars, min_size=len(classes), max_size=len(classes)))
+                             for _ in node_keys)
+    return Table(node_keys, node_columns, class_keys, columns, classes)
+
+
+def broadcast_rows(table) -> list:
+    """A table's rows as dicts, each class cell copied to the rows of its class."""
+    cells = [list(map(column.__getitem__, table.classes)) for column in table.class_columns]
+    return [dict(zip(table.keys + table.class_keys, row))
+            for row in zip(*table.columns, *cells)] if table.class_keys else \
+        [dict(zip(table.keys, row)) for row in zip(*table.columns)]
+
+
 json_values = st.recursive(
     scalars | flat_rows | rows_with_nested(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(tricky_text, inner, max_size=4),
@@ -254,8 +296,27 @@ class TestJsonWriter:
             doc, want = {"layers": doc, "n": len(rows)}, {"layers": want, "n": len(rows)}
         assert dumps_json(doc) == stdlib_dumps(want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(class_tables(), st.integers(0, 2))
+    def test_class_table_matches_its_broadcast_rows(self, table, depth):
+        doc, want = table, broadcast_rows(table)
+        for _ in range(depth):
+            doc, want = {"layers": doc, "%s": [1]}, {"layers": want, "%s": [1]}
+        assert dumps_json(doc) == stdlib_dumps(want)
+
+    def test_class_cells_fill_each_row_of_their_class(self):
+        table = Table(("id", "label"), (range(4), ["a", "%s", "\u00e9", ""]),
+                      ("ie", "kind", "z"), ([-0.0, float("nan")], ["%d", "b"], [1, 2]),
+                      [1, 0, 0, 1])
+        rows = json.loads(dumps_json(table))
+        assert [(r["id"], r["label"], r["kind"], r["z"]) for r in rows] == \
+            [(0, "a", "b", 2), (1, "%s", "%d", 1), (2, "\u00e9", "%d", 1), (3, "", "b", 2)]
+        assert dumps_json(table) == stdlib_dumps(broadcast_rows(table))
+
     @pytest.mark.parametrize("table, rows", [
         (Table(("a", "b"), ([], [])), []),
+        (Table(("id",), (range(0),), ("a",), ([1],), []), []),
+        (Table((), (), ("a",), ([1, 2],), [1, 1]), [{"a": 2}, {"a": 2}]),
         (Table((), ()), []),
         (Table(("%s", "b%"), ([1], ["%d"])), [{"%s": 1, "b%": "%d"}]),
         (Table(("x",), ([1.5, 2, float("nan"), True, None, "s"],)),
