@@ -476,15 +476,15 @@ def _kind_from_json(name, params, nid: int) -> _Kind:
 
 
 def to_dot(graph: ArchGraph) -> str:
-    """Graphviz DOT rendering, one DOT node per graph node; a quoted ID escapes ``\\`` and ``"``."""
+    """Graphviz DOT rendering, one DOT node per graph node; a quoted ID escapes ``\\`` and ``"``.
+    Each class's kind name and shape text are made once."""
     quote = lambda text: text.replace("\\", "\\\\").replace('"', '\\"')
+    kinds, shapes, firsts = graph.kinds, graph.shapes, graph.class_first
+    names = [_KIND_NAMES[type(kinds[nid])] for nid in firsts]  # for unlabelled nodes
+    tails = [f'\\n{shapes[nid]}"];' if nid in shapes else '"];' for nid in firsts]
     lines = [f'digraph "{quote(graph.name)}" {{', "  rankdir=TB;"]
-    for nid, kind, label in zip(count(), graph.kinds, graph.labels):
-        shape = graph.shapes.get(nid)
-        extra = f"\\n{shape}" if shape else ""
-        lines.append(f'  n{nid} [label="{nid}: {quote(label or _KIND_NAMES[type(kind)])}{extra}"];')
-    for nid, inputs in enumerate(graph.inputs):
-        for i in inputs:
-            lines.append(f"  n{i} -> n{nid};")
+    lines += [f'  n{nid} [label="{nid}: {quote(label) if label else names[c]}{tails[c]}'
+              for nid, label, c in zip(count(), graph.labels, graph.classes)]
+    lines += [f"  n{i} -> n{nid};" for nid, inputs in enumerate(graph.inputs) for i in inputs]
     lines.append("}")
     return "\n".join(lines) + "\n"

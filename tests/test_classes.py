@@ -1,9 +1,9 @@
 """Node classes: nodes with the same kind and input shapes share every
 per-node result, so analyses compute one row per class and broadcast it.
 
-A built graph has one class per node; a graph loaded from JSON groups its
-nodes (equal kinds are interned, equal shapes too).  Both must give the same
-numbers and byte-identical reports.
+A graph made by appending has one class per node; a graph loaded from JSON,
+or a repeat catalog build, groups its nodes (equal kinds are interned, equal
+shapes too).  Both must give the same numbers and byte-identical reports.
 """
 
 import math

@@ -380,10 +380,18 @@ def class_kind_counts(g) -> dict:
     """kind_counts over the first node of each class."""
     counts = {}
     for nid in g.class_first:
-        kind = type(g.nodes[nid].kind)
+        kind = type(g.kinds[nid])
         if kind is not Input:
             counts[kind] = counts.get(kind, 0) + 1
     return counts
+
+
+def run_builder(name, shape=None):
+    """Build a catalog model through its builder, as ``hardgraph.build`` does first."""
+    from hardgraph import harmonic, references
+    builder = (harmonic.build_model if name in harmonic.HARDNET_VARIANTS
+               else references.build_reference)
+    return builder(name, shape)
 
 
 class TestShapesOnAppend:
@@ -393,9 +401,26 @@ class TestShapesOnAppend:
         monkeypatch.setattr(ArchGraph, "infer_shapes", None)  # builders never call it
         for name in MODEL_NAMES:
             calls.clear()
-            g = hardgraph.build(name, shape)
+            g = run_builder(name, shape)
             assert calls == kind_counts(g), name
             assert g.shapes.keys() == {n.id for n in g.nodes}
+
+    @pytest.mark.parametrize("shape", [None, TensorShape(3, 256, 320)])
+    def test_each_rule_runs_once_per_class_in_repeat_builds(self, monkeypatch, shape):
+        from hardgraph import harmonic, references
+        for name in MODEL_NAMES:
+            hardgraph.build(name)  # the first build in this process, if no test made it
+        calls = counting_rules(monkeypatch)
+
+        def no_builder(*args):
+            raise AssertionError("a repeat build ran a builder")
+        monkeypatch.setattr(harmonic, "build_model", no_builder)
+        monkeypatch.setattr(references, "build_reference", no_builder)
+        for name in MODEL_NAMES:
+            calls.clear()
+            g = hardgraph.build(name, shape)
+            assert calls == class_kind_counts(g), name
+            assert g.shapes.keys() == set(range(len(g.kinds)))
 
     def test_each_rule_runs_once_per_node_in_bare_hdb(self, monkeypatch):
         from hardgraph.harmonic import HDBSpec, build_bare_hdb

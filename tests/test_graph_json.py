@@ -19,6 +19,7 @@ from hardgraph import registry
 from hardgraph.graph_ir import (_KIND_NAMES, Add, ArchGraph, Concat, Conv, GlobalPool, GraphError,
                                 Input, Linear, Pool, TensorShape, TransposedConv, _kind_from_json)
 from hardgraph.harmonic import HDBSpec, build_bare_hdb
+from test_graph_ir import run_builder
 
 
 def oracle(g: ArchGraph) -> str:
@@ -195,11 +196,23 @@ class TestValueFields:
         # builders make a fresh kind per node, so a lookup that finds an equal
         # kind compares once; a hash shared across types would compare more
         from hardgraph.graph_ir import _Value
-        g, calls, eq = registry.build(name), [], _Value.__eq__
+        g, calls, eq = run_builder(name), [], _Value.__eq__
         monkeypatch.setattr(_Value, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
         g.to_json()
         distinct = {(type(k), k._fields) for k in g.kinds}
         assert len(calls) == len(g.kinds) - len(distinct)
+
+    @pytest.mark.parametrize("name", ["hardnet68", "fc-hardnet84", "resnet50"])
+    def test_to_json_compares_no_kind_shared_by_identity(self, monkeypatch, name):
+        # a repeat registry build holds one object per distinct kind, which
+        # the lookup finds by identity, so it compares none
+        from hardgraph.graph_ir import _Value
+        first = registry.build(name).to_json()
+        g, calls, eq = registry.build(name), [], _Value.__eq__
+        assert len({id(k) for k in g.kinds}) == len({(type(k), k._fields) for k in g.kinds})
+        monkeypatch.setattr(_Value, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+        assert g.to_json() == first
+        assert calls == []
 
 
 # --- loading: kinds interned by their params' bytes -------------------------
