@@ -11,7 +11,7 @@ _EXPORTS = {
                  "Linear", "Pool", "TensorShape", "TransposedConv", "to_dot"),
     "harmonic": ("HDBSpec", "TransitionSpec", "bottleneck_channels", "build_hdb",
                  "build_transition", "channel_width", "hdb_links"),
-    "latency": ("PlatformModel", "layer_time", "model_latency"),
+    "latency": ("PlatformModel", "model_latency"),
     "liveness": ("peak_memory", "tensor_lifetimes", "verify_flush"),
     "metrics": ("ModelSummary", "check_moc", "layer_macs", "model_summary"),
     "references": ("SparseRule", "build_reference", "sparse_links"),

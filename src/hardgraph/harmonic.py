@@ -184,7 +184,6 @@ def default_input(name: str) -> TensorShape:
 
 class _ClsConfig(NamedTuple):
     """One HarDNet classification model (per-stride HDB stacks)."""
-    name: str
     stem: tuple                      # (out_channels, kernel, stride) tuples
     blocks: tuple                    # (depth, k, t) per HDB, in order
     downsample_after: tuple          # indices into blocks after which to max-pool
@@ -195,14 +194,12 @@ class _ClsConfig(NamedTuple):
 # Per-HDB (depth, k, t); HarDNet-68/39DS carry explicit per-block k and t.
 _HARDNET_CONFIGS = {
     "hardnet68": _ClsConfig(
-        "hardnet68",
         stem=((32, 3, 2), (64, 3, 1)),
         blocks=((8, 14, 128), (16, 16, 256), (16, 20, 320), (16, 40, 640), (4, 160, 1024)),
         downsample_after=(0, 2, 3),
         m=1.7, depthwise=False,
     ),
     "hardnet39ds": _ClsConfig(
-        "hardnet39ds",
         stem=((24, 3, 2), (48, 1, 1)),
         blocks=((4, 16, 96), (16, 20, 320), (8, 64, 640), (4, 160, 1024)),
         downsample_after=(0, 1, 2),
@@ -246,8 +243,9 @@ def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
     return g
 
 
-def _build_hardnet_cls(cfg: _ClsConfig, input_shape: TensorShape) -> ArchGraph:
-    g = ArchGraph(name=cfg.name, input_shape=input_shape)
+def _build_hardnet_cls(name: str, input_shape: TensorShape) -> ArchGraph:
+    cfg = _HARDNET_CONFIGS[name]
+    g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
     for i, (c, ksz, stride) in enumerate(cfg.stem):
         node = g.add(Conv(c, kernel_h=ksz, kernel_w=ksz, stride=stride), [node], label=f"stem{i}")
@@ -265,8 +263,33 @@ def _build_hardnet_cls(cfg: _ClsConfig, input_shape: TensorShape) -> ArchGraph:
 
 # --- FC (segmentation) models ---------------------------------------------
 
+def _build_fc(name: str, input_shape: TensorShape, first_conv: int, depths: tuple,
+              block, pool: str) -> ArchGraph:
+    """The FC encoder-decoder (Jegou et al., 2017).  ``depths`` lists the
+    encoder blocks, then the bottom block; ``block(graph, node, i, tag,
+    keep_base)`` appends block ``i`` after ``node`` and returns its output."""
+    g = ArchGraph(name=name, input_shape=input_shape)
+    node = g.add(Conv(first_conv), [g.add(Input(), [])], label="stem")
+    skips = []
+    n_down = len(depths) - 1
+    for bi in range(n_down):
+        skips.append(block(g, node, bi, f"enc{bi}", True))
+        c = g.shapes[skips[bi]].channels  # a same-width down-transition
+        node = g.add(Conv(c, kernel_h=1, kernel_w=1), [skips[bi]], label=f"down{bi}/conv")
+        node = g.add(Pool(pool), [node], label=f"down{bi}/pool")
+    node = block(g, node, n_down, "bottom", False)
+    for ui in range(n_down - 1, -1, -1):
+        c = g.shapes[node].channels
+        node = g.add(TransposedConv(c, kernel=3, stride=2), [node], label=f"up{ui}/tconv")
+        node = g.add(Concat(), [node, skips[ui]], label=f"up{ui}/skip")
+        # the top decoder block keeps its input so the classifier sees the
+        # full-resolution concat, as in the FC-DenseNet head
+        node = block(g, node, ui, f"dec{ui}", ui == 0)
+    g.add(Conv(FC_NUM_CLASSES, kernel_h=1, kernel_w=1, bias=True), [node], label="classifier")
+    return g
+
+
 class _FCConfig(NamedTuple):
-    name: str
     first_conv: int
     depths: tuple        # 6 encoder blocks, last one is the bottom block
     growth: tuple        # per-block growth rates (len 6)
@@ -274,43 +297,22 @@ class _FCConfig(NamedTuple):
 
 
 _FC_CONFIGS = {
-    "fc-hardnet68": _FCConfig("fc-hardnet68", 8, (4, 4, 4, 4, 8, 8), (4, 6, 8, 8, 10, 10), 1.7),
-    "fc-hardnet76": _FCConfig("fc-hardnet76", 24, (4, 4, 4, 8, 8, 8), (8, 10, 12, 12, 12, 14), 1.7),
-    "fc-hardnet84": _FCConfig("fc-hardnet84", 32, (4, 4, 8, 8, 8, 8), (10, 12, 14, 16, 20, 22), 1.7),
-    "fc-hardnet-ref100": _FCConfig("fc-hardnet-ref100", 48, (8, 8, 8, 8, 8, 8), (10,) * 6, 1.54),
+    "fc-hardnet68": _FCConfig(8, (4, 4, 4, 4, 8, 8), (4, 6, 8, 8, 10, 10), 1.7),
+    "fc-hardnet76": _FCConfig(24, (4, 4, 4, 8, 8, 8), (8, 10, 12, 12, 12, 14), 1.7),
+    "fc-hardnet84": _FCConfig(32, (4, 4, 8, 8, 8, 8), (10, 12, 14, 16, 20, 22), 1.7),
+    "fc-hardnet-ref100": _FCConfig(48, (8, 8, 8, 8, 8, 8), (10,) * 6, 1.54),
 }
 
-_FC_RED = 1.0  # down-transitions keep their channel count, FC-DenseNet style
 
-
-def _build_fc_hardnet(cfg: _FCConfig, input_shape: TensorShape) -> ArchGraph:
+def _build_fc_hardnet(name: str, input_shape: TensorShape) -> ArchGraph:
     """Encoder-decoder segmentation net with HDBs and block-level skips."""
-    g = ArchGraph(name=cfg.name, input_shape=input_shape)
-    node = g.add(Input(), [])
-    node = g.add(Conv(cfg.first_conv), [node], label="stem")
-    skips = []
-    n_down = len(cfg.depths) - 1
-    for bi in range(n_down):
-        spec = HDBSpec(cfg.depths[bi], cfg.growth[bi], cfg.m, keep_base=True)
-        res = build_hdb(spec, node, g, tag=f"enc{bi}")
-        skips.append(res.output)
-        node = build_transition(res.output, TransitionSpec(red=_FC_RED), g,
-                                tag=f"down{bi}")
-    # bottom block
-    spec = HDBSpec(cfg.depths[-1], cfg.growth[-1], cfg.m, keep_base=False)
-    res = build_hdb(spec, node, g, tag="bottom")
-    node = res.output
-    for ui in range(n_down - 1, -1, -1):
-        c = g.shapes[node].channels
-        node = g.add(TransposedConv(c, kernel=3), [node], label=f"up{ui}/tconv")
-        node = g.add(Concat(), [node, skips[ui]], label=f"up{ui}/skip")
-        # the top decoder block keeps its input so the classifier sees the
-        # full-resolution concat, as in the FC-DenseNet head
-        spec = HDBSpec(cfg.depths[ui], cfg.growth[ui], cfg.m, keep_base=(ui == 0))
-        res = build_hdb(spec, node, g, tag=f"dec{ui}")
-        node = res.output
-    g.add(Conv(FC_NUM_CLASSES, kernel_h=1, kernel_w=1, bias=True), [node], label="classifier")
-    return g
+    cfg = _FC_CONFIGS[name]
+
+    def block(graph, node, i, tag, keep_base):
+        spec = HDBSpec(cfg.depths[i], cfg.growth[i], cfg.m, keep_base=keep_base)
+        return build_hdb(spec, node, graph, tag=tag).output
+
+    return _build_fc(name, input_shape, cfg.first_conv, cfg.depths, block, "avg")
 
 
 HARDNET_VARIANTS = tuple(sorted(
@@ -323,9 +325,9 @@ def build_model(name: str, input_shape: Optional[TensorShape] = None) -> ArchGra
     if input_shape is None:
         input_shape = default_input(name)
     if name in _HARDNET_CONFIGS:
-        return _build_hardnet_cls(_HARDNET_CONFIGS[name], input_shape)
+        return _build_hardnet_cls(name, input_shape)
     if name in _SL_LAYOUT:
         return _build_sl(name, input_shape)
     if name in _FC_CONFIGS:
-        return _build_fc_hardnet(_FC_CONFIGS[name], input_shape)
+        return _build_fc_hardnet(name, input_shape)
     raise KeyError(f"unknown HarDNet variant {name!r}")

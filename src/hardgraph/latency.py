@@ -14,7 +14,7 @@ from operator import add
 from typing import NamedTuple
 
 from .graph_ir import ArchGraph, Concat, _Value
-from .metrics import LayerMetrics, _class_rows, _PerClass
+from .metrics import _class_rows, _PerClass
 
 
 class PlatformModel(_Value):
@@ -75,23 +75,19 @@ class LatencyReport(_PerClass):
         self.total_seconds = total_seconds
 
 
-def layer_time(metrics: LayerMetrics, platform: PlatformModel) -> float:
-    compute = metrics.macs / platform.peak_macs_per_second
-    memory = metrics.cio_bytes / platform.dram_bytes_per_second
-    return max(compute, memory)
-
-
 def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
     crit, rows, classes = platform.critical_moc(dtype_bytes), [], graph.classes[:]
+    peak, dram = platform.peak_macs_per_second, platform.dram_bytes_per_second
     for lm in _class_rows(graph, dtype_bytes):
         nid, t, bound = lm.node_id, 0.0, "none"
         if lm.cio_elements:
-            t, bound = layer_time(lm, platform), "memory" if lm.moc < crit else "compute"
+            t = max(lm.macs / peak, lm.cio_bytes / dram)
+            bound = "memory" if lm.moc < crit else "compute"
         elif concat_copy and type(graph.kinds[nid]) is Concat:
             # explicit copy: read + write of the concatenated tensor
             moved = 2 * graph.shapes[nid].element_count * dtype_bytes
-            t, bound = moved / platform.dram_bytes_per_second, "memory"
+            t, bound = moved / dram, "memory"
         rows.append(LayerTime(nid, t, bound))
     seconds = [row.seconds for row in rows]
     # left to right in node order: sum() compensates float error on 3.12+

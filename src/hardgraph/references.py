@@ -10,10 +10,9 @@ from enum import Enum
 from functools import partial
 from typing import Optional
 
-from .graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
-                       Pool, TensorShape, TransposedConv)
-from .harmonic import (FC_NUM_CLASSES, NUM_CLASSES, _build_block, _conv3x3,
-                       default_input)
+from .graph_ir import Add, ArchGraph, Conv, GlobalPool, Input, Linear, Pool, TensorShape
+from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_fc, _conv3x3,
+                       build_transition, default_input)
 
 
 class SparseRule(Enum):
@@ -63,9 +62,7 @@ def _build_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
         node, _ = _build_block(g, node, depth, range, layer, lambda L: range(L + 1),
                                f"b{bi}/", first=0)
         if bi < len(blocks) - 1:
-            channels = g.shapes[node].channels // 2
-            node = g.add(Conv(channels, kernel_h=1, kernel_w=1), [node], label=f"t{bi}/conv")
-            node = g.add(Pool("avg"), [node], label=f"t{bi}/pool")
+            node = build_transition(node, TransitionSpec(red=0.5), g, tag=f"t{bi}")
     node = g.add(GlobalPool(), [node], label="gap")
     g.add(Linear(NUM_CLASSES), [node], label="fc")
     return g
@@ -148,40 +145,24 @@ def _fixed_outputs(depth: int, keep_base: bool) -> list:
 
 
 _FC_CONFIGS = {
-    # name -> (first conv ch, down depths, bottleneck depth, growth, link rule, output rule)
-    "fc-densenet56": (48, (4, 4, 4, 4, 4), 4, 12, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-densenet67": (48, (5, 5, 5, 5, 5), 5, 16, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-densenet103": (48, (4, 5, 7, 10, 12), 15, 16, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-densenet-ref100": (48, (8, 8, 8, 8, 8), 8, 10, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-sparsenet-ref100": (48, (8, 8, 8, 8, 8), 8, 26, SparseRule.LOG, _fixed_outputs),
+    # name -> (first conv ch, depths of encoder blocks then bottom, growth, link, output rule)
+    "fc-densenet56": (48, (4, 4, 4, 4, 4, 4), 12, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-densenet67": (48, (5, 5, 5, 5, 5, 5), 16, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-densenet103": (48, (4, 5, 7, 10, 12, 15), 16, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-densenet-ref100": (48, (8, 8, 8, 8, 8, 8), 10, SparseRule.DENSE_ALL, _all_outputs),
+    "fc-sparsenet-ref100": (48, (8, 8, 8, 8, 8, 8), 26, SparseRule.LOG, _fixed_outputs),
 }
 
 
 def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
-    first, depths, bottom_depth, k, rule, outputs = _FC_CONFIGS[name]
-    g = ArchGraph(name=name, input_shape=input_shape)
+    first, depths, k, rule, outputs = _FC_CONFIGS[name]
+    links, emit = partial(sparse_links, rule), _conv3x3(lambda l: k)
 
-    def block(node, depth, tag, keep_base):
-        return _build_block(g, node, depth, partial(sparse_links, rule), _conv3x3(lambda l: k),
+    def block(graph, node, i, tag, keep_base):
+        return _build_block(graph, node, depths[i], links, emit,
                             lambda L: outputs(L, keep_base), f"{tag}/")[0]
 
-    node = g.add(Input(), [])
-    node = g.add(Conv(first), [node], label="stem")
-    skips = []
-    for bi, depth in enumerate(depths):
-        out = block(node, depth, f"enc{bi}", keep_base=True)
-        skips.append(out)
-        c = g.shapes[out].channels
-        node = g.add(Conv(c, kernel_h=1, kernel_w=1), [out], label=f"down{bi}/conv")
-        node = g.add(Pool("max"), [node], label=f"down{bi}/pool")
-    node = block(node, bottom_depth, "bottom", keep_base=False)
-    for ui in range(len(depths) - 1, -1, -1):
-        c = g.shapes[node].channels
-        node = g.add(TransposedConv(c, kernel=3, stride=2), [node], label=f"up{ui}/tconv")
-        node = g.add(Concat(), [node, skips[ui]], label=f"up{ui}/skip")
-        node = block(node, depths[ui], f"dec{ui}", keep_base=ui == 0)
-    g.add(Conv(FC_NUM_CLASSES, kernel_h=1, kernel_w=1, bias=True), [node], label="classifier")
-    return g
+    return _build_fc(name, input_shape, first, depths, block, "max")
 
 
 REFERENCE_MODELS = tuple(sorted(

@@ -7,7 +7,7 @@ from typing import Optional
 from . import harmonic
 from .graph_ir import ArchGraph, TensorShape
 
-# model name -> its first build's (kinds, inputs, labels), equal kinds one object.
+# model name -> its builder's (kinds, inputs, labels), equal kinds one object.
 # Builders read only the channel counts of shapes, which no input changes, so a
 # model has the same nodes at every input; the name alone is the key.
 _NODES = {}
@@ -27,22 +27,22 @@ def default_input(name: str) -> TensorShape:
 
 
 def build(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
-    """Build a catalog model.  Its first build runs the builder; later ones copy
-    its nodes and run one shape pass, which groups nodes into classes."""
+    """Build a catalog model.  Its builder runs once per process, at the
+    model's default input; every build copies those nodes and shapes them in
+    one pass at ``input_shape``, which groups nodes into classes."""
     key = name.lower()
     nodes = _NODES.get(key)
-    if nodes is not None:
-        g = ArchGraph(key)
-        g.kinds, g.inputs, g.labels = map(list, nodes)
-        return g.infer_shapes(input_shape or default_input(key))
-    if key in harmonic.HARDNET_VARIANTS:
-        g = harmonic.build_model(key, input_shape)
-    else:
-        from . import references
-        if key not in references.REFERENCE_MODELS:
-            raise KeyError(f"unknown model {name!r}; see list-models")
-        g = references.build_reference(key, input_shape)
-    canon = {}  # equal kinds merged, so the shape pass groups their nodes by id()
-    _NODES[key] = (tuple(canon.setdefault(k, k) for k in g.kinds), tuple(g.inputs),
-                   tuple(g.labels))
-    return g
+    if nodes is None:
+        if key in harmonic.HARDNET_VARIANTS:
+            g = harmonic.build_model(key)
+        else:
+            from . import references
+            if key not in references.REFERENCE_MODELS:
+                raise KeyError(f"unknown model {name!r}; see list-models")
+            g = references.build_reference(key)
+        canon = {}  # equal kinds merged, so the shape pass groups their nodes by id()
+        nodes = _NODES[key] = (tuple(canon.setdefault(k, k) for k in g.kinds),
+                               tuple(g.inputs), tuple(g.labels))
+    g = ArchGraph(key)
+    g.kinds, g.inputs, g.labels = map(list, nodes)
+    return g.infer_shapes(input_shape or default_input(key))

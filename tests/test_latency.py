@@ -3,41 +3,47 @@ import math
 import pytest
 
 import hardgraph
-from hardgraph.graph_ir import Concat, Conv, TransposedConv
-from hardgraph.latency import PRESETS, PlatformModel, layer_time, model_latency
-from hardgraph.metrics import LayerMetrics, model_summary
+from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape, TransposedConv
+from hardgraph.latency import PRESETS, PlatformModel, model_latency
+from hardgraph.metrics import model_summary
 
 
-def lm(macs, cio_bytes):
-    return LayerMetrics(node_id=0, params=0, macs=macs,
-                        cio_elements=cio_bytes // 4, cio_bytes=cio_bytes,
-                        moc=macs / (cio_bytes / 4) if cio_bytes else 0.0)
+def conv_rows(platform, c_in, c_out, h, w, kernel):
+    """The metrics and latency rows of the input and the conv of a one-conv graph."""
+    g = ArchGraph("one-conv", input_shape=TensorShape(c_in, h, w))
+    g.add(Conv(c_out, kernel_h=kernel, kernel_w=kernel), [g.add(Input(), [])])
+    return model_summary(g).layers, model_latency(g, platform).layers
 
 
 class TestLayerTime:
     def test_compute_bound_example(self):
         p = PlatformModel("p", 1e12, 1e10)
-        assert layer_time(lm(10 ** 9, 4 * 10 ** 6), p) == pytest.approx(1.0e-3)
+        # 1x1, 1000 -> 1000 channels at 25x40: 1e9 MACs, 2e6 elements = 8e6 bytes
+        (_, m), (_, t) = conv_rows(p, 1000, 1000, 25, 40, 1)
+        assert (m.macs, m.cio_bytes) == (10 ** 9, 8 * 10 ** 6)
+        assert t.seconds == pytest.approx(1.0e-3) and t.bound == "compute"
 
     def test_zero_macs_zero_bytes(self):
-        p = PlatformModel("p", 1e12, 1e10)
-        assert layer_time(lm(0, 0), p) == 0.0
+        # the input row has no MACs and no bytes; at infinite rates neither has the conv
+        (m0, _), (t0, _) = conv_rows(PlatformModel("p", 1e12, 1e10), 8, 8, 4, 4, 3)
+        assert (m0.macs, m0.cio_bytes) == (0, 0) and (t0.seconds, t0.bound) == (0.0, "none")
+        _, (_, t) = conv_rows(PlatformModel("p", math.inf, math.inf), 8, 8, 4, 4, 3)
+        assert t.seconds == 0.0
 
     def test_knee_balances_terms(self):
-        p = PlatformModel("p", 1e12, 1e10)
         # at critical MoC both terms are equal
-        macs = 10 ** 9
-        cio_bytes = macs / p.peak_macs_per_second * p.dram_bytes_per_second
-        t = layer_time(lm(macs, cio_bytes), p)
-        assert t == pytest.approx(macs / p.peak_macs_per_second)
-        assert t == pytest.approx(cio_bytes / p.dram_bytes_per_second)
+        (_, m), _ = conv_rows(PlatformModel("p", 1e12, 1e10), 1000, 1000, 25, 40, 1)
+        p = PlatformModel("p", 1e12, 1e12 * m.cio_bytes / m.macs)
+        _, (_, t) = conv_rows(p, 1000, 1000, 25, 40, 1)
+        assert t.seconds == pytest.approx(m.macs / p.peak_macs_per_second)
+        assert t.seconds == pytest.approx(m.cio_bytes / p.dram_bytes_per_second)
 
     def test_max_dominates_each_term(self):
         p = PlatformModel("p", 3e11, 7e9)
-        m = lm(123456789, 987654)
-        t = layer_time(m, p)
-        assert t >= m.macs / p.peak_macs_per_second
-        assert t >= m.cio_bytes / p.dram_bytes_per_second
+        (_, m), (_, t) = conv_rows(p, 7, 13, 11, 17, 3)
+        assert t.seconds >= m.macs / p.peak_macs_per_second
+        assert t.seconds >= m.cio_bytes / p.dram_bytes_per_second
+        assert t.seconds in (m.macs / p.peak_macs_per_second, m.cio_bytes / p.dram_bytes_per_second)
 
 
 class TestPlatform:

@@ -22,7 +22,7 @@ EXPORTS = (
     "Pool", "TensorShape", "TransposedConv", "to_dot",
     "HDBSpec", "TransitionSpec", "bottleneck_channels", "build_hdb", "build_transition",
     "channel_width", "hdb_links",
-    "PlatformModel", "layer_time", "model_latency",
+    "PlatformModel", "model_latency",
     "peak_memory", "tensor_lifetimes", "verify_flush",
     "ModelSummary", "check_moc", "layer_macs", "model_summary",
     "SparseRule", "build_reference", "sparse_links",

@@ -1,6 +1,7 @@
-"""``registry.build`` runs a model's builder once per process.  Later builds
-copy its nodes and shape them in one class-grouped pass; each must equal a
-fresh build through the builder, node for node and report for report.
+"""``registry.build`` runs a model's builder once per process, at the model's
+default input.  Every build, the first too, copies its nodes and shapes them in
+one class-grouped pass; each must equal a fresh build through the builder, node
+for node and report for report.
 """
 
 import pytest
@@ -33,6 +34,15 @@ def test_repeat_build_equals_a_fresh_build(name):
         assert hit.labels == fresh.labels and hit.shapes == fresh.shapes
         assert hit.to_json() == fresh.to_json() and to_dot(hit) == to_dot(fresh)
         assert analyses(hit, 4, None, 20.0) == analyses(fresh, 4, None, 20.0), (name, shape)
+
+
+@pytest.mark.parametrize("name", registry.MODEL_NAMES)
+@pytest.mark.parametrize("shape", [None, TensorShape(3, 256, 320)])
+def test_first_build_has_the_classes_of_later_builds(name, shape, monkeypatch):
+    monkeypatch.setattr(registry, "_NODES", {})
+    first, second = registry.build(name, shape), registry.build(name, shape)
+    # most models group nodes into fewer classes than nodes; FC-DenseNet does not
+    assert first.classes == second.classes and first.class_first == second.class_first
 
 
 def outcome(build, name, shape):
