@@ -68,31 +68,26 @@ def _write(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# --- subcommands ------------------------------------------------------------
+# --- subcommands: each returns (exit code, report text) for run to write ------
 
-def _cmd_list_models(args) -> int:
-    for name in registry.MODEL_NAMES:
-        print(name)
-    return 0
+def _cmd_list_models(args) -> tuple:
+    return 0, "".join(f"{name}\n" for name in registry.MODEL_NAMES)
 
 
-def _cmd_build(args) -> int:
-    g = _load_graph(args.model, args.input)
-    _write(g.to_json() + "\n", args.output)
-    return 0
+def _cmd_build(args) -> tuple:
+    return 0, _load_graph(args.model, args.input).to_json() + "\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     from .metrics import model_summary, report_csv, report_json
     g = _load_graph(args.model, args.input)
     s = model_summary(g, dtype_bytes=args.dtype_bytes, ds_weight=args.ds_weight)
     header = _header(args, args.model, g)
     text = report_csv(g, s, header) if args.format == "csv" else report_json(g, s, header)
-    _write(text if text.endswith("\n") else text + "\n", args.output)
-    return 0
+    return 0, text if text.endswith("\n") else text + "\n"
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple:
     wanted = args.metrics.split(",") if args.metrics else ["params", "macs", "cio"]
     unknown = [m for m in wanted if m not in ("params", "macs", "cio", "cio_mb")]
     if unknown:
@@ -109,22 +104,19 @@ def _cmd_compare(args) -> int:
     for m in wanted:
         if b[m]:
             doc["reduction_pct"][m] = round(100.0 * (1 - a[m] / b[m]), 3)
-    _write(dumps_json(doc) + "\n", args.output)
-    return 0
+    return 0, dumps_json(doc) + "\n"
 
 
-def _cmd_check_moc(args) -> int:
+def _cmd_check_moc(args) -> tuple:
     from .metrics import check_moc
     g = _load_graph(args.model, args.input)
     violations = check_moc(g, args.threshold)
-    for nid, moc in violations:
-        label = g.labels[nid] or str(nid)
-        print(f"{nid}\t{label}\t{moc:.3f}")
-    print(f"# {len(violations)} layer(s) below MoC threshold {args.threshold}")
-    return 0
+    lines = [f"{nid}\t{g.labels[nid] or nid}\t{moc:.3f}" for nid, moc in violations]
+    lines.append(f"# {len(violations)} layer(s) below MoC threshold {args.threshold}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_liveness(args) -> int:
+def _cmd_liveness(args) -> tuple:
     from .liveness import peak_memory, timeline_csv
     g = _load_graph(args.model, args.input)
     prof = peak_memory(g, dtype_bytes=args.dtype_bytes, concat_free=args.concat_free)
@@ -132,11 +124,10 @@ def _cmd_liveness(args) -> int:
     header["concat_free"] = args.concat_free
     header["peak_bytes"] = prof.peak_bytes
     header["peak_step"] = prof.peak_step
-    _write(timeline_csv(g, prof, header=header), args.output)
-    return 0
+    return 0, timeline_csv(g, prof, header=header)
 
 
-def _cmd_latency(args) -> int:
+def _cmd_latency(args) -> tuple:
     from .latency import PRESETS, PlatformModel, model_latency
     from .metrics import dumps_json
     if args.platform in PRESETS:
@@ -159,24 +150,20 @@ def _cmd_latency(args) -> int:
         "total_seconds": rep.total_seconds,
         "layers": rep.table(("seconds", "bound")),
     }
-    _write(dumps_json(doc) + "\n", args.output)
-    return 0
+    return 0, dumps_json(doc) + "\n"
 
 
-def _cmd_export_dot(args) -> int:
-    g = _load_graph(args.model, args.input)
-    _write(to_dot(g), args.output)
-    return 0
+def _cmd_export_dot(args) -> tuple:
+    return 0, to_dot(_load_graph(args.model, args.input))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     from .catalog import validate_catalog
     results = validate_catalog()
     failed = [r for r in results if not r.passed]
     lines = [r.line() for r in results]
     lines.append(f"# {len(results) - len(failed)}/{len(results)} checks passed")
-    _write("\n".join(lines) + "\n", args.output)
-    return 0 if not failed else 2
+    return (2 if failed else 0), "\n".join(lines) + "\n"
 
 
 def _checked(convert, ok, rule: str):
@@ -202,32 +189,33 @@ def _arg(*flags, **options) -> tuple:
 
 
 _MODEL = _arg("model")
+_INPUT = _arg("--input", default=None, help="input size as HxW")
+_DTYPE = _arg("--dtype-bytes", type=_dtype_bytes, default=4)
 _OUTPUT = _arg("--output", "-o", default=None)
-_COMMON = (_arg("--input", default=None, help="input size as HxW"),
-           _arg("--dtype-bytes", type=_dtype_bytes, default=4), _OUTPUT)
 
 # name: (help, handler, arguments); build_parser reads each subparser from here
 COMMANDS = {
     "list-models": ("list built-in model names", _cmd_list_models, ()),
-    "build": ("emit a model graph as JSON", _cmd_build, (_MODEL, *_COMMON)),
+    "build": ("emit a model graph as JSON", _cmd_build, (_MODEL, _INPUT, _OUTPUT)),
     "analyze": ("per-layer params/MACs/CIO/MoC report", _cmd_analyze, (
         _arg("model", help="built-in name or graph JSON path"),
         _arg("--format", choices=("csv", "json"), default="csv"),
         _arg("--ds-weight", type=_ds_weight, default=None,
-             help="CIO weighting for pointwise/depthwise convs"), *_COMMON)),
+             help="CIO weighting for pointwise/depthwise convs"), _INPUT, _DTYPE, _OUTPUT)),
     "compare": ("metric deltas between two models", _cmd_compare, (
         _arg("model_a"), _arg("model_b"),
-        _arg("--metrics", default=None, help="comma list: params,macs,cio,cio_mb"), *_COMMON)),
+        _arg("--metrics", default=None, help="comma list: params,macs,cio,cio_mb"),
+        _INPUT, _DTYPE, _OUTPUT)),
     "check-moc": ("list conv layers below a MoC threshold", _cmd_check_moc, (
-        _MODEL, _arg("--threshold", type=_threshold, required=True), *_COMMON)),
+        _MODEL, _arg("--threshold", type=_threshold, required=True), _INPUT, _OUTPUT)),
     "liveness": ("memory timeline and peak usage", _cmd_liveness, (
         _MODEL, _arg("--concat-free", action="store_true",
-                     help="model concatenation as zero-copy"), *_COMMON)),
+                     help="model concatenation as zero-copy"), _INPUT, _DTYPE, _OUTPUT)),
     "latency": ("roofline latency estimate", _cmd_latency, (
         _MODEL, _arg("--platform", required=True, help="preset name or platform JSON path"),
         _arg("--concat-copy", action="store_true", help="charge DRAM time for concat copies"),
-        *_COMMON)),
-    "export-dot": ("Graphviz DOT export", _cmd_export_dot, (_MODEL, *_COMMON)),
+        _INPUT, _DTYPE, _OUTPUT)),
+    "export-dot": ("Graphviz DOT export", _cmd_export_dot, (_MODEL, _INPUT, _OUTPUT)),
     "validate-tables": ("reproduce the published efficiency tables", _cmd_validate, (_OUTPUT,)),
 }
 
@@ -261,7 +249,9 @@ def run(argv=None) -> int:
         return e.code
     args.flags = " ".join(argv[1:])
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _write(text, getattr(args, "output", None))  # list-models takes no -o
+        return code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

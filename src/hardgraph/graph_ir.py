@@ -313,19 +313,12 @@ class ArchGraph:
         stores no input).  The load makes no reference cycles, so the cyclic
         collector is paused over it, then left as the caller had it.
         """
-        import gc, json, marshal
+        import gc, marshal
         collecting = gc.isenabled()
         gc.disable()
         try:
-            try:
-                doc = json.loads(text)
-            except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-                raise GraphError(f"malformed graph JSON: {e}") from e
-            if type(doc) is not dict:
-                raise GraphError(f"graph JSON must be an object, got {type(doc).__name__}")
-            name, records = doc.get("name", "graph"), doc.get("nodes")
-            if type(name) is not str:
-                raise GraphError(f"graph name must be a string, got {name!r}")
+            doc, name = _json_object(text, "graph")
+            records = doc.get("nodes")
             if type(records) is not list:
                 raise GraphError("graph JSON needs a 'nodes' list")
             # nodes may come in any order, but ids 0 .. n-1 must each appear once
@@ -378,6 +371,22 @@ class ArchGraph:
         finally:
             if collecting:
                 gc.enable()
+
+
+def _json_object(text: str, what: str) -> tuple:
+    """Parse ``what`` JSON (graph or platform): an object whose optional
+    ``name``, ``what`` by default, is a string.  Returns (object, name)."""
+    import json
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise GraphError(f"malformed {what} JSON: {e}") from e
+    if type(doc) is not dict:
+        raise GraphError(f"{what} JSON must be an object, got {type(doc).__name__}")
+    name = doc.get("name", what)
+    if type(name) is not str:
+        raise GraphError(f"{what} name must be a string, got {name!r}")
+    return doc, name
 
 
 def _node_name(nid: int, kind: _Kind, label: Optional[str]) -> str:

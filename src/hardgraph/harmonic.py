@@ -221,44 +221,55 @@ _SL_LAYOUT = {
 _SL_RED = 0.85
 
 
-def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
-    k, m, stages = _SL_LAYOUT[name]
+def _build_cls(name: str, input_shape: TensorShape, stem: tuple, body) -> ArchGraph:
+    """The classification skeleton: input, the ``stem`` convs of (channels,
+    kernel, stride), a max pool, ``body(graph, node)``, which appends the body
+    and returns its output, then global pooling and the FC head."""
     g = ArchGraph(name=name, input_shape=input_shape)
     node = g.add(Input(), [])
-    node = g.add(Conv(64, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
+    for i, (c, ksz, stride) in enumerate(stem):
+        label = f"stem{i}" if len(stem) > 1 else "stem"
+        node = g.add(Conv(c, kernel_h=ksz, kernel_w=ksz, stride=stride), [node], label=label)
     node = g.add(Pool("max"), [node], label="stem/pool")
-    bi = 0
-    for si, stage in enumerate(stages):
-        for pi, depth in enumerate(stage):
-            spec = HDBSpec(depth, k, m, use_bottleneck=True, keep_base=True)
-            res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-            last_stage = si == len(stages) - 1
-            last_in_stage = pi == len(stage) - 1
-            # the final HDB keeps a (non-downsampling) transition before pooling
-            tr = TransitionSpec(red=_SL_RED, downsample=last_in_stage and not last_stage)
-            node = build_transition(res.output, tr, g, tag=f"trans{bi}")
-            bi += 1
-    node = g.add(GlobalPool(), [node], label="gap")
+    node = g.add(GlobalPool(), [body(g, node)], label="gap")
     g.add(Linear(NUM_CLASSES), [node], label="fc")
     return g
+
+
+def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
+    k, m, stages = _SL_LAYOUT[name]
+
+    def body(g, node):
+        bi = 0
+        for si, stage in enumerate(stages):
+            for pi, depth in enumerate(stage):
+                spec = HDBSpec(depth, k, m, use_bottleneck=True, keep_base=True)
+                res = build_hdb(spec, node, g, tag=f"hdb{bi}")
+                last_stage = si == len(stages) - 1
+                last_in_stage = pi == len(stage) - 1
+                # the final HDB keeps a (non-downsampling) transition before pooling
+                tr = TransitionSpec(red=_SL_RED, downsample=last_in_stage and not last_stage)
+                node = build_transition(res.output, tr, g, tag=f"trans{bi}")
+                bi += 1
+        return node
+
+    return _build_cls(name, input_shape, ((64, 7, 2),), body)
 
 
 def _build_hardnet_cls(name: str, input_shape: TensorShape) -> ArchGraph:
     cfg = _HARDNET_CONFIGS[name]
-    g = ArchGraph(name=name, input_shape=input_shape)
-    node = g.add(Input(), [])
-    for i, (c, ksz, stride) in enumerate(cfg.stem):
-        node = g.add(Conv(c, kernel_h=ksz, kernel_w=ksz, stride=stride), [node], label=f"stem{i}")
-    node = g.add(Pool("max"), [node], label="stem/pool")
-    for bi, (depth, k, t) in enumerate(cfg.blocks):
-        res = build_hdb(HDBSpec(depth, k, cfg.m, depthwise=cfg.depthwise), node, g, tag=f"hdb{bi}")
-        node = build_transition(res.output, TransitionSpec(t=t, downsample=False), g,
-                                tag=f"trans{bi}")
-        if bi in cfg.downsample_after:
-            node = g.add(Pool("max"), [node], label=f"down{bi}")
-    node = g.add(GlobalPool(), [node], label="gap")
-    g.add(Linear(NUM_CLASSES), [node], label="fc")
-    return g
+
+    def body(g, node):
+        for bi, (depth, k, t) in enumerate(cfg.blocks):
+            spec = HDBSpec(depth, k, cfg.m, depthwise=cfg.depthwise)
+            res = build_hdb(spec, node, g, tag=f"hdb{bi}")
+            node = build_transition(res.output, TransitionSpec(t=t, downsample=False), g,
+                                    tag=f"trans{bi}")
+            if bi in cfg.downsample_after:
+                node = g.add(Pool("max"), [node], label=f"down{bi}")
+        return node
+
+    return _build_cls(name, input_shape, cfg.stem, body)
 
 
 # --- FC (segmentation) models ---------------------------------------------
@@ -315,19 +326,16 @@ def _build_fc_hardnet(name: str, input_shape: TensorShape) -> ArchGraph:
     return _build_fc(name, input_shape, cfg.first_conv, cfg.depths, block, "avg")
 
 
-HARDNET_VARIANTS = tuple(sorted(
-    list(_HARDNET_CONFIGS) + list(_SL_LAYOUT) + list(_FC_CONFIGS)))
+_BUILDERS = {**dict.fromkeys(_HARDNET_CONFIGS, _build_hardnet_cls),
+             **dict.fromkeys(_SL_LAYOUT, _build_sl),
+             **dict.fromkeys(_FC_CONFIGS, _build_fc_hardnet)}
+HARDNET_VARIANTS = tuple(sorted(_BUILDERS))
 
 
 def build_model(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
     """Build a HarDNet-family variant by its stable CLI name."""
     name = name.lower()
-    if input_shape is None:
-        input_shape = default_input(name)
-    if name in _HARDNET_CONFIGS:
-        return _build_hardnet_cls(name, input_shape)
-    if name in _SL_LAYOUT:
-        return _build_sl(name, input_shape)
-    if name in _FC_CONFIGS:
-        return _build_fc_hardnet(name, input_shape)
-    raise KeyError(f"unknown HarDNet variant {name!r}")
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise KeyError(f"unknown HarDNet variant {name!r}")
+    return builder(name, default_input(name) if input_shape is None else input_shape)

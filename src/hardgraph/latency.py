@@ -7,13 +7,12 @@ when its MoC falls below the platform's critical MoC
 
 from __future__ import annotations
 
-import json
 import math
 from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .graph_ir import ArchGraph, Concat, _Value
+from .graph_ir import ArchGraph, Concat, _Value, _json_object
 from .metrics import _class_rows, _PerClass
 
 
@@ -34,15 +33,7 @@ class PlatformModel(_Value):
     def from_json(cls, text: str) -> "PlatformModel":
         """Load platform JSON: an object whose two rates are JSON numbers
         (not booleans) and whose optional ``name`` is a string."""
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-            raise ValueError(f"malformed platform JSON: {e}") from e
-        if type(doc) is not dict:
-            raise ValueError(f"platform JSON must be an object, got {type(doc).__name__}")
-        name = doc.get("name", "platform")
-        if type(name) is not str:
-            raise ValueError(f"platform name must be a string, got {name!r}")
+        doc, name = _json_object(text, "platform")
         rates = []
         for key in ("peak_macs_per_second", "dram_bytes_per_second"):
             if key not in doc:

@@ -10,9 +10,9 @@ from enum import Enum
 from functools import partial
 from typing import Optional
 
-from .graph_ir import Add, ArchGraph, Conv, GlobalPool, Input, Linear, Pool, TensorShape
-from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_fc, _conv3x3,
-                       build_transition, default_input)
+from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
+from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
+                       _conv3x3, build_transition, default_input)
 
 
 class SparseRule(Enum):
@@ -47,25 +47,22 @@ _DENSENET_GROWTH = 32
 def _build_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
     blocks = _DENSENET_BLOCKS[name]
     k = _DENSENET_GROWTH
-    g = ArchGraph(name=name, input_shape=input_shape)
-    node = g.add(Input(), [])
-    node = g.add(Conv(2 * k, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
-    node = g.add(Pool("max"), [node], label="stem/pool")
 
     def layer(graph, src, l, label):  # DenseNet-B: a 1x1 bottleneck of 4k, then a 3x3 of k
         b = graph.add(Conv(4 * k, kernel_h=1, kernel_w=1), [src], label=f"{label}/bneck")
         return graph.add(Conv(k), [b], label=label)
 
-    for bi, depth in enumerate(blocks):
-        # layer l reads every layer before it; the block passes on its input,
-        # then every layer in order; labels count layers from 0
-        node, _ = _build_block(g, node, depth, range, layer, lambda L: range(L + 1),
-                               f"b{bi}/", first=0)
-        if bi < len(blocks) - 1:
-            node = build_transition(node, TransitionSpec(red=0.5), g, tag=f"t{bi}")
-    node = g.add(GlobalPool(), [node], label="gap")
-    g.add(Linear(NUM_CLASSES), [node], label="fc")
-    return g
+    def body(g, node):
+        for bi, depth in enumerate(blocks):
+            # layer l reads every layer before it; the block passes on its input,
+            # then every layer in order; labels count layers from 0
+            node, _ = _build_block(g, node, depth, range, layer, lambda L: range(L + 1),
+                                   f"b{bi}/", first=0)
+            if bi < len(blocks) - 1:
+                node = build_transition(node, TransitionSpec(red=0.5), g, tag=f"t{bi}")
+        return node
+
+    return _build_cls(name, input_shape, ((2 * k, 7, 2),), body)
 
 
 # --- ResNet ------------------------------------------------------------------
@@ -83,33 +80,29 @@ _RESNET_STAGE_CH = (64, 128, 256, 512)
 def _build_resnet(name: str, input_shape: TensorShape) -> ArchGraph:
     kind, counts = _RESNET_LAYOUT[name]
     expansion = 1 if kind == "basic" else 4
-    g = ArchGraph(name=name, input_shape=input_shape)
-    node = g.add(Input(), [])
-    node = g.add(Conv(64, kernel_h=7, kernel_w=7, stride=2), [node], label="stem")
-    node = g.add(Pool("max"), [node], label="stem/pool")
-    in_ch = 64
-    for si, (c, n_blocks) in enumerate(zip(_RESNET_STAGE_CH, counts)):
-        for bi in range(n_blocks):
-            stride = 2 if (si > 0 and bi == 0) else 1
-            tag = f"s{si}b{bi}"
-            identity = node
-            if kind == "basic":
-                x = g.add(Conv(c, stride=stride), [node], label=f"{tag}/c1")
-                x = g.add(Conv(c), [x], label=f"{tag}/c2")
-            else:
-                x = g.add(Conv(c, kernel_h=1, kernel_w=1), [node], label=f"{tag}/c1")
-                # stride carried by the 3x3, torchvision-style
-                x = g.add(Conv(c, stride=stride), [x], label=f"{tag}/c2")
-                x = g.add(Conv(c * expansion, kernel_h=1, kernel_w=1), [x], label=f"{tag}/c3")
-            out_ch = c * expansion
-            if stride != 1 or in_ch != out_ch:
-                identity = g.add(Conv(out_ch, kernel_h=1, kernel_w=1, stride=stride),
-                                 [node], label=f"{tag}/proj")
-            node = g.add(Add(), [x, identity], label=f"{tag}/add")
-            in_ch = out_ch
-    node = g.add(GlobalPool(), [node], label="gap")
-    g.add(Linear(NUM_CLASSES), [node], label="fc")
-    return g
+
+    def body(g, node):
+        for si, (c, n_blocks) in enumerate(zip(_RESNET_STAGE_CH, counts)):
+            for bi in range(n_blocks):
+                stride = 2 if (si > 0 and bi == 0) else 1
+                tag = f"s{si}b{bi}"
+                identity = node
+                if kind == "basic":
+                    x = g.add(Conv(c, stride=stride), [node], label=f"{tag}/c1")
+                    x = g.add(Conv(c), [x], label=f"{tag}/c2")
+                else:
+                    x = g.add(Conv(c, kernel_h=1, kernel_w=1), [node], label=f"{tag}/c1")
+                    # stride carried by the 3x3, torchvision-style
+                    x = g.add(Conv(c, stride=stride), [x], label=f"{tag}/c2")
+                    x = g.add(Conv(c * expansion, kernel_h=1, kernel_w=1), [x], label=f"{tag}/c3")
+                out_ch = c * expansion
+                if stride != 1 or g.shapes[node].channels != out_ch:
+                    identity = g.add(Conv(out_ch, kernel_h=1, kernel_w=1, stride=stride),
+                                     [node], label=f"{tag}/proj")
+                node = g.add(Add(), [x, identity], label=f"{tag}/add")
+        return node
+
+    return _build_cls(name, input_shape, ((64, 7, 2),), body)
 
 
 # --- VGG-16 ------------------------------------------------------------------
@@ -124,9 +117,8 @@ def _build_vgg16(name: str, input_shape: TensorShape) -> ArchGraph:
         for ci, c in enumerate(stage):
             node = g.add(Conv(c, bias=True), [node], label=f"s{si}c{ci}")
         node = g.add(Pool("max"), [node], label=f"s{si}/pool")
-    node = g.add(Linear(4096), [node], label="fc1")
-    node = g.add(Linear(4096), [node], label="fc2")
-    g.add(Linear(NUM_CLASSES), [node], label="fc3")
+    for i, features in enumerate((4096, 4096, NUM_CLASSES)):
+        node = g.add(Linear(features), [node], label=f"fc{i + 1}")
     return g
 
 
@@ -165,20 +157,15 @@ def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
     return _build_fc(name, input_shape, first, depths, block, "max")
 
 
-REFERENCE_MODELS = tuple(sorted(
-    list(_DENSENET_BLOCKS) + list(_RESNET_LAYOUT) + ["vgg16"] + list(_FC_CONFIGS)))
+_BUILDERS = {**dict.fromkeys(_DENSENET_BLOCKS, _build_densenet),
+             **dict.fromkeys(_RESNET_LAYOUT, _build_resnet), "vgg16": _build_vgg16,
+             **dict.fromkeys(_FC_CONFIGS, _build_fc_densenet)}
+REFERENCE_MODELS = tuple(sorted(_BUILDERS))
 
 def build_reference(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
     """Build a reference architecture by its stable CLI name."""
     name = name.lower()
-    if input_shape is None:
-        input_shape = default_input(name)
-    if name in _DENSENET_BLOCKS:
-        return _build_densenet(name, input_shape)
-    if name in _RESNET_LAYOUT:
-        return _build_resnet(name, input_shape)
-    if name == "vgg16":
-        return _build_vgg16(name, input_shape)
-    if name in _FC_CONFIGS:
-        return _build_fc_densenet(name, input_shape)
-    raise KeyError(f"unknown reference model {name!r}")
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise KeyError(f"unknown reference model {name!r}")
+    return builder(name, default_input(name) if input_shape is None else input_shape)

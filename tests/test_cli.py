@@ -61,6 +61,10 @@ class TestBasics:
         ("analyze", "hardnet39ds", "--ds-weight", "1.5"),
         ("check-moc", "hardnet39ds", "--threshold", "nan"),
         ("check-moc", "hardnet39ds", "--threshold", "inf"),
+        # no report of these reads a dtype, so they take no --dtype-bytes
+        ("build", "hardnet39ds", "--dtype-bytes", "2"),
+        ("check-moc", "hardnet39ds", "--dtype-bytes", "2", "--threshold", "40"),
+        ("export-dot", "hardnet39ds", "--dtype-bytes", "2"),
     ])
     def test_nonsense_option_values_are_usage_errors(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
@@ -364,19 +368,18 @@ def test_compare_checks_metrics_before_building(capsys, monkeypatch):
 # one representative argv per subcommand, every option of it given
 EVERY_OPTION = {
     "list-models": ["list-models"],
-    "build": ["build", "hardnet68", "--input", "256x256", "--dtype-bytes", "2", "-o", "g.json"],
+    "build": ["build", "hardnet68", "--input", "256x256", "-o", "g.json"],
     "analyze": ["analyze", "hardnet39ds", "--format", "json", "--ds-weight", "0.6",
                 "--input", "192x192", "--dtype-bytes", "2", "--output", "r.json"],
     "compare": ["compare", "hardnet68", "densenet121", "--metrics", "params,cio_mb",
                 "--input", "256x256", "--dtype-bytes", "1", "-o", "c.json"],
     "check-moc": ["check-moc", "resnet50", "--threshold", "40", "--input", "256x256",
-                  "--dtype-bytes", "1", "-o", "m.txt"],
+                  "-o", "m.txt"],
     "liveness": ["liveness", "fc-hardnet68", "--concat-free", "--input", "352x480",
                  "--dtype-bytes", "2", "-o", "t.csv"],
     "latency": ["latency", "vgg16", "--platform", "edge-like", "--concat-copy",
                 "--input", "256x256", "--dtype-bytes", "2", "-o", "l.json"],
-    "export-dot": ["export-dot", "hardnet68", "--input", "256x256", "--dtype-bytes", "2",
-                   "-o", "g.dot"],
+    "export-dot": ["export-dot", "hardnet68", "--input", "256x256", "-o", "g.dot"],
     "validate-tables": ["validate-tables", "-o", "tables.txt"],
 }
 
@@ -453,3 +456,15 @@ class TestParserPerCommand:
         assert (code, out) == (1, "")
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
         assert subparsers_added == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", [c for c, argv in EVERY_OPTION.items()
+                                     if {"-o", "--output"} & set(argv)])
+def test_output_file_holds_the_stdout_report(capsys, tmp_path, command):
+    *argv, flag, name = EVERY_OPTION[command]
+    code, stdout_text, err = invoke(capsys, *argv)
+    path = tmp_path / name
+    assert invoke(capsys, *argv, flag, str(path)) == (code, "", err)
+    # a report header lists the flags, so the file's names the output too
+    written = path.read_bytes().replace(f" {flag} {path}".encode(), b"")
+    assert written == stdout_text.encode()
