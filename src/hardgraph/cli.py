@@ -221,27 +221,33 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser of every subcommand, or with only ``command``'s subparser:
-    a call that names its subcommand never shows the others."""
+    """The parser of every subcommand, or for a named ``command`` its own
+    parser alone, which reads the words after the command name."""
+    if command is not None:
+        return _command_parser(_Parser(prog=f"hardgraph {command}"), command)
     p = _Parser(prog="hardgraph", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (text, func, arguments) in COMMANDS.items():
-        if command in (None, name):
-            sp = sub.add_parser(name, help=text)
-            for flags, options in arguments:
-                sp.add_argument(*flags, **options)
-            sp.set_defaults(func=func)
+    for name, (text, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=text), name)
+    return p
+
+
+def _command_parser(p: _Parser, command: str) -> _Parser:
+    _, func, arguments = COMMANDS[command]
+    for flags, options in arguments:
+        p.add_argument(*flags, **options)
+    p.set_defaults(func=func)
     return p
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # an argv that does not start with a subcommand (help, --version, a usage
-    # error) gets every subparser, so its text still lists all nine
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    # error) gets the full parser, so its text still lists all nine
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -67,8 +67,13 @@ class TensorShape(_Value):
     __slots__ = ("channels", "height", "width")
 
     def __init__(self, channels: int, height: int, width: int):
-        self._set_fields(channels, height, width)
-        self._check_counts(self.__slots__)
+        set_channels, set_height, set_width = self._setters
+        set_channels(self, channels)
+        set_height(self, height)
+        set_width(self, width)
+        if not (type(channels) is type(height) is type(width) is int
+                and channels > 0 and height > 0 and width > 0):
+            self._check_counts(self.__slots__)
 
     @property
     def element_count(self) -> int:
@@ -232,17 +237,19 @@ class ArchGraph:
         self.input_shape, self._shape = input_shape, _interner()
         self.shapes, self.classes, self.class_first = shapes, classes, firsts = {}, [], []
         index, outs, labels = {}, [], self.labels
-        get = shapes.__getitem__
+        ids = []  # each shaped node's output shape id()
+        get = ids.__getitem__
         try:
             for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
-                key = (id(kind), *map(id, map(get, inputs)))  # ints: hashed in C
+                key = (id(kind), *map(get, inputs))  # ints: hashed in C
                 c = index.get(key)
                 if c is None:
                     c = index[key] = len(firsts)
                     firsts.append(nid)
                     outs.append(self._rule(nid, kind, inputs, labels[nid]))
                 classes.append(c)
-                shapes[nid] = outs[c]
+                out = shapes[nid] = outs[c]
+                ids.append(id(out))
         except GraphError:
             vars(self).update(before)
             raise
@@ -257,7 +264,7 @@ class ArchGraph:
         if rule is None:
             raise GraphError(f"unknown kind {kind!r}")
         try:
-            ins = [self.shapes[i] for i in inputs]
+            ins = list(map(self.shapes.__getitem__, inputs))
             return rule(kind, ins, self._shape)
         except KeyError as e:  # input_shape was set by hand, not by infer_shapes
             raise GraphError(f"{_node_name(nid, kind, label)}: input {e} has no shape; "
@@ -411,28 +418,29 @@ def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> N
 
 # --- shape rules: (kind, input shapes, shape maker) -> output shape ---
 
-def _same_spatial(ins: list) -> bool:
-    s = ins[0]
-    return all(i.height == s.height and i.width == s.width for i in ins)
+_channels, _spatial = attrgetter("channels"), attrgetter("height", "width")
 
 
 def _conv_shape(k: Conv, ins: list, shape) -> TensorShape:
     s = ins[0]
     c_in = s.channels
     if len(ins) > 1:
-        if not _same_spatial(ins):
+        if len(set(map(_spatial, ins))) > 1:
             raise GraphError("spatial mismatch among concatenated inputs")
-        c_in = sum(i.channels for i in ins)
+        c_in = sum(map(_channels, ins))
     if c_in % k.groups != 0:
         raise GraphError(f"groups={k.groups} does not divide c_in={c_in}")
-    return shape(k.out_channels, _conv_out(s.height, k.kernel_h, k.stride, k.dilation),
-                 _conv_out(s.width, k.kernel_w, k.stride, k.dilation))
+    # "same" padding for odd kernels; even kernels pad to keep stride tiling:
+    # out = (size + 2 * (span // 2) - span - 1) // stride + 1, span = dilation * (kernel - 1)
+    span_h, span_w = k.dilation * (k.kernel_h - 1), k.dilation * (k.kernel_w - 1)
+    return shape(k.out_channels, (s.height - 1 - span_h % 2) // k.stride + 1,
+                 (s.width - 1 - span_w % 2) // k.stride + 1)
 
 
 def _concat_shape(k: Concat, ins: list, shape) -> TensorShape:
-    if not _same_spatial(ins):
+    if len(set(map(_spatial, ins))) > 1:
         raise GraphError("inputs disagree on spatial size")
-    return shape(sum(i.channels for i in ins), ins[0].height, ins[0].width)
+    return shape(sum(map(_channels, ins)), ins[0].height, ins[0].width)
 
 
 def _add_shape(k: Add, ins: list, shape) -> TensorShape:
@@ -452,12 +460,6 @@ _SHAPE_RULES = {
     GlobalPool: lambda k, ins, shape: shape(ins[0].channels, 1, 1),
     Linear: lambda k, ins, shape: shape(k.out_features, 1, 1),
 }
-
-
-def _conv_out(size: int, kernel: int, stride: int, dilation: int) -> int:
-    # "same" padding for odd kernels; even kernels pad to keep stride tiling.
-    pad = dilation * (kernel - 1) // 2
-    return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
 
 
 def _kind_from_json(name, params, nid: int) -> _Kind:

@@ -213,17 +213,25 @@ def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
 
 
 def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
-    buf = io.StringIO()
-    buf.write("".join(f"# {k}: {header[k]}\n" for k in sorted(header or ())))
+    """What ``csv.writer`` writes for the per-layer rows and a TOTAL row: each
+    class's cells are written once, and per node only its id and label."""
+    head = "".join(f"# {k}: {header[k]}\n" for k in sorted(header or ()))
     table = _rows(graph, summary)
-    import csv  # here, so that loading metrics (as to_json does) skips it
-    w = csv.writer(buf)
-    w.writerow(table.keys + table.class_keys)
-    w.writerows(zip(*table.columns, *(map(column.__getitem__, table.classes)
-                                      for column in table.class_columns)))
-    w.writerow(["", "TOTAL", "", "", summary.params, summary.macs, summary.cio_elements,
-                round(summary.macs / summary.cio_elements, 6) if summary.cio_elements else 0])
-    return buf.getvalue()
+    keys, labels = table.keys + table.class_keys, table.columns[1]
+    total = ("", "TOTAL", "", "", summary.params, summary.macs, summary.cio_elements,
+             round(summary.macs / summary.cio_elements, 6) if summary.cio_elements else 0)
+    # the characters csv quotes (graph JSON cannot carry a NUL, which csv on 3.10 refuses)
+    if any(map("".join(labels).__contains__, ',"\r\n')):
+        import csv  # here, so that loading metrics (as to_json does) skips it
+        buf = io.StringIO()
+        csv.writer(buf).writerows(chain([keys], zip(*table.columns, *(
+            map(column.__getitem__, table.classes) for column in table.class_columns)), [total]))
+        return head + buf.getvalue()
+    # csv writes a float by repr, which str() is too; no class cell holds a character it quotes
+    tails = [",".join(map(str, cells)) + "\r\n" for cells in zip(*table.class_columns)]
+    rows = zip(table.columns[0], labels, map(tails.__getitem__, table.classes))
+    return "".join(chain((head, ",".join(keys) + "\r\n"), map("%d,%s,%s".__mod__, rows),
+                         (",".join(map(str, total)) + "\r\n",)))
 
 
 def report_json(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:

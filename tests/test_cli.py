@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardgraph
-from hardgraph import registry
+from hardgraph import cli, registry
 from hardgraph.cli import COMMANDS, UsageError, build_parser, main, run
 from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
 from test_graph_ir import MALFORMED, node, one_kind_doc, with_change
@@ -403,8 +403,9 @@ def subparsers_added(monkeypatch):
 
 
 class TestParserPerCommand:
-    """A call that names its subcommand builds only that subparser; the full
-    parser, which help, --version and errors still build, is the oracle."""
+    """A call that names its subcommand builds only that command's parser, which
+    reads the words after the name; the full parser, which help, --version and
+    an argv with no subcommand first still build, is the oracle."""
 
     def test_every_subcommand_has_a_representative_argv(self):
         assert list(EVERY_OPTION) == list(COMMANDS)
@@ -412,17 +413,19 @@ class TestParserPerCommand:
     @pytest.mark.parametrize("command", EVERY_OPTION)
     def test_narrowed_parser_parses_as_the_full_one(self, command):
         argv = EVERY_OPTION[command]
-        narrowed = vars(build_parser(command).parse_args(argv))
-        assert narrowed == vars(build_parser().parse_args(argv))
-        assert help_text(build_parser(command), [command, "-h"]) == \
+        full = vars(build_parser().parse_args(argv))
+        assert full.pop("command") == command
+        assert vars(build_parser(command).parse_args(argv[1:])) == full
+        assert help_text(build_parser(command), ["-h"]) == \
             help_text(build_parser(), [command, "-h"])
 
-    def test_named_subcommand_adds_one_subparser(self, capsys, subparsers_added):
+    def test_named_subcommand_adds_no_subparser(self, capsys, subparsers_added):
         assert invoke(capsys, "analyze", "hardnet68")[0] == 0
-        assert subparsers_added == ["analyze"]
+        assert subparsers_added == []
 
     def test_narrowed_parser_knows_no_other_subcommand(self):
-        with pytest.raises(UsageError, match="liveness"):
+        assert build_parser("analyze").parse_args(["liveness"]).model == "liveness"
+        with pytest.raises(UsageError, match="unrecognized arguments: hardnet68"):
             build_parser("analyze").parse_args(["liveness", "hardnet68"])
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -456,6 +459,44 @@ class TestParserPerCommand:
         assert (code, out) == (1, "")
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
         assert subparsers_added == list(COMMANDS)
+
+
+# a valid argv per subcommand, and the words that take each one's required arguments out
+MINIMAL = {
+    "list-models": (["list-models"], None),
+    "build": (["build", "hardnet39ds"], ["build"]),
+    "analyze": (["analyze", "hardnet39ds"], ["analyze"]),
+    "compare": (["compare", "hardnet39ds", "resnet18"], ["compare", "hardnet39ds"]),
+    "check-moc": (["check-moc", "hardnet39ds", "--threshold", "40"], ["check-moc", "hardnet39ds"]),
+    "liveness": (["liveness", "hardnet39ds"], ["liveness"]),
+    "latency": (["latency", "hardnet39ds", "--platform", "gpu-like"], ["latency", "hardnet39ds"]),
+    "export-dot": (["export-dot", "hardnet39ds"], ["export-dot"]),
+    "validate-tables": (["validate-tables"], None),
+}
+BAD_VALUES = {  # a bad choice or a value its type rejects, per option that checks one
+    "analyze": [["--format", "xml"], ["--ds-weight", "2"], ["--dtype-bytes", "0"]],
+    "compare": [["--dtype-bytes", "x"]],
+    "check-moc": [["--threshold", "nan"]],
+    "liveness": [["--dtype-bytes", "-1"]],
+    "latency": [["--dtype-bytes", "1.5"]],
+}
+PARITY_ARGVS = [
+    argv for command, (valid, short) in MINIMAL.items() for argv in [
+        *([short] if short else []),
+        *([*valid, *bad] for bad in BAD_VALUES.get(command, ())),
+        [*valid, "--nope"], [*valid, "extra"], [*valid, "--inp", "64x64"], [*valid, "-o"],
+        [*valid, "--version"], [command, "-h"]]]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_run_matches_the_full_parser(capsys, monkeypatch, argv):
+    """``run`` gives what it gave when the full parser read every argv."""
+    narrowed = invoke(capsys, *argv)
+    full = build_parser
+    words = lambda command, rest: [command, *rest] if command else rest
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: argparse.Namespace(
+        parse_args=lambda rest: full().parse_args(words(command, rest))))
+    assert narrowed == invoke(capsys, *argv)
 
 
 @pytest.mark.parametrize("command", [c for c, argv in EVERY_OPTION.items()

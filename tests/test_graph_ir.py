@@ -501,6 +501,33 @@ class TestShapeErrorsNameTheNode:
                                              r"input shapes 16x8x8, 32x8x8$"):
             g.add(Add(), [a, b])
 
+    @pytest.mark.parametrize("fields,name", [
+        ((0, 1, 1), "channels"), ((1, -1, 1), "height"), ((True, 1, 1), "channels"),
+        ((1, 1, 2.0), "width"), (("3", 1, 1), "channels"), ((1, 1, None), "width"),
+        ((1, 0, "x"), "height")])
+    def test_bad_shape_field_is_named(self, fields, name):
+        value = fields[("channels", "height", "width").index(name)]
+        with pytest.raises(GraphError) as err:
+            TensorShape(*fields)
+        assert str(err.value) == f"TensorShape.{name} must be a positive integer, got {value!r}"
+
+    def test_a_repeated_class_names_its_first_node(self):
+        g = ArchGraph()
+        i = g.add(Input(), [])
+        pool = Pool("max")
+        for label in ("p1", "p2", "p3"):
+            g.add(pool, [i], label=label)
+        for _ in range(2):
+            with pytest.raises(GraphError, match=r"^pool 1 \(p1\): output shape would be "
+                                                 r"8x0x0; input shapes 8x1x1$"):
+                g.infer_shapes(TensorShape(8, 1, 1))
+        assert g.infer_shapes(TensorShape(8, 2, 2)).classes == [0, 1, 1, 1]
+        for _ in range(2):  # a first build or a repeat one, through the class-grouped pass
+            with pytest.raises(GraphError) as err:
+                hardgraph.build("hardnet68", TensorShape(3, 16, 16))
+            assert str(err.value) == ("pool 98 (down3): output shape would be 640x0x0; "
+                                      "input shapes 640x1x1")
+
     def test_from_json_errors_name_the_node_too(self):
         doc = small_graph_doc()
         node(doc, 1)["params"]["stride"] = 2

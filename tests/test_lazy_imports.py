@@ -101,3 +101,13 @@ def test_commands_without_csv_output_do_not_load_csv(argv):
     if "csv" in at_start:
         pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
     assert "hardgraph.metrics" in after and "csv" not in after
+
+
+@pytest.mark.parametrize("argv", [("analyze", "hardnet68", "--format", "csv"),
+                                  ("liveness", "fc-hardnet68")])
+def test_csv_reports_of_catalog_models_do_not_load_csv(argv):
+    # csv writes only rows whose label it must quote; no catalog label needs it
+    at_start, after = modules_after(run_cli(*argv))
+    if "csv" in at_start:
+        pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
+    assert "hardgraph.cli" in after and "csv" not in after

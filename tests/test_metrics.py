@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -154,6 +156,37 @@ class TestReports:
         lines = [l for l in text.strip().splitlines() if not l.startswith("#")]
         assert len(lines) == len(g.nodes) + 2  # header + nodes + total
         assert lines[-1].split(",")[1] == "TOTAL"
+
+    # each character csv quotes, alone among plain ones, and none
+    @pytest.mark.parametrize("quoted", [",", '"', "\r", "\n", ""])
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.none() | st.sampled_from([0.5, 1.0 / 3]),
+           st.none() | st.dictionaries(st.sampled_from(["model", "a b"]),
+                                       st.integers() | st.text(max_size=3)))
+    def test_csv_matches_csv_writer_of_the_broadcast_rows(self, quoted, data, ds_weight, header):
+        labels = st.none() | st.text(st.sampled_from(["x", " ", "\u00e9", *quoted]), max_size=4)
+        nodes = data.draw(st.lists(st.tuples(labels, st.sampled_from(range(4)), st.booleans()),
+                                   min_size=1, max_size=10))
+        # shared kind objects, each on the input or on the node before, so nodes share classes
+        kinds = [Conv(8), Conv(8, 1, 1), Pool("max", 1, 1), Conv(4, groups=4)]
+        g = ArchGraph()
+        g.add(Input(), [])
+        for label, k, on_input in nodes:
+            g.add(kinds[k], [0 if on_input else len(g.kinds) - 1], label=label)
+        g.infer_shapes(TensorShape(4, 6, 6))
+        s = model_summary(g, dtype_bytes=2, ds_weight=ds_weight)
+        buf = io.StringIO()
+        for k in sorted(header or ()):
+            buf.write(f"# {k}: {header[k]}\n")
+        w = csv.writer(buf)
+        w.writerow(["id", "label", "kind", "out_shape", "params", "macs", "cio_elements", "moc"])
+        names = {Input: "input", Conv: "conv", Pool: "pool"}
+        w.writerows((lm.node_id, g.labels[lm.node_id] or "", names[type(g.kinds[lm.node_id])],
+                     str(g.shapes[lm.node_id]), lm.params, lm.macs, lm.cio_elements,
+                     round(lm.moc, 6)) for lm in s.layers)
+        w.writerow(["", "TOTAL", "", "", s.params, s.macs, s.cio_elements,
+                    round(s.macs / s.cio_elements, 6) if s.cio_elements else 0])
+        assert report_csv(g, s, header) == buf.getvalue()
 
     def test_json_mirrors_csv_fields(self):
         import json
