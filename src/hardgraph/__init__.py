@@ -10,11 +10,11 @@ _EXPORTS = {
     "graph_ir": ("Add", "ArchGraph", "Concat", "Conv", "GlobalPool", "GraphError", "Input",
                  "Linear", "Pool", "TensorShape", "TransposedConv", "to_dot"),
     "harmonic": ("HDBSpec", "TransitionSpec", "bottleneck_channels", "build_hdb",
-                 "build_transition", "channel_width", "hdb_links"),
+                 "build_transition", "channel_width", "hdb_links", "log_links"),
     "latency": ("PlatformModel", "model_latency"),
     "liveness": ("peak_memory", "tensor_lifetimes", "verify_flush"),
     "metrics": ("ModelSummary", "check_moc", "layer_macs", "model_summary"),
-    "references": ("SparseRule", "build_reference", "sparse_links"),
+    "references": ("build_reference",),
     "registry": ("MODEL_NAMES", "build", "default_input"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -219,11 +219,6 @@ class ArchGraph:
         self.class_first.append(nid)
         return nid
 
-    def validate(self) -> None:
-        # add and from_json give node 0 as the one Input, and inputs that precede their node
-        if not self.kinds:
-            raise GraphError("graph must have exactly one Input node, found 0")
-
     # --- shape inference ---
 
     def infer_shapes(self, input_shape: TensorShape) -> "ArchGraph":
@@ -232,7 +227,9 @@ class ArchGraph:
         classes: a node whose kind and input shapes are an earlier node's
         objects shares that node's class and output shape, so each class runs
         its shape rule once."""
-        self.validate()
+        # add and from_json give node 0 as the one Input, and inputs that precede their node
+        if not self.kinds:
+            raise GraphError("graph must have exactly one Input node, found 0")
         before = vars(self).copy()
         self.input_shape, self._shape = input_shape, _interner()
         self.shapes, self.classes, self.class_first = shapes, classes, firsts = {}, [], []
@@ -356,7 +353,7 @@ class ArchGraph:
                 _check_links(nid, type(kind), inputs[nid], has_input)
                 has_input = has_input or type(kind) is Input
                 label = labels[nid] = d.get("label")
-                # a NUL would stop csv on 3.10 and has no use in a layer name
+                # csv.writer on 3.10, which the CSV reports match, refuses a NUL; no label needs one
                 if label is not None and (type(label) is not str or "\0" in label):
                     raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
             shape, input_shape = doc.get("input"), None
@@ -394,6 +391,20 @@ def _json_object(text: str, what: str) -> tuple:
     if type(name) is not str:
         raise GraphError(f"{what} name must be a string, got {name!r}")
     return doc, name
+
+
+def _csv_head(header: Optional[dict], keys: tuple) -> str:
+    """A CSV report's start: a ``# key: value`` line per ``header`` item, by key, then ``keys``."""
+    return "".join(f"# {k}: {header[k]}\n" for k in sorted(header or ())) + ",".join(keys) + "\r\n"
+
+
+def _csv_labels(labels: list) -> list:
+    """Labels as ``csv.writer`` writes them: quoted, with ``"`` doubled, when they hold a
+    character it quotes (graph JSON cannot carry a NUL, which csv on 3.10 refuses)."""
+    special = lambda text: any(map(text.__contains__, ',"\r\n'))
+    if not special("".join(labels)):
+        return labels
+    return ['"%s"' % l.replace('"', '""') if special(l) else l for l in labels]
 
 
 def _node_name(nid: int, kind: _Kind, label: Optional[str]) -> str:

@@ -39,6 +39,14 @@ def hdb_links(layer_index: int) -> list:
     return out
 
 
+def log_links(layer_index: int) -> list:
+    """Input layer indices of layer k under the log rule of LogDenseNet and
+    SparseNet: {k - 2**n : k - 2**n >= 0}, descending."""
+    if layer_index < 1:
+        raise ValueError("layer_index must be >= 1")
+    return [layer_index - 2 ** n for n in range(layer_index.bit_length())]
+
+
 def channel_width(layer_index: int, k: int, m: float) -> int:
     """Output channels of layer l: k * m**v2(l), even-floored; odd layers get
     exactly k."""

@@ -15,18 +15,10 @@ after its death, and their running sum is the live size at every step.
 
 from __future__ import annotations
 
-import io
-from itertools import accumulate, chain, compress, count
-from typing import Mapping, NamedTuple, Optional
+from itertools import accumulate, compress, count
+from typing import Mapping, Optional
 
-from .graph_ir import ArchGraph, Concat
-
-
-class LifeInterval(NamedTuple):
-    tensor_id: int   # = producing node id
-    birth: int       # step of the producer, = tensor_id
-    death: int       # step of the last consumer
-    size_elements: int
+from .graph_ir import ArchGraph, Concat, _csv_head, _csv_labels
 
 
 class MemoryProfile:
@@ -36,7 +28,7 @@ class MemoryProfile:
         self.peak_step = steps.index(self.peak_bytes) if steps else 0
 
 
-def _lifetimes(graph: ArchGraph, concat_free: bool) -> tuple:
+def tensor_lifetimes(graph: ArchGraph, *, concat_free: bool = False) -> tuple:
     """Each tensor's death step and size in elements, as two columns indexed
     by node id; a tensor's birth step is its node id."""
     inputs, shapes, classes = graph.inputs, graph.shapes, graph.classes
@@ -60,17 +52,10 @@ def _lifetimes(graph: ArchGraph, concat_free: bool) -> tuple:
     return death, sizes
 
 
-def tensor_lifetimes(graph: ArchGraph, *, concat_free: bool = False) -> list:
-    """One LifeInterval per node output, in node-id order."""
-    deaths, sizes = _lifetimes(graph, concat_free)
-    ids = range(len(sizes))
-    return list(map(LifeInterval, ids, ids, deaths, sizes))
-
-
 def peak_memory(graph: ArchGraph, *, dtype_bytes: int = 4,
                 concat_free: bool = False) -> MemoryProfile:
     """Live bytes at every step; the peak is the first step with the maximum."""
-    deaths, sizes = _lifetimes(graph, concat_free)
+    deaths, sizes = tensor_lifetimes(graph, concat_free=concat_free)
     delta = sizes + [0]  # change in live elements at each step: births, then deaths
     for death, size in zip(deaths, sizes):
         delta[death + 1] -= size
@@ -84,7 +69,7 @@ def verify_flush(graph: ArchGraph, layer_nodes: Mapping[int, int]) -> list:
     1 .. 2**n - 1 must be dead.  Returns [(2**n, [flushed layer ids])];
     raises AssertionError on violation.
     """
-    death = _lifetimes(graph, False)[0]
+    death = tensor_lifetimes(graph)[0]
     depth = max(i for i in layer_nodes if i > 0)
     out = []
     p = 2
@@ -102,13 +87,7 @@ def verify_flush(graph: ArchGraph, layer_nodes: Mapping[int, int]) -> list:
 def timeline_csv(graph: ArchGraph, profile: MemoryProfile, *,
                  header: Optional[dict] = None) -> str:
     """Memory timeline: step,node,live_bytes."""
-    head = "".join(f"# {k}: {header[k]}\n" for k in sorted(header or ()))
-    labels = [label or str(nid) for nid, label in enumerate(graph.labels)]
+    labels = _csv_labels([label or str(nid) for nid, label in enumerate(graph.labels)])
     rows = zip(count(), labels, profile.steps)
-    # the characters csv quotes (graph JSON cannot carry a NUL, which csv on 3.10 refuses)
-    if any(map("".join(labels).__contains__, ',"\r\n')):
-        import csv
-        buf = io.StringIO()
-        csv.writer(buf).writerows(chain([("step", "node", "live_bytes")], rows))
-        return head + buf.getvalue()
-    return "".join(chain((head, "step,node,live_bytes\r\n"), map("%d,%s,%d\r\n".__mod__, rows)))
+    return _csv_head(header, ("step", "node", "live_bytes")) + "".join(
+        map("%d,%s,%d\r\n".__mod__, rows))

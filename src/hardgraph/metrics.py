@@ -7,7 +7,6 @@ MoC is MACs / CIO-elements.
 
 from __future__ import annotations
 
-import io
 import json
 from collections import Counter
 from functools import reduce
@@ -17,7 +16,8 @@ from math import copysign
 from operator import add, attrgetter, mul, not_
 from typing import NamedTuple, Optional, Sequence
 
-from .graph_ir import _KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv, _Kind
+from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv, _csv_head,
+                       _csv_labels, _Kind)
 
 
 class LayerMetrics(NamedTuple):
@@ -215,22 +215,14 @@ def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
 def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
     """What ``csv.writer`` writes for the per-layer rows and a TOTAL row: each
     class's cells are written once, and per node only its id and label."""
-    head = "".join(f"# {k}: {header[k]}\n" for k in sorted(header or ()))
     table = _rows(graph, summary)
-    keys, labels = table.keys + table.class_keys, table.columns[1]
+    keys, labels = table.keys + table.class_keys, _csv_labels(table.columns[1])
     total = ("", "TOTAL", "", "", summary.params, summary.macs, summary.cio_elements,
              round(summary.macs / summary.cio_elements, 6) if summary.cio_elements else 0)
-    # the characters csv quotes (graph JSON cannot carry a NUL, which csv on 3.10 refuses)
-    if any(map("".join(labels).__contains__, ',"\r\n')):
-        import csv  # here, so that loading metrics (as to_json does) skips it
-        buf = io.StringIO()
-        csv.writer(buf).writerows(chain([keys], zip(*table.columns, *(
-            map(column.__getitem__, table.classes) for column in table.class_columns)), [total]))
-        return head + buf.getvalue()
     # csv writes a float by repr, which str() is too; no class cell holds a character it quotes
     tails = [",".join(map(str, cells)) + "\r\n" for cells in zip(*table.class_columns)]
     rows = zip(table.columns[0], labels, map(tails.__getitem__, table.classes))
-    return "".join(chain((head, ",".join(keys) + "\r\n"), map("%d,%s,%s".__mod__, rows),
+    return "".join(chain((_csv_head(header, keys),), map("%d,%s,%s".__mod__, rows),
                          (",".join(map(str, total)) + "\r\n",)))
 
 

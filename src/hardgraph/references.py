@@ -1,37 +1,16 @@
-"""Comparison architectures: DenseNet, LogDenseNet/SparseNet link rules,
-ResNet, VGG-16, and the FC-DenseNet segmentation family.
+"""Comparison architectures: DenseNet, ResNet, VGG-16, and the FC-DenseNet
+and FC-SparseNet segmentation family.
 
 External architectures follow their canonical published configurations.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from functools import partial
 from typing import Optional
 
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
 from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
-                       _conv3x3, build_transition, default_input)
-
-
-class SparseRule(Enum):
-    DENSE_ALL = "dense_all"
-    LOG = "log"
-
-
-def sparse_links(rule: SparseRule, layer_index: int) -> list:
-    """Predecessor layer indices under a sparsified dense-connection rule."""
-    if layer_index < 1:
-        raise ValueError("layer_index must be >= 1")
-    if rule is SparseRule.DENSE_ALL:
-        return list(range(layer_index))
-    out = []
-    p = 1
-    while layer_index - p >= 0:
-        out.append(layer_index - p)
-        p *= 2
-    return out
+                       _conv3x3, build_transition, default_input, log_links)
 
 
 # --- DenseNet (classification) ----------------------------------------------
@@ -133,22 +112,22 @@ def _all_outputs(depth: int, keep_base: bool) -> list:
 def _fixed_outputs(depth: int, keep_base: bool) -> list:
     """SparseNet's fixed block output: the layers a layer depth + 1 would read
     under the log rule, whether or not the block input is kept."""
-    return sparse_links(SparseRule.LOG, depth + 1)
+    return log_links(depth + 1)
 
 
 _FC_CONFIGS = {
     # name -> (first conv ch, depths of encoder blocks then bottom, growth, link, output rule)
-    "fc-densenet56": (48, (4, 4, 4, 4, 4, 4), 12, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-densenet67": (48, (5, 5, 5, 5, 5, 5), 16, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-densenet103": (48, (4, 5, 7, 10, 12, 15), 16, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-densenet-ref100": (48, (8, 8, 8, 8, 8, 8), 10, SparseRule.DENSE_ALL, _all_outputs),
-    "fc-sparsenet-ref100": (48, (8, 8, 8, 8, 8, 8), 26, SparseRule.LOG, _fixed_outputs),
+    "fc-densenet56": (48, (4, 4, 4, 4, 4, 4), 12, range, _all_outputs),
+    "fc-densenet67": (48, (5, 5, 5, 5, 5, 5), 16, range, _all_outputs),
+    "fc-densenet103": (48, (4, 5, 7, 10, 12, 15), 16, range, _all_outputs),
+    "fc-densenet-ref100": (48, (8, 8, 8, 8, 8, 8), 10, range, _all_outputs),
+    "fc-sparsenet-ref100": (48, (8, 8, 8, 8, 8, 8), 26, log_links, _fixed_outputs),
 }
 
 
 def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
-    first, depths, k, rule, outputs = _FC_CONFIGS[name]
-    links, emit = partial(sparse_links, rule), _conv3x3(lambda l: k)
+    first, depths, k, links, outputs = _FC_CONFIGS[name]
+    emit = _conv3x3(lambda l: k)
 
     def block(graph, node, i, tag, keep_base):
         return _build_block(graph, node, depths[i], links, emit,

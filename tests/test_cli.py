@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph import cli, registry
 from hardgraph.cli import COMMANDS, UsageError, build_parser, main, run
-from hardgraph.graph_ir import ArchGraph, Conv, TransposedConv
+from hardgraph.graph_ir import ArchGraph, Conv, Input, TensorShape, TransposedConv
 from test_graph_ir import MALFORMED, node, one_kind_doc, with_change
 from test_latency import BAD_PLATFORMS
 
@@ -340,6 +341,33 @@ def test_validate_tables_output_file(capsys, tmp_path):
     code_o, out, err = invoke(capsys, "validate-tables", "-o", str(path))
     assert (code_o, out, err) == (code, "", "")
     assert path.read_text() == stdout_text
+
+
+# each character a CSV field is quoted for, alone and all together
+QUOTED_LABELS = ("a,b", '"quoted"', "two\r\nlines", ',"\r\n', "plain")
+
+
+def quoted_label_json() -> str:
+    """Graph JSON of a conv chain labelled ``QUOTED_LABELS``."""
+    g = ArchGraph("quoted", input_shape=TensorShape(3, 8, 8))
+    nid = g.add(Input(), [], label=QUOTED_LABELS[0])
+    for label in QUOTED_LABELS[1:]:
+        nid = g.add(Conv(4), [nid], label=label)
+    return g.to_json()
+
+
+@pytest.mark.parametrize("argv,rows", [(("analyze", "--format", "csv"), slice(1, -1)),
+                                       (("liveness",), slice(1, None))])
+def test_csv_reports_read_back_the_stored_labels(capsys, tmp_path, argv, rows):
+    path = tmp_path / "g.json"
+    path.write_text(quoted_label_json())
+    code, out, _ = invoke(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0 and out.startswith("# ")
+    while out.startswith("#"):  # the comment header, one line per key
+        out = out.split("\n", 1)[1]
+    table = list(csv.reader(io.StringIO(out, newline="")))
+    assert [row[1] for row in table[rows]] == list(QUOTED_LABELS)
+    assert len({len(row) for row in table}) == 1
 
 
 class TestMissingParamErrors:

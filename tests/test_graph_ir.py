@@ -153,11 +153,6 @@ class TestSchedule:
         g.add(Input(), [])
         assert g.schedule() == [0]
 
-    def test_schedule_does_not_revalidate(self, monkeypatch):
-        g = hardgraph.build("hardnet68")
-        monkeypatch.setattr(ArchGraph, "validate", None)
-        assert g.schedule() == list(range(len(g.nodes)))
-
     def test_every_node_after_its_inputs(self):
         import hardgraph
         g = hardgraph.build("hardnet68")

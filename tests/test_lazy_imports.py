@@ -13,19 +13,20 @@ from pathlib import Path
 import pytest
 
 import hardgraph
+from test_cli import quoted_label_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# every public name the package exported when it imported its modules eagerly
+# every public name the package exports
 EXPORTS = (
     "Add", "ArchGraph", "Concat", "Conv", "GlobalPool", "GraphError", "Input", "Linear",
     "Pool", "TensorShape", "TransposedConv", "to_dot",
     "HDBSpec", "TransitionSpec", "bottleneck_channels", "build_hdb", "build_transition",
-    "channel_width", "hdb_links",
+    "channel_width", "hdb_links", "log_links",
     "PlatformModel", "model_latency",
     "peak_memory", "tensor_lifetimes", "verify_flush",
     "ModelSummary", "check_moc", "layer_macs", "model_summary",
-    "SparseRule", "build_reference", "sparse_links",
+    "build_reference",
     "MODEL_NAMES", "build", "default_input",
     "__version__",
 )
@@ -96,7 +97,7 @@ def test_commands_without_json_io_do_not_load_json(argv):
 @pytest.mark.parametrize("argv", [("latency", "densenet121", "--platform", "gpu-like"),
                                   ("build", "hardnet68", "-o", os.devnull)])
 def test_commands_without_csv_output_do_not_load_csv(argv):
-    # metrics loads csv inside report_csv alone; build reaches metrics through to_json
+    # build reaches metrics through to_json
     at_start, after = modules_after(run_cli(*argv))
     if "csv" in at_start:
         pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
@@ -106,8 +107,18 @@ def test_commands_without_csv_output_do_not_load_csv(argv):
 @pytest.mark.parametrize("argv", [("analyze", "hardnet68", "--format", "csv"),
                                   ("liveness", "fc-hardnet68")])
 def test_csv_reports_of_catalog_models_do_not_load_csv(argv):
-    # csv writes only rows whose label it must quote; no catalog label needs it
     at_start, after = modules_after(run_cli(*argv))
+    if "csv" in at_start:
+        pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
+    assert "hardgraph.cli" in after and "csv" not in after
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--format", "csv"), ("liveness",)])
+def test_csv_reports_of_quoted_labels_do_not_load_csv(tmp_path, argv):
+    # the CSV writers quote a label themselves
+    path = tmp_path / "g.json"
+    path.write_text(quoted_label_json())
+    at_start, after = modules_after(run_cli(argv[0], str(path), *argv[1:]))
     if "csv" in at_start:
         pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
     assert "hardgraph.cli" in after and "csv" not in after

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import HDBSpec, build_bare_hdb, build_hdb
+from hardgraph import liveness
 from hardgraph.liveness import peak_memory, tensor_lifetimes, timeline_csv, verify_flush
 from hardgraph.registry import MODEL_NAMES
 
@@ -36,13 +37,14 @@ def brute_force_concat_free_deaths(graph):
 
 
 def _scan_peak_memory(graph, dtype_bytes=4, concat_free=False):
-    """Reference (steps, peak_bytes, peak_step): sums every live interval at
-    every step, O(steps x nodes)."""
-    intervals = tensor_lifetimes(graph, concat_free=concat_free)
+    """Reference (steps, peak_bytes, peak_step): sums every live tensor at
+    every step, O(steps x nodes); tensor nid is born at step nid."""
+    deaths, sizes = tensor_lifetimes(graph, concat_free=concat_free)
     steps, peak_bytes, peak_step = [], 0, 0
     for step in range(len(graph.nodes)):
-        live = [iv for iv in intervals if iv.birth <= step <= iv.death]
-        total = sum(iv.size_elements for iv in live) * dtype_bytes
+        live = [size for birth, (death, size) in enumerate(zip(deaths, sizes))
+                if birth <= step <= death]
+        total = sum(live) * dtype_bytes
         steps.append(total)
         if total > peak_bytes:
             peak_bytes, peak_step = total, step
@@ -83,30 +85,31 @@ def chain():
 class TestLifetimes:
     def test_chain_deaths(self):
         g, (i, a, b) = chain()
-        ivs = {iv.tensor_id: iv for iv in tensor_lifetimes(g)}
-        assert ivs[i].death == 1
-        assert ivs[a].death == 2
-        assert ivs[b].death == 2  # output lives to the end
+        deaths, sizes = tensor_lifetimes(g)
+        assert deaths[i] == 1
+        assert deaths[a] == 2
+        assert deaths[b] == 2  # output lives to the end
+        assert sizes == [3 * 32 * 32, 16 * 32 * 32, 8 * 32 * 32]
 
     def test_matches_brute_force_on_models(self):
         for name in ("hardnet39ds", "fc-hardnet68"):
             g = hardgraph.build(name)
             expected = brute_force_deaths(g)
-            for iv in tensor_lifetimes(g):
-                assert iv.death == expected[iv.tensor_id]
+            assert tensor_lifetimes(g)[0] == [expected[nid] for nid in range(len(g.kinds))]
 
     @settings(max_examples=100, deadline=None)
     @given(random_dags(), st.booleans())
     def test_matches_brute_force_on_random_dags(self, g, concat_free):
+        # columns indexed by node id: tensor nid is born at step nid
         expected = brute_force_deaths(g)
-        ivs = tensor_lifetimes(g, concat_free=concat_free)
-        assert [iv.tensor_id for iv in ivs] == [n.id for n in g.nodes]
-        for iv in ivs:
-            assert iv.birth == iv.tensor_id
+        deaths, sizes = tensor_lifetimes(g, concat_free=concat_free)
+        assert len(deaths) == len(sizes) == len(g.nodes)
+        for nid, death in enumerate(deaths):
             if concat_free:
-                assert iv.death >= expected[iv.tensor_id]
+                assert death >= expected[nid]
             else:
-                assert iv.death == expected[iv.tensor_id]
+                assert death == expected[nid]
+                assert sizes[nid] == g.shapes[nid].element_count
 
     @settings(max_examples=100, deadline=None)
     @given(random_dags())
@@ -114,10 +117,9 @@ class TestLifetimes:
         # a loaded graph groups its nodes into classes; a built one does not
         expected = brute_force_concat_free_deaths(g)
         for graph in (g, ArchGraph.from_json(g.to_json())):
-            ivs = tensor_lifetimes(graph, concat_free=True)
-            assert [iv.death for iv in ivs] == [expected[nid] for nid in range(len(ivs))]
-            assert [iv.size_elements == 0 for iv in ivs] == \
-                [isinstance(k, Concat) for k in graph.kinds]
+            deaths, sizes = tensor_lifetimes(graph, concat_free=True)
+            assert deaths == [expected[nid] for nid in range(len(deaths))]
+            assert [size == 0 for size in sizes] == [isinstance(k, Concat) for k in graph.kinds]
 
     def test_chained_concats_extend_the_first_inputs(self):
         g = ArchGraph()
@@ -128,14 +130,14 @@ class TestLifetimes:
         last = g.add(Conv(4), [outer])
         g.add(Conv(4), [last])
         g.infer_shapes(TensorShape(3, 8, 8))
-        deaths = [iv.death for iv in tensor_lifetimes(g, concat_free=True)]
+        deaths = tensor_lifetimes(g, concat_free=True)[0]
         assert deaths[a] == deaths[b] == deaths[inner] == deaths[outer] == last
 
     def test_bare_hdb_even_layer_dies_at_next_power(self):
         g, res = build_bare_hdb(HDBSpec(8, 10, 1.6), TensorShape(16, 32, 32))
-        ivs = tensor_lifetimes(g)
+        deaths = tensor_lifetimes(g)[0]
         # layer 3 is consumed only by layer 4 (through its concat)
-        assert ivs[res.layer_nodes[3]].death < res.layer_nodes[4]
+        assert deaths[res.layer_nodes[3]] < res.layer_nodes[4]
 
     def test_output_concat_extends_odd_lifetimes(self):
         g = ArchGraph()
@@ -143,11 +145,29 @@ class TestLifetimes:
         g.infer_shapes(TensorShape(16, 32, 32))
         res = build_hdb(HDBSpec(8, 10, 1.6), i, g)
         g.infer_shapes(TensorShape(16, 32, 32))
-        ivs = tensor_lifetimes(g)
+        deaths = tensor_lifetimes(g)[0]
         for l in (1, 3, 5, 7):
-            assert ivs[res.layer_nodes[l]].death >= res.output
+            assert deaths[res.layer_nodes[l]] >= res.output
         for l in (2, 4, 6):
-            assert ivs[res.layer_nodes[l]].death < res.output
+            assert deaths[res.layer_nodes[l]] < res.output
+
+    @pytest.mark.parametrize("run,concat_free", [
+        (lambda g, res: peak_memory(g), False),
+        (lambda g, res: peak_memory(g, concat_free=True), True),
+        (lambda g, res: verify_flush(g, res.layer_nodes), False),
+    ], ids=["peak_memory", "peak_memory_concat_free", "verify_flush"])
+    def test_each_pass_calls_tensor_lifetimes_once(self, monkeypatch, run, concat_free):
+        # through the module attribute, so a wrapper placed there sees the one pass
+        g, res = build_bare_hdb(HDBSpec(8, 10, 1.6), TensorShape(16, 32, 32))
+        calls, real = [], liveness.tensor_lifetimes
+
+        def counting(graph, **kwargs):
+            calls.append((graph, kwargs.get("concat_free", False)))
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(liveness, "tensor_lifetimes", counting)
+        run(g, res)
+        assert calls == [(g, concat_free)]
 
 
 class TestPeakMemory:

@@ -4,36 +4,43 @@ import pytest
 
 import hardgraph
 from hardgraph.graph_ir import Conv
+from hardgraph.harmonic import log_links
 from hardgraph.metrics import model_summary
-from hardgraph.references import (REFERENCE_MODELS, SparseRule, build_reference,
-                                  sparse_links)
+from hardgraph.references import _FC_CONFIGS, REFERENCE_MODELS, build_reference
 
 
 class TestSparseLinks:
     def test_dense_all(self):
-        assert sparse_links(SparseRule.DENSE_ALL, 5) == [0, 1, 2, 3, 4]
+        # DenseNet's rule is range: layer k reads layers 0 .. k - 1
+        assert {name for name, cfg in _FC_CONFIGS.items() if cfg[3] is range} == {
+            "fc-densenet56", "fc-densenet67", "fc-densenet103", "fc-densenet-ref100"}
+        assert _FC_CONFIGS["fc-sparsenet-ref100"][3] is log_links
+        g = build_reference("fc-densenet56")
+        l4 = next(n for n in g.nodes if n.label == "enc0/l4")
+        cat = g.nodes[l4.inputs[0]]
+        assert [g.labels[i] for i in cat.inputs] == ["stem", "enc0/l1", "enc0/l2", "enc0/l3"]
 
     def test_log_rule(self):
-        assert sparse_links(SparseRule.LOG, 5) == [4, 3, 1]
+        assert log_links(5) == [4, 3, 1]
 
     def test_log_layer_one(self):
-        assert sparse_links(SparseRule.LOG, 1) == [0]
+        assert log_links(1) == [0]
 
     def test_layer_zero_rejected(self):
         with pytest.raises(ValueError):
-            sparse_links(SparseRule.LOG, 0)
+            log_links(0)
 
     def test_fan_in_growth(self):
         for k in range(1, 300):
-            assert len(sparse_links(SparseRule.DENSE_ALL, k)) == k
-            assert len(sparse_links(SparseRule.LOG, k)) == math.floor(math.log2(k)) + 1
+            links = log_links(k)
+            assert len(links) == math.floor(math.log2(k)) + 1
+            assert links == sorted(set(links), reverse=True) and set(links) <= set(range(k))
 
 
 class TestBuilders:
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_builds_validates_and_infers(self, name):
         g = build_reference(name)
-        g.validate()
         assert all(n.id in g.shapes for n in g.nodes)
         order = g.schedule()
         assert sorted(order) == [n.id for n in g.nodes]
