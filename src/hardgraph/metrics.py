@@ -179,7 +179,7 @@ def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
 
 
 def check_moc(graph: ArchGraph, threshold: float) -> list:
-    """Conv nodes whose MoC falls below the threshold, ascending by MoC."""
+    """(id, MoC) of each node with non-zero CIO (conv, tconv) and MoC below threshold, by MoC."""
     # per class, its MoC if low, else None: conv and transposed-conv rows have a non-zero CIO
     low = [lm.moc if lm.cio_elements and lm.moc < threshold else None for lm in _class_rows(graph)]
     out = [(nid, m) for nid, m in enumerate(map(low.__getitem__, graph.classes)) if m is not None]
