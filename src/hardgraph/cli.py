@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, registry
-from .graph_ir import ArchGraph, GraphError, TensorShape, to_dot
 
-# each subcommand imports the analysis modules it runs, so a cold start loads only those
+# each subcommand imports the modules it runs, so a cold start loads only those
 
 
 class UsageError(Exception):
@@ -36,6 +35,7 @@ def _parse_hw(text: str) -> tuple:
 
 
 def _load_graph(model: str, input_hw: Optional[str]) -> ArchGraph:
+    from .graph_ir import ArchGraph, GraphError, TensorShape
     if model.endswith(".json"):
         path = Path(model)
         if not path.exists():
@@ -92,7 +92,8 @@ def _cmd_compare(args) -> tuple:
     unknown = [m for m in wanted if m not in ("params", "macs", "cio", "cio_mb")]
     if unknown:
         raise UsageError(f"unknown metric {unknown[0]!r} (use params, macs, cio, cio_mb)")
-    from .metrics import dumps_json, model_summary
+    from .jsonio import dumps_json
+    from .metrics import model_summary
     rows = {}
     for model in (args.model_a, args.model_b):
         g = _load_graph(model, args.input)
@@ -128,8 +129,8 @@ def _cmd_liveness(args) -> tuple:
 
 
 def _cmd_latency(args) -> tuple:
+    from .jsonio import dumps_json
     from .latency import PRESETS, PlatformModel, model_latency
-    from .metrics import dumps_json
     if args.platform in PRESETS:
         platform = PRESETS[args.platform]
     else:
@@ -154,6 +155,7 @@ def _cmd_latency(args) -> tuple:
 
 
 def _cmd_export_dot(args) -> tuple:
+    from .graph_ir import to_dot
     return 0, to_dot(_load_graph(args.model, args.input))
 
 
@@ -261,7 +263,7 @@ def run(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (GraphError, KeyError, ValueError, OSError, OverflowError) as e:
+    except (KeyError, ValueError, OSError, OverflowError) as e:  # GraphError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Architecture graph IR: layer kinds, shape inference, scheduling, JSON I/O.
+"""Architecture graph IR: layer kinds, shape inference, scheduling, DOT.
 
 Graphs are append-only.  Once a graph knows its input shape, each appended
 node gets its output shape at once, so every node of such a graph has one;
@@ -174,7 +174,6 @@ class Linear(_Kind):
 
 _KIND_NAMES = {Input: "input", Conv: "conv", Pool: "pool", TransposedConv: "tconv",
                Concat: "concat", Add: "add", GlobalPool: "global_pool", Linear: "linear"}
-_NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 
 
 class Node(_Value):
@@ -283,114 +282,19 @@ class ArchGraph:
     # --- serialization ---
 
     def to_json(self) -> str:
-        """``json.dumps(doc, indent=2, sort_keys=True)`` of the graph, byte for byte:
-        one template per node, each distinct kind's name and params encoded
-        once (kind fields are type-checked, so equal kinds print alike)."""
-        # metrics holds the JSON writer and loads json, which a cold start skips
-        from .metrics import _block, _dumps, _frame, _template
-        plain = _template(("id", "inputs", "kind", "params"), 2)
-        labelled = _template(("id", "inputs", "kind", "label", "params"), 2)
-        head, sep, tail = _frame("[", "]", 3)  # an inputs list
-        kinds, texts = {}, []
-        for nid, k, inputs, label in zip(count(), self.kinds, self.inputs, self.labels):
-            kind = kinds.get(k)
-            if kind is None:
-                kind = kinds[k] = (_dumps(_KIND_NAMES[type(k)], 3),
-                                   _dumps({p: getattr(k, p) for p in k.json_params}, 3))
-            # inputs are ints (see _check_links), which JSON writes as str() does
-            ins = head + sep.join(map(str, inputs)) + tail if inputs else "[]"
-            texts.append(labelled % (nid, ins, kind[0], _dumps(label, 3), kind[1])
-                         if label else plain % (nid, ins, *kind))
-        return _template(("input", "name", "nodes"), 0) % (
-            _dumps(self.input_shape.as_list() if self.input_shape else None, 1),
-            _dumps(self.name, 1), _block("[", texts, "]", 1) if texts else "[]")
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the graph, byte for byte, each
+        distinct kind encoded once (kind fields are type-checked, so equal kinds print alike)."""
+        from .jsonio import graph_to_json  # loads json, which a cold start otherwise skips
+        return graph_to_json(self)
 
     @classmethod
     def from_json(cls, text: str, input_hw: Optional[tuple] = None) -> "ArchGraph":
-        """Load graph JSON in one pass over its nodes, then one shape pass.
-
-        Each node passes the checks ``add`` makes.  Each distinct (kind,
-        params) pair is built and validated once and shared by every node
-        that names it, so nodes group into classes and each class's shape
-        rule runs once: at the stored input, or at ``input_hw`` = (height,
-        width) when given, with the stored channel count (3 if the file
-        stores no input).  The load makes no reference cycles, so the cyclic
-        collector is paused over it, then left as the caller had it.
-        """
-        import gc, marshal
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            doc, name = _json_object(text, "graph")
-            records = doc.get("nodes")
-            if type(records) is not list:
-                raise GraphError("graph JSON needs a 'nodes' list")
-            # nodes may come in any order, but ids 0 .. n-1 must each appear once
-            n = len(records)
-            kinds, inputs, labels = [None] * n, [None] * n, [None] * n
-            interned, has_input = {}, False
-            for d in records:
-                nid = d.get("id") if type(d) is dict else None
-                if type(nid) is not int:
-                    raise GraphError("every node must be an object with an integer id, "
-                                     f"got {nid!r}")
-                if not 0 <= nid < n or kinds[nid] is not None:
-                    where = "repeats" if 0 <= nid < n else f"is outside 0..{n - 1}"
-                    raise GraphError(f"node id {nid} {where}: node ids must be contiguous from 0")
-                kind_name, params = d.get("kind"), d.get("params", {})
-                # marshal writes each value's type and exact bits (true, 1, 1.0 and
-                # -0.0 stay apart, in a kernel list too), and version 2 no back-references
-                try:
-                    kind = interned.get(key := (kind_name, marshal.dumps(params, 2)))
-                except (TypeError, ValueError):  # unhashable or too deep: the build raises
-                    key = kind = None
-                if kind is None:
-                    kind = interned[key] = _kind_from_json(kind_name, params, nid)
-                ins = d.get("inputs", [])
-                if type(ins) is not list:
-                    raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
-                kinds[nid], inputs[nid] = kind, tuple(ins)
-                _check_links(nid, type(kind), inputs[nid], has_input)
-                has_input = has_input or type(kind) is Input
-                label = labels[nid] = d.get("label")
-                # csv.writer on 3.10, which the CSV reports match, refuses a NUL; no label needs one
-                if label is not None and (type(label) is not str or "\0" in label):
-                    raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
-            shape, input_shape = doc.get("input"), None
-            if shape is not None:
-                if type(shape) is not list or len(shape) != 3:
-                    raise GraphError(f"input must be [channels, height, width], got {shape!r}")
-                try:
-                    input_shape = TensorShape(*shape)
-                except GraphError as e:
-                    raise GraphError(f"input {shape!r}: {e}") from None
-            if input_hw is not None:
-                input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
-            g = cls(name)
-            g.kinds, g.inputs, g.labels = kinds, inputs, labels
-            if input_shape is not None:
-                return g.infer_shapes(input_shape)
-            g.classes, g.class_first = list(range(n)), list(range(n))
-            return g
-        finally:
-            if collecting:
-                gc.enable()
-
-
-def _json_object(text: str, what: str) -> tuple:
-    """Parse ``what`` JSON (graph or platform): an object whose optional
-    ``name``, ``what`` by default, is a string.  Returns (object, name)."""
-    import json
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
-        raise GraphError(f"malformed {what} JSON: {e}") from e
-    if type(doc) is not dict:
-        raise GraphError(f"{what} JSON must be an object, got {type(doc).__name__}")
-    name = doc.get("name", what)
-    if type(name) is not str:
-        raise GraphError(f"{what} name must be a string, got {name!r}")
-    return doc, name
+        """Load graph JSON, each node checked as ``add`` checks it, then shape it in one pass:
+        at the stored input, or at ``input_hw`` = (height, width) with the stored channel
+        count (3 if none is stored).  Nodes naming one (kind, params) pair share one kind
+        object, so they group into classes and each class's shape rule runs once."""
+        from .jsonio import graph_from_json
+        return graph_from_json(cls, text, input_hw)
 
 
 def _csv_head(header: Optional[dict], keys: tuple) -> str:
@@ -471,30 +375,6 @@ _SHAPE_RULES = {
     GlobalPool: lambda k, ins, shape: shape(ins[0].channels, 1, 1),
     Linear: lambda k, ins, shape: shape(k.out_features, 1, 1),
 }
-
-
-def _kind_from_json(name, params, nid: int) -> _Kind:
-    cls = _NAME_KINDS.get(name) if type(name) is str else None
-    if cls is None:
-        raise GraphError(f"node {nid}: unknown node kind {name!r}")
-    if type(params) is not dict:
-        raise GraphError(f"node {nid}: params must be an object, got {params!r}")
-    unknown = params.keys() - cls.json_params
-    if unknown:
-        raise GraphError(f"node {nid}: unknown {name} params {sorted(unknown)}")
-    args = dict(params)
-    if cls is Conv and "kernel" in args:
-        kernel = args.pop("kernel")
-        if type(kernel) is not list or len(kernel) != 2:
-            raise GraphError(f"node {nid}: conv kernel must be [height, width], got {kernel!r}")
-        args["kernel_h"], args["kernel_w"] = kernel
-    missing = [p for p in cls.json_params[:1] if p not in params]
-    if missing:
-        raise GraphError(f"node {nid}: {name} needs params {missing}")
-    try:
-        return cls(**args)
-    except GraphError as e:
-        raise GraphError(f"node {nid}: {e}") from None
 
 
 def to_dot(graph: ArchGraph) -> str:

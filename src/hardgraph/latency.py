@@ -12,7 +12,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .graph_ir import ArchGraph, Concat, _Value, _json_object
+from .graph_ir import ArchGraph, Concat, _Value
 from .metrics import _class_rows, _PerClass
 
 
@@ -33,6 +33,7 @@ class PlatformModel(_Value):
     def from_json(cls, text: str) -> "PlatformModel":
         """Load platform JSON: an object whose two rates are JSON numbers
         (not booleans) and whose optional ``name`` is a string."""
+        from .jsonio import _json_object
         doc, name = _json_object(text, "platform")
         rates = []
         for key in ("peak_macs_per_second", "dram_bytes_per_second"):

@@ -7,13 +7,10 @@ MoC is MACs / CIO-elements.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import reduce
-from itertools import chain, compress, repeat
-from json.encoder import encode_basestring_ascii
-from math import copysign
-from operator import add, attrgetter, mul, not_
+from itertools import chain, compress
+from operator import add, attrgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv, _csv_head,
@@ -227,102 +224,10 @@ def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] =
 
 
 def report_json(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
-    doc = {
+    from .jsonio import dumps_json
+    return dumps_json({
         "header": header or {},
         "layers": _rows(graph, summary),
         "summary": {k: getattr(summary, k) for k in (
             "params", "macs", "cio_elements", "cio_bytes", "cio_mb", "dtype_bytes", "ds_weight")},
-    }
-    return dumps_json(doc)
-
-
-# --- JSON writer ------------------------------------------------------------
-
-_encode_scalar = json.JSONEncoder().encode
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}  # as json writes them
-
-
-def dumps_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with a ``Table`` written
-    as its list of rows; keys must be strings.  With an indent the stdlib takes one Python
-    step per token; a table is instead encoded column by column, its class cells once per
-    class, and an object's text is joined once, so a table's text is copied once per level."""
-    return _dumps(doc, 0)
-
-
-def _dumps(value, level: int) -> str:
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if type(value) is Table:
-        return _dumps_table(value, level)
-    if isinstance(value, dict) and value:
-        head, sep, tail = _frame("{", "}", level)
-        parts = [head]
-        for k, v in sorted(value.items()):
-            # encode_basestring_ascii raises TypeError on a key that is not a str
-            parts += encode_basestring_ascii(k), ": ", _dumps(v, level + 1), sep
-        parts[-1] = tail
-        return "".join(parts)
-    if isinstance(value, (list, tuple)) and value:
-        return _block("[", [_dumps(v, level + 1) for v in value], "]", level)
-    return _encode_scalar(value)  # a scalar, {} or []
-
-
-def _block(opener: str, items: list, closer: str, level: int) -> str:
-    head, sep, tail = _frame(opener, closer, level)
-    return head + sep.join(items) + tail
-
-
-def _frame(opener: str, closer: str, level: int) -> tuple:
-    """The text before, between and after the items of a non-empty block."""
-    pad = "\n" + "  " * (level + 1)
-    return opener + pad, "," + pad, "\n" + "  " * level + closer
-
-
-def _template(keys, level: int, node_keys=()) -> str:
-    """A JSON object at ``level`` whose sorted ``keys`` each hold a ``%s`` slot, or a NUL
-    for ``node_keys``; a key's '%' is doubled, so ``%`` fills only the slots."""
-    return _block("{", [encode_basestring_ascii(k).replace("%", "%%")
-                        + (": \0" if k in node_keys else ": %s") for k in sorted(keys)], "}", level)
-
-
-def _dumps_table(table: Table, level: int) -> str:
-    """Class cells fill the row text around the node cells once per class; those pieces, through
-    ``classes``, and the node cells fill one list for one join.  No class columns: one class."""
-    classes = table.classes if table.class_keys else [0] * len((table.columns or [()])[0])
-    if not classes:
-        return "[]"
-    head, sep, tail = _frame("[", "]", level)
-    row = _template(table.keys + table.class_keys, level + 1, table.keys) + sep
-    by_class = sorted(zip(table.class_keys, table.class_columns))
-    cells = zip(*[_encode_column(c, level + 2) for _, c in by_class]) if by_class else [()]
-    # each class's row, cut at the node cells (no NUL in a cell): piece j of class c at c*width+j
-    pieces, width = "\0".join(map(row.__mod__, cells)).split("\0"), len(table.keys) + 1
-    nodes = [_encode_column(c, level + 2) for _, c in sorted(zip(table.keys, table.columns))]
-    columns = [map(pieces[j::width].__getitem__, classes) for j in range(width)]
-    parts = [head] + [None] * (len(classes) * (2 * width - 1))  # filled a column at a time, in C
-    for j, column in enumerate([*chain.from_iterable(zip(columns, nodes)), columns[-1]]):
-        parts[1 + j::2 * width - 1] = column
-    parts[-1] = parts[-1][:-len(sep)] + tail  # the last row closes the list
-    return "".join(parts)
-
-
-def _encode_column(column, level: int) -> list:
-    """A table column's values as JSON text: strings in one call, all ints or all floats once
-    per distinct value, unless -0.0 (== 0.0), NaN or an infinity (spelt apart) is there."""
-    if type(column) is range:  # node ids
-        return list(map(int.__repr__, column))
-    types = set(map(type, column))
-    if types == {str}:
-        return list(map(encode_basestring_ascii, column))
-    if types == {int} or types == {float} and min(
-            map(copysign, repeat(1.0), filter(not_, column)), default=1.0) > 0:
-        texts = dict(zip(distinct := set(column), map(repr, distinct)))
-        if {"nan", "inf", "-inf"}.isdisjoint(texts.values()):
-            return list(map(texts.__getitem__, column))
-    elif types <= {int, float}:
-        cells = list(map(repr, column))
-        if {"nan", "inf", "-inf"}.isdisjoint(cells):
-            return cells
-    return [_dumps(v, level) for v in column]
+    })

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import harmonic
-from .graph_ir import ArchGraph, TensorShape
+# model name -> the module whose _BUILDERS builds it (a test holds the tables equal)
+_FAMILIES = dict.fromkeys("fc-hardnet-ref100 fc-hardnet68 fc-hardnet76 fc-hardnet84 hardnet117l "
+                          "hardnet117s hardnet138l hardnet138s hardnet39ds hardnet68 hardnet96l "
+                          "hardnet96s".split(), "harmonic")
+_FAMILIES.update(dict.fromkeys("densenet121 densenet201 densenet264 fc-densenet-ref100 "
+                               "fc-densenet103 fc-densenet56 fc-densenet67 fc-sparsenet-ref100 "
+                               "resnet101 resnet152 resnet18 resnet50 vgg16".split(), "references"))
+MODEL_NAMES = tuple(sorted(_FAMILIES))
 
 # model name -> its builder's (kinds, inputs, labels), equal kinds one object.
 # Builders read only the channel counts of shapes, which no input changes, so a
@@ -13,16 +19,10 @@ from .graph_ir import ArchGraph, TensorShape
 _NODES = {}
 
 
-def __getattr__(name: str):  # imports references for MODEL_NAMES only when it is read
-    if name != "MODEL_NAMES":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .references import REFERENCE_MODELS
-    global MODEL_NAMES
-    MODEL_NAMES = tuple(sorted(harmonic.HARDNET_VARIANTS + REFERENCE_MODELS))
-    return MODEL_NAMES
-
-
 def default_input(name: str) -> TensorShape:
+    if name.lower() not in _FAMILIES:
+        raise KeyError(f"unknown model {name!r}; see list-models")
+    from . import harmonic
     return harmonic.default_input(name.lower())
 
 
@@ -30,19 +30,19 @@ def build(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
     """Build a catalog model.  Its builder runs once per process, at the
     model's default input; every build copies those nodes and shapes them in
     one pass at ``input_shape``, which groups nodes into classes."""
-    key = name.lower()
+    key, default = name.lower(), default_input(name)  # which checks the name
     nodes = _NODES.get(key)
     if nodes is None:
-        if key in harmonic.HARDNET_VARIANTS:
+        if _FAMILIES[key] == "harmonic":
+            from . import harmonic
             g = harmonic.build_model(key)
         else:
             from . import references
-            if key not in references.REFERENCE_MODELS:
-                raise KeyError(f"unknown model {name!r}; see list-models")
             g = references.build_reference(key)
         canon = {}  # equal kinds merged, so the shape pass groups their nodes by id()
         nodes = _NODES[key] = (tuple(canon.setdefault(k, k) for k in g.kinds),
                                tuple(g.inputs), tuple(g.labels))
+    from .graph_ir import ArchGraph
     g = ArchGraph(key)
     g.kinds, g.inputs, g.labels = map(list, nodes)
-    return g.infer_shapes(input_shape or default_input(key))
+    return g.infer_shapes(input_shape or default)

@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from hardgraph import registry
 from hardgraph.graph_ir import (_KIND_NAMES, Add, ArchGraph, Concat, Conv, GlobalPool, GraphError,
-                                Input, Linear, Pool, TensorShape, TransposedConv, _kind_from_json)
+                                Input, Linear, Pool, TensorShape, TransposedConv)
 from hardgraph.harmonic import HDBSpec, build_bare_hdb
+from hardgraph.jsonio import _kind_from_json
 from test_graph_ir import run_builder
 
 

@@ -86,18 +86,50 @@ def test_each_subcommand_loads_only_what_it_runs(argv, absent):
     assert loaded.isdisjoint(f"hardgraph.{m}" for m in absent), sorted(loaded)
 
 
-@pytest.mark.parametrize("argv", [("list-models",), ("liveness", "resnet50")])
+def test_list_models_loads_only_the_name_table():
+    assert loaded_after(run_cli("list-models")) == {
+        "hardgraph", "hardgraph.cli", "hardgraph.registry"}
+
+
+@pytest.mark.parametrize("argv", [("list-models",), ("liveness", "resnet50"),
+                                  ("analyze", "hardnet68", "--format", "csv"),
+                                  ("check-moc", "resnet50", "--threshold", "40"),
+                                  ("export-dot", "hardnet68")])
 def test_commands_without_json_io_do_not_load_json(argv):
     at_start, after = modules_after(run_cli(*argv))
+    assert "hardgraph.cli" in after and "hardgraph.jsonio" not in after
     if "json" in at_start:
         pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
-    assert "hardgraph.cli" in after and "json" not in after
+    assert "json" not in after
+
+
+def test_modules_off_the_json_path_do_not_load_json():
+    at_start, after = modules_after("import hardgraph.cli, hardgraph.graph_ir, hardgraph.metrics, "
+                                    "hardgraph.liveness, hardgraph.registry")
+    assert "hardgraph.jsonio" not in after
+    if "json" in at_start:
+        pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
+    assert "json" not in after
+
+
+@pytest.mark.parametrize("argv", [("build", "hardnet68", "-o", os.devnull),
+                                  ("compare", "hardnet68", "resnet50"),
+                                  ("latency", "resnet18", "--platform", "gpu-like"),
+                                  ("analyze", "hardnet68", "--format", "json")])
+def test_commands_with_json_io_load_jsonio(argv):
+    assert "hardgraph.jsonio" in loaded_after(run_cli(*argv))
+
+
+def test_a_json_input_loads_jsonio(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(quoted_label_json())
+    assert "hardgraph.jsonio" in loaded_after(run_cli("liveness", str(path)))
 
 
 @pytest.mark.parametrize("argv", [("latency", "densenet121", "--platform", "gpu-like"),
                                   ("build", "hardnet68", "-o", os.devnull)])
 def test_commands_without_csv_output_do_not_load_csv(argv):
-    # build reaches metrics through to_json
+    # build reaches metrics through to_json, whose JSON writer writes a metrics.Table
     at_start, after = modules_after(run_cli(*argv))
     if "csv" in at_start:
         pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")

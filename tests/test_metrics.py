@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
                                 Pool, TensorShape, TransposedConv)
-from hardgraph.metrics import (Table, check_moc, dumps_json, layer_macs, model_summary,
+from hardgraph.jsonio import dumps_json
+from hardgraph.metrics import (Table, check_moc, layer_macs, model_summary,
                                node_metrics, report_csv, report_json)
 
 

@@ -76,3 +76,24 @@ def test_names_are_case_blind_and_unknown_names_stay_unknown():
     with pytest.raises(KeyError, match="unknown model 'nope'"):
         registry.build("nope")
     assert "nope" not in registry._NODES
+
+
+def test_default_input_knows_only_the_names_build_knows():
+    assert registry.default_input("HarDNet68") == TensorShape(3, 224, 224)
+    assert registry.default_input("FC-HarDNet68") == TensorShape(3, 352, 480)
+    for name in ("no-such-model", "No-Such-Model"):
+        with pytest.raises(KeyError) as default:
+            registry.default_input(name)
+        with pytest.raises(KeyError) as build:
+            registry.build(name)
+        assert str(default.value) == str(build.value) == repr(
+            f"unknown model {name!r}; see list-models")
+
+
+def test_name_table_equals_the_builder_tables_and_every_name_builds():
+    from hardgraph import harmonic, references
+    assert registry._FAMILIES == {**dict.fromkeys(harmonic._BUILDERS, "harmonic"),
+                                  **dict.fromkeys(references._BUILDERS, "references")}
+    assert registry.MODEL_NAMES == tuple(sorted(registry._FAMILIES))
+    for name in registry.MODEL_NAMES:
+        assert registry.build(name).kinds == run_builder(name).kinds
