@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import count
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -252,7 +252,8 @@ class ArchGraph:
         return self
 
     def _rule(self, nid: int, kind: _Kind, inputs: tuple, label: Optional[str]) -> TensorShape:
-        """A node's output shape: the one place shape rules run and shape errors get its name."""
+        """A node's output shape: the one place shape rules run, several inputs (but an add's)
+        are read as their channel concatenation, and shape errors get the node's name."""
         kind_type = type(kind)
         if kind_type is Input:
             return self.input_shape
@@ -261,7 +262,13 @@ class ArchGraph:
             raise GraphError(f"unknown kind {kind!r}")
         try:
             ins = list(map(self.shapes.__getitem__, inputs))
-            return rule(kind, ins, self._shape)
+            if len(ins) < 2 or kind_type is Add:
+                return rule(kind, ins, self._shape)
+            first = ins[0]
+            if len(set(map(_spatial, ins))) > 1:
+                raise GraphError("inputs disagree on spatial size")
+            return rule(kind, (self._shape(sum(map(_channels, ins)), first.height, first.width),),
+                        self._shape)
         except KeyError as e:  # input_shape was set by hand, not by infer_shapes
             raise GraphError(f"{_node_name(nid, kind, label)}: input {e} has no shape; "
                              "call infer_shapes") from None
@@ -336,26 +343,15 @@ def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> N
 _channels, _spatial = attrgetter("channels"), attrgetter("height", "width")
 
 
-def _conv_shape(k: Conv, ins: list, shape) -> TensorShape:
+def _conv_shape(k: Conv, ins: Sequence, shape) -> TensorShape:
     s = ins[0]
-    c_in = s.channels
-    if len(ins) > 1:
-        if len(set(map(_spatial, ins))) > 1:
-            raise GraphError("spatial mismatch among concatenated inputs")
-        c_in = sum(map(_channels, ins))
-    if c_in % k.groups != 0:
-        raise GraphError(f"groups={k.groups} does not divide c_in={c_in}")
+    if s.channels % k.groups != 0:
+        raise GraphError(f"groups={k.groups} does not divide c_in={s.channels}")
     # "same" padding for odd kernels; even kernels pad to keep stride tiling:
     # out = (size + 2 * (span // 2) - span - 1) // stride + 1, span = dilation * (kernel - 1)
     span_h, span_w = k.dilation * (k.kernel_h - 1), k.dilation * (k.kernel_w - 1)
     return shape(k.out_channels, (s.height - 1 - span_h % 2) // k.stride + 1,
                  (s.width - 1 - span_w % 2) // k.stride + 1)
-
-
-def _concat_shape(k: Concat, ins: list, shape) -> TensorShape:
-    if len(set(map(_spatial, ins))) > 1:
-        raise GraphError("inputs disagree on spatial size")
-    return shape(sum(map(_channels, ins)), ins[0].height, ins[0].width)
 
 
 def _add_shape(k: Add, ins: list, shape) -> TensorShape:
@@ -366,7 +362,7 @@ def _add_shape(k: Add, ins: list, shape) -> TensorShape:
 
 _SHAPE_RULES = {
     Conv: _conv_shape,
-    Concat: _concat_shape,
+    Concat: lambda k, ins, shape: ins[0],
     Add: _add_shape,
     Pool: lambda k, ins, shape: shape(
         ins[0].channels, ins[0].height // k.stride, ins[0].width // k.stride),

@@ -31,12 +31,7 @@ def hdb_links(layer_index: int) -> list:
     descending."""
     if layer_index < 1:
         raise ValueError("layer_index must be >= 1 (0 is the block input)")
-    out = []
-    p = 1
-    while layer_index % p == 0 and layer_index - p >= 0:
-        out.append(layer_index - p)
-        p *= 2
-    return out
+    return [layer_index - 2 ** n for n in range(v2(layer_index) + 1)]
 
 
 def log_links(layer_index: int) -> list:
@@ -176,16 +171,10 @@ def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
     return conv
 
 
-# --- model defaults, shared with references --------------------------------
+# --- class counts, shared with references ---------------------------------
 
 NUM_CLASSES = 1000
 FC_NUM_CLASSES = 12  # CamVid: 11 classes + void
-DEFAULT_CLS_INPUT = TensorShape(3, 224, 224)
-DEFAULT_FC_INPUT = TensorShape(3, 352, 480)
-
-
-def default_input(name: str) -> TensorShape:
-    return DEFAULT_FC_INPUT if name.startswith("fc-") else DEFAULT_CLS_INPUT
 
 
 # --- model catalog ---------------------------------------------------------
@@ -337,13 +326,18 @@ def _build_fc_hardnet(name: str, input_shape: TensorShape) -> ArchGraph:
 _BUILDERS = {**dict.fromkeys(_HARDNET_CONFIGS, _build_hardnet_cls),
              **dict.fromkeys(_SL_LAYOUT, _build_sl),
              **dict.fromkeys(_FC_CONFIGS, _build_fc_hardnet)}
-HARDNET_VARIANTS = tuple(sorted(_BUILDERS))
+
+
+def _build_named(builders: dict, what: str, name: str, input_shape: Optional[TensorShape]):
+    """``builders[name]`` run at ``input_shape``, or at the model's default input if None."""
+    name = name.lower()
+    builder = builders.get(name)
+    if builder is None:
+        raise KeyError(f"unknown {what} {name!r}")
+    from .registry import default_input
+    return builder(name, default_input(name) if input_shape is None else input_shape)
 
 
 def build_model(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
     """Build a HarDNet-family variant by its stable CLI name."""
-    name = name.lower()
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(f"unknown HarDNet variant {name!r}")
-    return builder(name, default_input(name) if input_shape is None else input_shape)
+    return _build_named(_BUILDERS, "HarDNet variant", name, input_shape)

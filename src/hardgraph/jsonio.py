@@ -220,8 +220,4 @@ def _encode_column(column, level: int) -> list:
         texts = dict(zip(distinct := set(column), map(repr, distinct)))
         if {"nan", "inf", "-inf"}.isdisjoint(texts.values()):
             return list(map(texts.__getitem__, column))
-    elif types <= {int, float}:
-        cells = list(map(repr, column))
-        if {"nan", "inf", "-inf"}.isdisjoint(cells):
-            return cells
     return [_dumps(v, level) for v in column]

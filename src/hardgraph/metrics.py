@@ -80,7 +80,7 @@ def _layer_row(shapes: dict, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int
                ds_weight: Optional[float]) -> LayerMetrics:
     """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
     live.  A conv or transposed conv reads the channels of all its inputs
-    (their concatenation) on the first input's grid, as shape inference does;
+    (their concatenation) on their one grid, which shape inference checks;
     a Linear reads the elements of that same tensor."""
     out = shapes.get(nid)
     if out is None:

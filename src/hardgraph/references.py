@@ -10,7 +10,7 @@ from typing import Optional
 
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
 from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
-                       _conv3x3, build_transition, default_input, log_links)
+                       _build_named, _conv3x3, build_transition, log_links)
 
 
 # --- DenseNet (classification) ----------------------------------------------
@@ -139,12 +139,8 @@ def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
 _BUILDERS = {**dict.fromkeys(_DENSENET_BLOCKS, _build_densenet),
              **dict.fromkeys(_RESNET_LAYOUT, _build_resnet), "vgg16": _build_vgg16,
              **dict.fromkeys(_FC_CONFIGS, _build_fc_densenet)}
-REFERENCE_MODELS = tuple(sorted(_BUILDERS))
+
 
 def build_reference(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
     """Build a reference architecture by its stable CLI name."""
-    name = name.lower()
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(f"unknown reference model {name!r}")
-    return builder(name, default_input(name) if input_shape is None else input_shape)
+    return _build_named(_BUILDERS, "reference model", name, input_shape)

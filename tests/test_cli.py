@@ -14,7 +14,8 @@ import hardgraph
 from hardgraph import cli, registry
 from hardgraph.cli import COMMANDS, UsageError, build_parser, main, run
 from hardgraph.graph_ir import ArchGraph, Conv, Input, TensorShape, TransposedConv
-from test_graph_ir import MALFORMED, node, one_kind_doc, with_change
+from test_graph_ir import (MALFORMED, MIXED_GRID_KINDS, mixed_grid_doc, node, one_kind_doc,
+                           with_change)
 from test_latency import BAD_PLATFORMS
 
 
@@ -368,6 +369,15 @@ def test_csv_reports_read_back_the_stored_labels(capsys, tmp_path, argv, rows):
     table = list(csv.reader(io.StringIO(out, newline="")))
     assert [row[1] for row in table[rows]] == list(QUOTED_LABELS)
     assert len({len(row) for row in table}) == 1
+
+
+@pytest.mark.parametrize("kind", MIXED_GRID_KINDS)
+def test_inputs_on_different_grids_exit_2_with_one_line(capsys, tmp_path, kind):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(mixed_grid_doc(kind)))
+    code, out, err = invoke(capsys, "analyze", str(path))
+    assert_one_line_error(code, out, err)
+    assert err.startswith(f"error: {kind} 3: inputs disagree on spatial size")
 
 
 class TestMissingParamErrors:

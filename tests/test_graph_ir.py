@@ -384,7 +384,7 @@ def class_kind_counts(g) -> dict:
 def run_builder(name, shape=None):
     """Build a catalog model through its builder, as ``hardgraph.build`` does first."""
     from hardgraph import harmonic, references
-    builder = (harmonic.build_model if name in harmonic.HARDNET_VARIANTS
+    builder = (harmonic.build_model if name in harmonic._BUILDERS
                else references.build_reference)
     return builder(name, shape)
 
@@ -529,6 +529,60 @@ class TestShapeErrorsNameTheNode:
         with pytest.raises(GraphError, match=r"^concat 3 \(cat\): inputs disagree on "
                                              r"spatial size; input shapes 8x8x8, 8x16x16$"):
             ArchGraph.from_json(json.dumps(doc))
+
+
+MIXED_GRID_KINDS = {"pool": (Pool("max"), {"mode": "max"}),
+                    "tconv": (TransposedConv(8), {"out_channels": 8}),
+                    "linear": (Linear(10), {"out_features": 10})}
+
+
+def mixed_grid_doc(kind) -> dict:
+    """Node 3, a ``kind``, reads a 4x8x8 conv output and a 4x4x4 pool of it."""
+    return {"name": "reads", "input": [4, 8, 8], "nodes": [
+        {"id": 0, "kind": "input", "inputs": []},
+        {"id": 1, "kind": "conv", "params": {"out_channels": 4}, "inputs": [0]},
+        {"id": 2, "kind": "pool", "params": {"mode": "max"}, "inputs": [1]},
+        {"id": 3, "kind": kind, "params": MIXED_GRID_KINDS[kind][1], "inputs": [1, 2]}]}
+
+
+class TestMultiInputReads:
+    """Every kind but add reads the channel concatenation of its inputs, on their one grid."""
+
+    def test_pools_read_every_input_channel(self):
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
+        i = g.add(Input(), [])
+        a, b = g.add(Conv(4), [i]), g.add(Conv(6), [i])
+        assert g.shapes[g.add(Pool("max"), [a, b])] == TensorShape(10, 4, 4)
+        assert g.shapes[g.add(GlobalPool(), [a, b])] == TensorShape(10, 1, 1)
+        assert g.shapes[g.add(Pool("avg"), [a, b, a])] == TensorShape(14, 4, 4)
+        with pytest.raises(GraphError, match="inputs must share one shape"):
+            g.add(Add(), [a, b])  # an add sums its inputs: they must be equal
+
+    @pytest.mark.parametrize("kind", MIXED_GRID_KINDS)
+    def test_inputs_on_different_grids_are_an_error(self, kind):
+        expected = f"{kind} 3: inputs disagree on spatial size; input shapes 4x8x8, 4x4x4"
+        g = ArchGraph(input_shape=TensorShape(4, 8, 8))
+        c = g.add(Conv(4), [g.add(Input(), [])])
+        p = g.add(Pool("max"), [c])
+        with pytest.raises(GraphError) as err:
+            g.add(MIXED_GRID_KINDS[kind][0], [c, p])
+        assert str(err.value) == expected and len(g.kinds) == 3
+        with pytest.raises(GraphError) as err:
+            ArchGraph.from_json(json.dumps(mixed_grid_doc(kind)))
+        assert str(err.value) == expected
+
+    def test_conv_and_concat_reject_mixed_grids_alike(self):
+        messages = []
+        for kind in (Conv(8), Concat()):
+            g = ArchGraph(input_shape=TensorShape(3, 8, 8))
+            i = g.add(Input(), [])
+            a, b = g.add(Conv(16), [i]), g.add(Conv(16, stride=2), [i])
+            with pytest.raises(GraphError) as err:
+                g.add(kind, [a, b])
+            messages.append(str(err.value).split(": ", 1))
+        assert [name for name, _ in messages] == ["conv 3", "concat 3"]
+        assert messages[0][1] == messages[1][1] == (
+            "inputs disagree on spatial size; input shapes 16x8x8, 16x4x4")
 
 
 class TestFromJsonInputSize:

@@ -183,8 +183,8 @@ def test_catalog_models_match_the_reference(name):
 @st.composite
 def graphs(draw) -> ArchGraph:
     """Small shaped graphs with multi-input, grouped, depthwise and pointwise
-    convs, transposed convs, multi-input Linears (inputs of mixed sizes, too)
-    and the other kinds.  A draw that shape inference rejects is skipped."""
+    convs, transposed convs, multi-input Linears and pools, and the other
+    kinds.  A draw that shape inference rejects is skipped."""
     c, h, w = (draw(st.integers(1, n)) for n in (8, 9, 9))
     g = ArchGraph(input_shape=TensorShape(c, h, w))
     g.add(Input(), [])
@@ -194,8 +194,8 @@ def graphs(draw) -> ArchGraph:
         s0 = g.shapes[first]
         kind = draw(st.sampled_from(("conv", "grouped", "depthwise", "pointwise", "tconv",
                                      "linear", "concat", "pool", "add", "global")))
-        pool = range(nid) if kind in ("tconv", "linear") else [
-            i for i in range(nid) if g.shapes[i].height == s0.height and g.shapes[i].width == s0.width]
+        pool = [i for i in range(nid)
+                if g.shapes[i].height == s0.height and g.shapes[i].width == s0.width]
         inputs = [first] + draw(st.lists(st.sampled_from(pool), max_size=2))
         c_in = sum(g.shapes[i].channels for i in inputs)
         out = draw(st.integers(1, 12))
@@ -217,7 +217,6 @@ def graphs(draw) -> ArchGraph:
         else:
             k = {"concat": Concat(), "pool": Pool("max"), "add": Add(),
                  "global": GlobalPool()}[kind]
-            inputs = inputs if kind in ("concat", "add") else inputs[:1]
         try:
             g.add(k, inputs)
         except GraphError:

@@ -91,6 +91,13 @@ def test_list_models_loads_only_the_name_table():
         "hardgraph", "hardgraph.cli", "hardgraph.registry"}
 
 
+def test_default_input_loads_only_the_shape_type():
+    loaded = loaded_after("from hardgraph import registry\n"
+                          "assert registry.default_input('hardnet68').height == 224")
+    assert "hardgraph.graph_ir" in loaded
+    assert loaded.isdisjoint({"hardgraph.harmonic", "hardgraph.references"}), sorted(loaded)
+
+
 @pytest.mark.parametrize("argv", [("list-models",), ("liveness", "resnet50"),
                                   ("analyze", "hardnet68", "--format", "csv"),
                                   ("check-moc", "resnet50", "--threshold", "40"),

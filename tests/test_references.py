@@ -6,7 +6,7 @@ import hardgraph
 from hardgraph.graph_ir import Conv
 from hardgraph.harmonic import log_links
 from hardgraph.metrics import model_summary
-from hardgraph.references import _FC_CONFIGS, REFERENCE_MODELS, build_reference
+from hardgraph.references import _BUILDERS, _FC_CONFIGS, build_reference
 
 
 class TestSparseLinks:
@@ -38,7 +38,7 @@ class TestSparseLinks:
 
 
 class TestBuilders:
-    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_builds_validates_and_infers(self, name):
         g = build_reference(name)
         assert all(n.id in g.shapes for n in g.nodes)
