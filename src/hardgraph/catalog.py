@@ -4,8 +4,6 @@ The numbers live in data/expected_tables.json, nowhere else.  Failures are
 reported, not raised, so a full report is always produced.
 """
 
-from __future__ import annotations
-
 import json
 from functools import lru_cache
 from importlib import resources

@@ -4,8 +4,6 @@ Exit codes: 0 success, 1 usage error, 2 analysis error.  Identical
 invocations produce byte-identical reports (no timestamps in headers).
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys
@@ -34,16 +32,13 @@ def _parse_hw(text: str) -> tuple:
     return int(h), int(w)
 
 
-def _load_graph(model: str, input_hw: Optional[str]) -> ArchGraph:
+def _load_graph(model: str, input_hw: Optional[str]) -> "ArchGraph":
     from .graph_ir import ArchGraph, GraphError, TensorShape
     if model.endswith(".json"):
         path = Path(model)
         if not path.exists():
             raise GraphError(f"graph file not found: {model}")
-        g = ArchGraph.from_json(path.read_text(), _parse_hw(input_hw) if input_hw else None)
-        if g.input_shape is None:
-            raise GraphError(f"{model} carries no input shape; pass --input")
-        return g
+        return ArchGraph.from_json(path.read_text(), _parse_hw(input_hw) if input_hw else None)
     shape = None
     if input_hw:
         h, w = _parse_hw(input_hw)
@@ -51,7 +46,7 @@ def _load_graph(model: str, input_hw: Optional[str]) -> ArchGraph:
     return registry.build(model, shape)
 
 
-def _header(args, model: str, graph: ArchGraph) -> dict:
+def _header(args, model: str, graph: "ArchGraph") -> dict:
     return {
         "tool": f"hardgraph {__version__}",
         "model": model,

@@ -1,11 +1,9 @@
 """Architecture graph IR: layer kinds, shape inference, scheduling, DOT.
 
-Graphs are append-only.  Once a graph knows its input shape, each appended
-node gets its output shape at once, so every node of such a graph has one;
-every analysis in the other modules is a pure read.
+Graphs are append-only and made with their input shape, so each appended
+node gets its output shape at once and every node has one; every analysis in
+the other modules is a pure read.
 """
-
-from __future__ import annotations
 
 from itertools import count
 from operator import attrgetter
@@ -190,9 +188,9 @@ class ArchGraph:
     row per class and broadcast it through ``classes`` (each node's class;
     class c first appears at node ``class_first[c]``)."""
 
-    def __init__(self, name: str = "graph", *, input_shape: Optional[TensorShape] = None):
+    def __init__(self, name: str = "graph", *, input_shape: TensorShape):
         self.name, self.input_shape = name, input_shape
-        self.kinds, self.inputs, self.labels, self.shapes = [], [], [], {}
+        self.kinds, self.inputs, self.labels, self.shapes = [], [], [], []
         self.classes, self.class_first = [], []
         # the shape maker the shape rules call; equal shapes share one object
         self._shape = _interner()
@@ -205,12 +203,11 @@ class ArchGraph:
     # --- construction ---
 
     def add(self, kind: _Kind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
-        """Append a node, in a class of its own; with ``input_shape`` set, shape it now."""
+        """Append a node, in a class of its own, and shape it."""
         inputs, nid = tuple(inputs), len(self.kinds)
         # node 0 is the one Input: no other node can come first, with no earlier id to read
         _check_links(nid, type(kind), inputs, nid > 0)
-        if self.input_shape is not None:
-            self.shapes[nid] = self._rule(nid, kind, inputs, label)
+        self.shapes.append(self._rule(nid, kind, inputs, label))
         self.kinds.append(kind)
         self.inputs.append(inputs)
         self.labels.append(label)
@@ -221,17 +218,16 @@ class ArchGraph:
     # --- shape inference ---
 
     def infer_shapes(self, input_shape: TensorShape) -> "ArchGraph":
-        """Shape every node at ``input_shape``: for a graph built without an
-        input shape, or to re-shape a graph at a new one.  Nodes group into
-        classes: a node whose kind and input shapes are an earlier node's
-        objects shares that node's class and output shape, so each class runs
-        its shape rule once."""
+        """Re-shape every node at ``input_shape``; on failure the graph keeps its
+        old input and shapes.  Nodes group into classes: a node whose kind and
+        input shapes are an earlier node's objects shares that node's class and
+        output shape, so each class runs its shape rule once."""
         # add and from_json give node 0 as the one Input, and inputs that precede their node
         if not self.kinds:
             raise GraphError("graph must have exactly one Input node, found 0")
         before = vars(self).copy()
         self.input_shape, self._shape = input_shape, _interner()
-        self.shapes, self.classes, self.class_first = shapes, classes, firsts = {}, [], []
+        self.shapes, self.classes, self.class_first = shapes, classes, firsts = [], [], []
         index, outs, labels = {}, [], self.labels
         ids = []  # each shaped node's output shape id()
         get = ids.__getitem__
@@ -244,8 +240,8 @@ class ArchGraph:
                     firsts.append(nid)
                     outs.append(self._rule(nid, kind, inputs, labels[nid]))
                 classes.append(c)
-                out = shapes[nid] = outs[c]
-                ids.append(id(out))
+                shapes.append(outs[c])
+                ids.append(id(outs[c]))
         except GraphError:
             vars(self).update(before)
             raise
@@ -256,6 +252,8 @@ class ArchGraph:
         are read as their channel concatenation, and shape errors get the node's name."""
         kind_type = type(kind)
         if kind_type is Input:
+            if type(self.input_shape) is not TensorShape:
+                raise GraphError(f"input_shape must be a TensorShape, got {self.input_shape!r}")
             return self.input_shape
         rule = _SHAPE_RULES.get(kind_type)
         if rule is None:
@@ -269,9 +267,6 @@ class ArchGraph:
                 raise GraphError("inputs disagree on spatial size")
             return rule(kind, (self._shape(sum(map(_channels, ins)), first.height, first.width),),
                         self._shape)
-        except KeyError as e:  # input_shape was set by hand, not by infer_shapes
-            raise GraphError(f"{_node_name(nid, kind, label)}: input {e} has no shape; "
-                             "call infer_shapes") from None
         except GraphError as e:
             given = ", ".join(map(str, ins))
             raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
@@ -296,10 +291,10 @@ class ArchGraph:
 
     @classmethod
     def from_json(cls, text: str, input_hw: Optional[tuple] = None) -> "ArchGraph":
-        """Load graph JSON, each node checked as ``add`` checks it, then shape it in one pass:
-        at the stored input, or at ``input_hw`` = (height, width) with the stored channel
-        count (3 if none is stored).  Nodes naming one (kind, params) pair share one kind
-        object, so they group into classes and each class's shape rule runs once."""
+        """Load graph JSON, each node checked as ``add`` checks it, then shape it in one pass at
+        the stored input, or at ``input_hw`` = (height, width) with the stored channel count
+        (3 if none is stored); one of the two is needed.  Nodes naming one (kind, params) pair
+        share one kind object, so they group into classes and each class's shape rule runs once."""
         from .jsonio import graph_from_json
         return graph_from_json(cls, text, input_hw)
 
@@ -379,7 +374,7 @@ def to_dot(graph: ArchGraph) -> str:
     quote = lambda text: text.replace("\\", "\\\\").replace('"', '\\"')
     kinds, shapes, firsts = graph.kinds, graph.shapes, graph.class_first
     names = [_KIND_NAMES[type(kinds[nid])] for nid in firsts]  # for unlabelled nodes
-    tails = [f'\\n{shapes[nid]}"];' if nid in shapes else '"];' for nid in firsts]
+    tails = [f'\\n{shapes[nid]}"];' for nid in firsts]
     lines = [f'digraph "{quote(graph.name)}" {{', "  rankdir=TB;"]
     lines += [f'  n{nid} [label="{nid}: {quote(label) if label else names[c]}{tails[c]}'
               for nid, label, c in zip(count(), graph.labels, graph.classes)]

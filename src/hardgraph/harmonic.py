@@ -5,8 +5,6 @@ Connection rule: layer k reads layer k - 2**n for every non-negative n with
 index is divisible by a higher power of two are widened by the multiplier m.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Optional
 

@@ -1,7 +1,5 @@
 """Graph JSON I/O and the JSON writer: the one module that loads ``json``."""
 
-from __future__ import annotations
-
 import gc, json, marshal
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -31,7 +29,7 @@ def graph_to_json(g: ArchGraph) -> str:
         texts.append(labelled % (nid, ins, kind[0], _dumps(label, 3), kind[1])
                      if label else plain % (nid, ins, *kind))
     return _template(("input", "name", "nodes"), 0) % (
-        _dumps(g.input_shape.as_list() if g.input_shape else None, 1),
+        _dumps(g.input_shape.as_list(), 1),
         _dumps(g.name, 1), _block("[", texts, "]", 1) if texts else "[]")
 
 
@@ -85,12 +83,11 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
                 raise GraphError(f"input {shape!r}: {e}") from None
         if input_hw is not None:
             input_shape = TensorShape(input_shape.channels if input_shape else 3, *input_hw)
-        g = cls(name)
+        elif input_shape is None:
+            raise GraphError("graph JSON has no input shape; pass --input HxW")
+        g = cls(name, input_shape=input_shape)
         g.kinds, g.inputs, g.labels = kinds, inputs, labels
-        if input_shape is not None:
-            return g.infer_shapes(input_shape)
-        g.classes, g.class_first = list(range(n)), list(range(n))
-        return g
+        return g.infer_shapes(input_shape)
     finally:
         if collecting:
             gc.enable()

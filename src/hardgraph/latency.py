@@ -5,8 +5,6 @@ when its MoC falls below the platform's critical MoC
 (peak_macs / dram_bytes * dtype_bytes).
 """
 
-from __future__ import annotations
-
 import math
 from functools import reduce
 from operator import add

@@ -13,8 +13,6 @@ adds its size at its birth (its producer's step) and subtracts it one step
 after its death, and their running sum is the live size at every step.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, compress, count
 from typing import Mapping, Optional
 

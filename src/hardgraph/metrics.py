@@ -5,8 +5,6 @@ plus its output tensor size, in elements; non-conv nodes contribute zero.
 MoC is MACs / CIO-elements.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import reduce
 from itertools import chain, compress
@@ -76,15 +74,12 @@ class ModelSummary(_PerClass):
         return self.cio_bytes / 2 ** 20
 
 
-def _layer_row(shapes: dict, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
+def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
                ds_weight: Optional[float]) -> LayerMetrics:
     """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
     live.  A conv or transposed conv reads the channels of all its inputs
     (their concatenation) on their one grid, which shape inference checks;
     a Linear reads the elements of that same tensor."""
-    out = shapes.get(nid)
-    if out is None:
-        raise KeyError(f"node {nid} has no inferred shape")
     kind_type = type(k)
     if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear:
         return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
@@ -94,6 +89,7 @@ def _layer_row(shapes: dict, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int
     if kind_type is Linear:
         macs = in_elements * k.out_features
         return LayerMetrics(nid, macs + k.out_features, macs, 0, 0, 0.0)
+    out = shapes[nid]
     out_hw = out.height * out.width
     if kind_type is Conv:
         weights = (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w
@@ -112,8 +108,7 @@ def _layer_row(shapes: dict, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int
 def _class_rows(graph: ArchGraph, dtype_bytes: int = 4,
                 ds_weight: Optional[float] = None) -> list:
     """One LayerMetrics per node class, from the class's first node: the
-    table every report reads, broadcast to nodes through ``graph.classes``.
-    Raises KeyError naming the first node without a shape."""
+    table every report reads, broadcast to nodes through ``graph.classes``."""
     shapes, kinds, inputs = graph.shapes, graph.kinds, graph.inputs
     return [_layer_row(shapes, f, kinds[f], inputs[f], dtype_bytes, ds_weight)
             for f in graph.class_first]
@@ -125,7 +120,7 @@ def layer_metrics(graph: ArchGraph, dtype_bytes: int = 4,
 
     CIO counts conv and transposed-conv nodes only (input plus output
     elements); with ``ds_weight``, a pointwise or depthwise conv's CIO is
-    scaled by it.  Raises KeyError naming the first node without a shape."""
+    scaled by it."""
     return _PerClass(_class_rows(graph, dtype_bytes, ds_weight), graph.classes).layers
 
 
@@ -155,8 +150,8 @@ def _totals(column, counts: list, classes: list, groups: list) -> list:
 
 def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
                   ds_weight: Optional[float] = None) -> ModelSummary:
-    if not graph.shapes:
-        raise ValueError("run shape inference before computing metrics")
+    if not graph.shapes:  # zip(*rows) below needs at least one row
+        raise ValueError(f"graph {graph.name!r} has no nodes to summarize")
     rows, classes = _class_rows(graph, dtype_bytes, ds_weight), graph.classes[:]
     s = ModelSummary(graph.name, rows, classes, dtype_bytes, ds_weight)
     firsts, params, macs, cio, cio_bytes, _ = zip(*rows)

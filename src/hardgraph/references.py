@@ -4,8 +4,6 @@ and FC-SparseNet segmentation family.
 External architectures follow their canonical published configurations.
 """
 
-from __future__ import annotations
-
 from typing import Optional
 
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape

@@ -1,7 +1,5 @@
 """Single lookup point for every built-in model name."""
 
-from __future__ import annotations
-
 from typing import Optional
 
 # model name -> the module whose _BUILDERS builds it (a test holds the tables equal)
@@ -19,7 +17,7 @@ MODEL_NAMES = tuple(sorted(_FAMILIES))
 _NODES = {}
 
 
-def default_input(name: str) -> TensorShape:
+def default_input(name: str) -> "TensorShape":
     """A model's default input: 352x480 for segmentation (``fc-``) models, else 224x224."""
     if name.lower() not in _FAMILIES:
         raise KeyError(f"unknown model {name!r}; see list-models")
@@ -27,7 +25,7 @@ def default_input(name: str) -> TensorShape:
     return TensorShape(3, 352, 480) if name.lower().startswith("fc-") else TensorShape(3, 224, 224)
 
 
-def build(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
+def build(name: str, input_shape: Optional["TensorShape"] = None) -> "ArchGraph":
     """Build a catalog model.  Its builder runs once per process, at the
     model's default input; every build copies those nodes and shapes them in
     one pass at ``input_shape``, which groups nodes into classes."""
@@ -44,6 +42,6 @@ def build(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
         nodes = _NODES[key] = (tuple(canon.setdefault(k, k) for k in g.kinds),
                                tuple(g.inputs), tuple(g.labels))
     from .graph_ir import ArchGraph
-    g = ArchGraph(key)
+    g = ArchGraph(key, input_shape=input_shape or default)
     g.kinds, g.inputs, g.labels = map(list, nodes)
-    return g.infer_shapes(input_shape or default)
+    return g.infer_shapes(g.input_shape)

@@ -138,12 +138,10 @@ def test_criterion_10_odd_even_ratio():
 
 def test_criterion_11_inverted_transition():
     def conv_input_elems(inverted):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 56, 56))
         i = g.add(Input(), [])
         x = g.add(Conv(100, kernel_h=1, kernel_w=1), [i])
-        g.infer_shapes(TensorShape(3, 56, 56))
         out = build_transition(x, TransitionSpec(red=0.85, inverted=inverted), g)
-        g.infer_shapes(TensorShape(3, 56, 56))
         conv = next(n for n in g.nodes[2:] if isinstance(n.kind, Conv))
         return conv_input_shape(g, conv).element_count
 

@@ -335,6 +335,17 @@ class TestJsonAtAnotherInput:
         rows = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
         assert rows(from_file) == rows(built) and "# input: 3x256x256" in from_file
 
+    @pytest.mark.parametrize("change", [lambda d: d.update(input=None),
+                                        lambda d: d.__delitem__("input")], ids=["null", "absent"])
+    def test_json_without_input_needs_the_size(self, capsys, tmp_path, change):
+        path = tmp_path / "g.json"
+        path.write_text(with_change(change))
+        code, out, err = invoke(capsys, "analyze", str(path))
+        assert_one_line_error(code, out, err)
+        assert err == "error: graph JSON has no input shape; pass --input HxW\n"
+        code, out, err = invoke(capsys, "analyze", str(path), "--input", "8x8")
+        assert (code, err) == (0, "") and "# input: 3x8x8" in out
+
 
 def test_validate_tables_output_file(capsys, tmp_path):
     code, stdout_text, _ = invoke(capsys, "validate-tables")

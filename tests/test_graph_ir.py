@@ -13,8 +13,8 @@ from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphE
 from hardgraph.registry import MODEL_NAMES
 
 
-def chain_graph():
-    g = ArchGraph(name="chain")
+def chain_graph(shape=TensorShape(3, 16, 16)):
+    g = ArchGraph(name="chain", input_shape=shape)
     i = g.add(Input(), [])
     c = g.add(Conv(64), [i])
     return g, i, c
@@ -22,11 +22,11 @@ def chain_graph():
 
 class TestConstruction:
     def test_first_node_gets_id_zero(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         assert g.add(Input(), []) == 0
 
     def test_chain_append(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         i = g.add(Input(), [])
         assert g.add(Conv(64), [i]) == 1
 
@@ -36,19 +36,19 @@ class TestConstruction:
             g.add(Concat(), [c])
 
     def test_unknown_input_id(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         g.add(Input(), [])
         with pytest.raises(GraphError, match="unknown input id"):
             g.add(Conv(8), [5])
 
     def test_single_input_node(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         g.add(Input(), [])
         with pytest.raises(GraphError):
             g.add(Input(), [])
 
     def test_non_input_needs_inputs(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         g.add(Input(), [])
         with pytest.raises(GraphError):
             g.add(Conv(8), [])
@@ -57,79 +57,86 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Conv(10, groups=3)
 
+    def test_input_shape_is_required(self):
+        # every graph is shaped: no graph, and so no node, is without a shape
+        with pytest.raises(TypeError):
+            ArchGraph()
+        with pytest.raises(TypeError):
+            ArchGraph("g")
+        g = ArchGraph(input_shape=None)
+        with pytest.raises(GraphError, match=r"^input_shape must be a TensorShape, got None$"):
+            g.add(Input(), [])
+        assert g.kinds == g.shapes == []
+
     def test_constructor_takes_no_nodes(self):
         # add and from_json are the only ways in; input_shape is keyword-only,
         # so an old positional ArchGraph(name, nodes) does not set it
+        shape = TensorShape(3, 8, 8)  # so that only the nodes can be refused
         with pytest.raises(TypeError):
-            ArchGraph(nodes=[Node(0, Input(), ())])
+            ArchGraph(nodes=[Node(0, Input(), ())], input_shape=shape)
         with pytest.raises(TypeError):
-            ArchGraph("g", [Node(0, Input(), ())])
+            ArchGraph("g", [Node(0, Input(), ())], input_shape=shape)
 
 
 class TestShapeInference:
     def test_same_padding_conv(self):
-        g, i, c = chain_graph()
-        g.infer_shapes(TensorShape(3, 224, 224))
+        g, i, c = chain_graph(TensorShape(3, 224, 224))
         assert g.shapes[c] == TensorShape(64, 224, 224)
 
     def test_pool_halving(self):
-        g, i, c = chain_graph()
+        g, i, c = chain_graph(TensorShape(3, 224, 224))
         p = g.add(Pool("max"), [c])
-        g.infer_shapes(TensorShape(3, 224, 224))
         assert g.shapes[p] == TensorShape(64, 112, 112)
 
     def test_concat_channel_sum(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 56, 56))
         i = g.add(Input(), [])
         a = g.add(Conv(16), [i])
         b = g.add(Conv(24), [i])
         cat = g.add(Concat(), [a, b])
-        g.infer_shapes(TensorShape(3, 56, 56))
         assert g.shapes[cat] == TensorShape(40, 56, 56)
 
     def test_strided_conv(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 224, 224))
         i = g.add(Input(), [])
         c = g.add(Conv(64, kernel_h=7, kernel_w=7, stride=2), [i])
-        g.infer_shapes(TensorShape(3, 224, 224))
         assert g.shapes[c] == TensorShape(64, 112, 112)
 
     def test_transposed_conv_upsamples(self):
-        g, i, c = chain_graph()
+        g, i, c = chain_graph(TensorShape(3, 56, 56))
         t = g.add(TransposedConv(32), [c])
-        g.infer_shapes(TensorShape(3, 56, 56))
         assert g.shapes[t] == TensorShape(32, 112, 112)
 
     def test_global_pool_and_linear(self):
-        g, i, c = chain_graph()
+        g, i, c = chain_graph(TensorShape(3, 224, 224))
         p = g.add(GlobalPool(), [c])
         f = g.add(Linear(1000), [p])
-        g.infer_shapes(TensorShape(3, 224, 224))
         assert g.shapes[p] == TensorShape(64, 1, 1)
         assert g.shapes[f] == TensorShape(1000, 1, 1)
 
     def test_concat_spatial_mismatch(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 56, 56))
         i = g.add(Input(), [])
         a = g.add(Conv(16), [i])
         b = g.add(Conv(16, stride=2), [i])
-        g.add(Concat(), [a, b])
         with pytest.raises(GraphError, match="spatial"):
-            g.infer_shapes(TensorShape(3, 56, 56))
+            g.add(Concat(), [a, b])
+        assert len(g.shapes) == len(g.kinds) == 3
 
     def test_add_requires_matching_shapes(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 56, 56))
         i = g.add(Input(), [])
         a = g.add(Conv(16), [i])
         b = g.add(Conv(32), [i])
-        g.add(Add(), [a, b])
         with pytest.raises(GraphError):
-            g.infer_shapes(TensorShape(3, 56, 56))
+            g.add(Add(), [a, b])
+        assert len(g.shapes) == len(g.kinds) == 3
 
     def test_inference_deterministic(self):
-        g, i, c = chain_graph()
+        g, i, c = chain_graph(TensorShape(3, 64, 64))
+        first = list(g.shapes)
         g.infer_shapes(TensorShape(3, 64, 64))
-        first = dict(g.shapes)
+        assert g.shapes == first
         g.infer_shapes(TensorShape(3, 64, 64))
         assert g.shapes == first
 
@@ -141,7 +148,7 @@ class TestSchedule:
         assert g.schedule() == [0, 1, 2]
 
     def test_diamond_tie_break(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         i = g.add(Input(), [])
         a = g.add(Conv(8), [i])
         b = g.add(Conv(8), [i])
@@ -149,7 +156,7 @@ class TestSchedule:
         assert g.schedule() == [0, 1, 2, 3]
 
     def test_single_input(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         g.add(Input(), [])
         assert g.schedule() == [0]
 
@@ -165,11 +172,10 @@ class TestSchedule:
 @given(st.lists(st.integers(min_value=1, max_value=64), min_size=2, max_size=6),
        st.integers(min_value=1, max_value=32), st.integers(min_value=1, max_value=32))
 def test_concat_element_count_is_sum(channels, h, w):
-    g = ArchGraph()
+    g = ArchGraph(input_shape=TensorShape(3, h, w))
     i = g.add(Input(), [])
     convs = [g.add(Conv(c, kernel_h=1, kernel_w=1), [i]) for c in channels]
     cat = g.add(Concat(), convs)
-    g.infer_shapes(TensorShape(3, h, w))
     assert g.shapes[cat].element_count == sum(g.shapes[c].element_count for c in convs)
 
 
@@ -215,12 +221,11 @@ def test_dot_escapes_quotes_and_backslashes(name, label):
 
 
 def small_graph_doc() -> dict:
-    g = ArchGraph(name="small")
+    g = ArchGraph(name="small", input_shape=TensorShape(3, 16, 16))
     i = g.add(Input(), [])
     a = g.add(Conv(8), [i], label="a")
     b = g.add(Conv(8), [i], label="b")
     g.add(Concat(), [a, b], label="cat")
-    g.infer_shapes(TensorShape(3, 16, 16))
     return json.loads(g.to_json())
 
 
@@ -348,7 +353,7 @@ def test_catalog_round_trip(name):
     g2 = ArchGraph.from_json(g.to_json())
     assert g2.name == g.name and g2.input_shape == g.input_shape
     assert g2.nodes == g.nodes
-    assert g2.shapes == g.shapes
+    assert g2.shapes == g.shapes and len(g2.shapes) == len(g2.kinds)
 
 
 def counting_rules(monkeypatch) -> dict:
@@ -398,7 +403,7 @@ class TestShapesOnAppend:
             calls.clear()
             g = run_builder(name, shape)
             assert calls == kind_counts(g), name
-            assert g.shapes.keys() == {n.id for n in g.nodes}
+            assert len(g.shapes) == len(g.kinds)
 
     @pytest.mark.parametrize("shape", [None, TensorShape(3, 256, 320)])
     def test_each_rule_runs_once_per_class_in_repeat_builds(self, monkeypatch, shape):
@@ -415,7 +420,7 @@ class TestShapesOnAppend:
             calls.clear()
             g = hardgraph.build(name, shape)
             assert calls == class_kind_counts(g), name
-            assert g.shapes.keys() == set(range(len(g.kinds)))
+            assert len(g.shapes) == len(g.kinds)
 
     def test_each_rule_runs_once_per_node_in_bare_hdb(self, monkeypatch):
         from hardgraph.harmonic import HDBSpec, build_bare_hdb
@@ -443,26 +448,31 @@ class TestShapesOnAppend:
 
     def test_failed_reshape_leaves_the_graph_as_it_was(self):
         g = hardgraph.build("hardnet68")
-        shapes = dict(g.shapes)
+        shapes = list(g.shapes)
         with pytest.raises(GraphError):
             g.infer_shapes(TensorShape(3, 16, 16))
         assert g.input_shape == TensorShape(3, 224, 224) and g.shapes == shapes
+        assert len(g.shapes) == len(g.kinds)
         g.add(Linear(10), [len(g.nodes) - 1])
 
     def test_equal_shapes_are_shared(self):
         g = hardgraph.build("hardnet68")
-        distinct = {id(s) for s in g.shapes.values()}
-        assert len(distinct) == len(set(g.shapes.values()))
+        distinct = {id(s) for s in g.shapes}
+        assert len(distinct) == len(set(g.shapes))
 
     def test_append_after_input_shape_set_by_hand(self):
-        g, i, c = chain_graph()
+        # every node keeps the shape it was given: an append reads its inputs' shapes,
+        # and only infer_shapes re-shapes the graph at a new input
+        g, i, c = chain_graph(TensorShape(3, 16, 16))
         g.input_shape = TensorShape(3, 8, 8)
-        with pytest.raises(GraphError, match=r"^pool 2 \(down\): input 1 has no shape; "
-                                             r"call infer_shapes$"):
-            g.add(Pool("max"), [c], label="down")
-        assert len(g.nodes) == 2
+        p = g.add(Pool("max"), [c], label="down")
+        assert g.shapes[p] == TensorShape(64, 8, 8) and len(g.shapes) == 3
         g.infer_shapes(g.input_shape)
-        assert g.shapes[g.add(Pool("max"), [c])] == TensorShape(64, 4, 4)
+        assert g.shapes[p] == TensorShape(64, 4, 4)
+        g.input_shape = None
+        with pytest.raises(GraphError, match=r"^input_shape must be a TensorShape, got None$"):
+            g.infer_shapes(None)
+        assert g.shapes[p] == TensorShape(64, 4, 4) and g.input_shape is None
 
     def test_failed_append_adds_nothing(self):
         g = ArchGraph(input_shape=TensorShape(3, 8, 8))
@@ -507,7 +517,7 @@ class TestShapeErrorsNameTheNode:
         assert str(err.value) == f"TensorShape.{name} must be a positive integer, got {value!r}"
 
     def test_a_repeated_class_names_its_first_node(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(8, 2, 2))
         i = g.add(Input(), [])
         pool = Pool("max")
         for label in ("p1", "p2", "p3"):
@@ -605,14 +615,20 @@ class TestFromJsonInputSize:
         text = json.dumps({"name": "empty", "input": [3, 8, 8], "nodes": []})
         with pytest.raises(GraphError, match=r"^graph must have exactly one Input node, found 0$"):
             ArchGraph.from_json(text)
-        assert ArchGraph.from_json(json.dumps({"input": None, "nodes": []})).nodes == []
+        with pytest.raises(GraphError, match=r"^graph JSON has no input shape; pass --input HxW$"):
+            ArchGraph.from_json(json.dumps({"input": None, "nodes": []}))
+        with pytest.raises(GraphError, match=r"^graph must have exactly one Input node, found 0$"):
+            ArchGraph.from_json(json.dumps({"input": None, "nodes": []}), (8, 8))
 
     def test_size_for_a_file_without_input(self):
-        doc = small_graph_doc()
-        doc["input"] = None
-        assert ArchGraph.from_json(json.dumps(doc)).shapes == {}
-        g = ArchGraph.from_json(json.dumps(doc), (8, 4))
-        assert g.input_shape == TensorShape(3, 8, 4) and len(g.shapes) == 4
+        for absent in (lambda d: d.update(input=None), lambda d: d.pop("input")):
+            doc = small_graph_doc()
+            absent(doc)
+            with pytest.raises(GraphError) as err:
+                ArchGraph.from_json(json.dumps(doc))
+            assert str(err.value) == "graph JSON has no input shape; pass --input HxW"
+            g = ArchGraph.from_json(json.dumps(doc), (8, 4))
+            assert g.input_shape == TensorShape(3, 8, 4) and len(g.shapes) == len(g.kinds) == 4
 
 
 # each kind that takes params, the param it cannot do without, and a valid value

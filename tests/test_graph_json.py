@@ -26,7 +26,7 @@ from test_graph_ir import run_builder
 def oracle(g: ArchGraph) -> str:
     doc = {
         "name": g.name,
-        "input": g.input_shape.as_list() if g.input_shape else None,
+        "input": g.input_shape.as_list(),
         "nodes": [
             {
                 "id": n.id,
@@ -75,21 +75,33 @@ def test_bare_hdb_round_trip():
     assert written_as_oracle(ArchGraph.from_json(text)) == text
 
 
+SMALL = TensorShape(3, 8, 8)
+
+
 class TestHandMadeGraphs:
     def test_no_nodes(self):
-        assert written_as_oracle(ArchGraph()) == \
-            '{\n  "input": null,\n  "name": "graph",\n  "nodes": []\n}'
-        written_as_oracle(ArchGraph("shaped", input_shape=TensorShape(3, 8, 8)))
+        # build always writes [c, h, w]: a graph cannot be made without its input shape
+        with pytest.raises(TypeError):
+            ArchGraph()
+        assert written_as_oracle(ArchGraph(input_shape=SMALL)) == \
+            '{\n  "input": [\n    3,\n    8,\n    8\n  ],\n  "name": "graph",\n  "nodes": []\n}'
 
     def test_no_input_shape(self):
-        g = ArchGraph("unshaped")
+        # a graph is made with its input shape; graph JSON without one loads only at a size
+        with pytest.raises(TypeError):
+            ArchGraph("unshaped")
+        g = ArchGraph("unshaped", input_shape=SMALL)
         g.add(Conv(8), [g.add(Input())], label="c")
-        assert '"input": null' in written_as_oracle(g)
+        doc = json.loads(written_as_oracle(g))
+        doc["input"] = None
+        with pytest.raises(GraphError, match=r"^graph JSON has no input shape; pass --input HxW$"):
+            ArchGraph.from_json(json.dumps(doc))
+        assert written_as_oracle(ArchGraph.from_json(json.dumps(doc), (8, 8))) == g.to_json()
 
     @pytest.mark.parametrize("label", ['say "hi"', "back\\slash", "100%", "%s", "%(id)s",
                                        "{0}", "{", "tab\tnew\nline", "Straße", "卷积 😀", ""])
     def test_labels(self, label):
-        g = ArchGraph("labels")
+        g = ArchGraph("labels", input_shape=SMALL)
         i = g.add(Input(), label=label)
         g.add(Concat(), [g.add(Conv(8), [i], label=label), i], label=label)
         text = written_as_oracle(g)
@@ -97,7 +109,7 @@ class TestHandMadeGraphs:
 
     @pytest.mark.parametrize("name", ["Größe", "网络 %s {x}", '"quoted"\\', ""])
     def test_graph_names(self, name):
-        assert json.loads(written_as_oracle(ArchGraph(name)))["name"] == name
+        assert json.loads(written_as_oracle(ArchGraph(name, input_shape=SMALL)))["name"] == name
 
     def test_every_kind_and_param(self):
         g = ArchGraph("kinds", input_shape=TensorShape(4, 16, 16))
@@ -141,15 +153,18 @@ KINDS = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_generated_graphs(data):
-    g = ArchGraph(data.draw(st.text(max_size=8), label="name"))
+    # a node that cannot be shaped is not appended; the draw goes on without it
+    shape = data.draw(st.builds(TensorShape, COUNTS, COUNTS, COUNTS), label="input")
+    g = ArchGraph(data.draw(st.text(max_size=8), label="name"), input_shape=shape)
     g.add(Input(), label=data.draw(st.none() | st.text(max_size=6)))
-    for nid in range(1, data.draw(st.integers(1, 12))):
+    for _ in range(1, data.draw(st.integers(1, 12))):
         kind = data.draw(KINDS)
-        inputs = data.draw(st.lists(st.integers(0, nid - 1),
+        inputs = data.draw(st.lists(st.integers(0, len(g.kinds) - 1),
                                     min_size=2 if type(kind) is Concat else 1, max_size=4))
-        g.add(kind, inputs, data.draw(st.none() | st.text(max_size=6)))
-    shape = data.draw(st.none() | st.builds(TensorShape, COUNTS, COUNTS, COUNTS))
-    g.input_shape = shape
+        try:
+            g.add(kind, inputs, data.draw(st.none() | st.text(max_size=6)))
+        except GraphError:
+            pass
     written_as_oracle(g)
 
 
@@ -279,7 +294,7 @@ def loads_as_built_alone(records) -> None:
         except GraphError as e:
             error = str(e).splitlines()[0]
             break
-    text = json.dumps({"name": "kinds", "input": None, "nodes": [
+    text = json.dumps({"name": "kinds", "input": [3, 8, 8], "nodes": [
         {"id": 0, "kind": "input", "params": {}, "inputs": []},
         *({"id": nid, "kind": name, "params": params, "inputs": [0, 0]}
           for nid, (name, params) in enumerate(records, 1))]})

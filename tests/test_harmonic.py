@@ -73,12 +73,10 @@ class TestBottleneck:
 
 
 def hdb_on(c_in, spec):
-    g = ArchGraph()
+    g = ArchGraph(input_shape=TensorShape(3, 56, 56))
     i = g.add(Input(), [])
     base = g.add(Conv(c_in, kernel_h=1, kernel_w=1), [i]) if c_in != 3 else i
-    g.infer_shapes(TensorShape(3, 56, 56))
     res = build_hdb(spec, base, g)
-    g.infer_shapes(TensorShape(3, 56, 56))
     return g, res
 
 
@@ -150,16 +148,14 @@ class TestBuildHDB:
 
 class TestTransition:
     def graph(self, c_in, h=56):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, h, h))
         i = g.add(Input(), [])
         x = g.add(Conv(c_in, kernel_h=1, kernel_w=1), [i])
-        g.infer_shapes(TensorShape(3, h, h))
         return g, x
 
     def test_standard_reduction_rounding(self):
         g, x = self.graph(328)
         out = build_transition(x, TransitionSpec(red=0.85), g)
-        g.infer_shapes(TensorShape(3, 56, 56))
         conv = g.nodes[g.nodes[out].inputs[0]]
         assert conv.kind.out_channels == 278  # 0.85 * 328 = 278.8
         assert g.shapes[out].height == 28
@@ -167,7 +163,6 @@ class TestTransition:
     def test_inverted_halves_conv_input(self):
         g, x = self.graph(100)
         out = build_transition(x, TransitionSpec(red=0.85, inverted=True), g)
-        g.infer_shapes(TensorShape(3, 56, 56))
         conv = g.nodes[out]
         cat_elems = conv_input_shape(g, conv).element_count
         assert cat_elems == 200 * 28 * 28
@@ -176,7 +171,6 @@ class TestTransition:
     def test_explicit_t(self):
         g, x = self.graph(300)
         out = build_transition(x, TransitionSpec(t=256, downsample=False), g)
-        g.infer_shapes(TensorShape(3, 56, 56))
         assert g.shapes[out].channels == 256
 
     def test_red_and_t_conflict(self):
@@ -192,7 +186,7 @@ class TestModels:
                                       "fc-hardnet84", "fc-hardnet-ref100"])
     def test_builds_and_infers(self, name):
         g = build_model(name)
-        assert g.shapes and all(n.id in g.shapes for n in g.nodes)
+        assert g.shapes and len(g.shapes) == len(g.kinds)
 
     def test_unknown_variant(self):
         with pytest.raises(KeyError):

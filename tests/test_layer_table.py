@@ -38,8 +38,6 @@ def ref_layer_cio(graph, node, ds_weight=None):
     k = node.kind
     if not isinstance(k, (Conv, TransposedConv)):
         return 0
-    if node.id not in graph.shapes:
-        raise KeyError(f"node {node.id} has no inferred shape")
     in_shape = conv_input_shape(graph, node)
     out_shape = graph.shapes[node.id]
     cio = in_shape.element_count + out_shape.element_count
@@ -51,8 +49,6 @@ def ref_layer_cio(graph, node, ds_weight=None):
 
 def ref_layer_macs(graph, node):
     k = node.kind
-    if node.id not in graph.shapes:
-        raise KeyError(f"node {node.id} has no inferred shape")
     out = graph.shapes[node.id]
     if isinstance(k, Conv):
         c_in = conv_input_shape(graph, node).channels
@@ -232,16 +228,18 @@ def test_random_graphs_match_the_reference(g, dtype_bytes, ds_weight, threshold)
 
 
 def test_unshaped_node_is_named():
-    g = ArchGraph()
+    # no graph lacks a shape: it is made with its input shape, and a node that
+    # cannot be shaped is not appended, with an error that names it
+    with pytest.raises(TypeError):
+        ArchGraph()
+    g = ArchGraph(input_shape=TensorShape(3, 8, 8))
     i = g.add(Input(), [])
+    with pytest.raises(GraphError, match=r"^conv 1 \(c\): groups=2 does not divide c_in=3; "
+                                         r"input shapes 3x8x8$"):
+        g.add(Conv(8, groups=2), [i], label="c")
     c = g.add(Conv(8), [i])
-    with pytest.raises(KeyError, match="node 0 has no inferred shape"):
-        layer_metrics(g)
-    g.shapes[i] = TensorShape(3, 8, 8)
-    with pytest.raises(KeyError, match="node 1 has no inferred shape"):
-        layer_metrics(g)
-    with pytest.raises(KeyError, match="node 1 has no inferred shape"):
-        node_metrics(g, g.nodes[c])
+    assert len(g.shapes) == len(g.kinds) == 2
+    assert node_metrics(g, g.nodes[c]) == layer_metrics(g)[c]
 
 
 

@@ -6,6 +6,7 @@ interpreter, because this test process has imported every module already.
 """
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,18 @@ def test_each_subcommand_loads_only_what_it_runs(argv, absent):
 def test_list_models_loads_only_the_name_table():
     assert loaded_after(run_cli("list-models")) == {
         "hardgraph", "hardgraph.cli", "hardgraph.registry"}
+
+
+@pytest.mark.parametrize("code", [
+    run_cli("list-models"),
+    "import " + ", ".join(f"hardgraph.{m.name}" for m in pkgutil.iter_modules(hardgraph.__path__)),
+], ids=["list-models", "every module"])
+def test_no_module_loads_future(code):
+    # annotations name only types defined by then, or are quoted: none needs __future__
+    at_start, after = modules_after(code)
+    if "__future__" in at_start:
+        pytest.skip("__future__ is loaded at interpreter start (for example by a .pth file)")
+    assert "__future__" not in after
 
 
 def test_default_input_loads_only_the_shape_type():

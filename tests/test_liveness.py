@@ -59,7 +59,8 @@ def assert_matches_scan(graph, **kwargs):
 @st.composite
 def random_dags(draw):
     """Graphs where each node reads 1-3 distinct earlier nodes through a conv or a concat."""
-    g = ArchGraph()
+    g = ArchGraph(input_shape=TensorShape(draw(st.integers(1, 16)), draw(st.integers(1, 8)),
+                                          draw(st.integers(1, 8))))
     g.add(Input(), [])
     for nid in range(1, draw(st.integers(1, 40)) + 1):
         k = draw(st.integers(1, min(3, nid)))
@@ -68,17 +69,15 @@ def random_dags(draw):
             g.add(Concat(), inputs)
         else:
             g.add(Conv(draw(st.integers(1, 64)), kernel_h=1, kernel_w=1), inputs)
-    g.infer_shapes(TensorShape(draw(st.integers(1, 16)), draw(st.integers(1, 8)),
-                               draw(st.integers(1, 8))))
+    g.infer_shapes(g.input_shape)  # nodes of one kind and input shapes share a class
     return g
 
 
 def chain():
-    g = ArchGraph()
+    g = ArchGraph(input_shape=TensorShape(3, 32, 32))
     i = g.add(Input(), [])
     a = g.add(Conv(16), [i])
     b = g.add(Conv(8), [a])
-    g.infer_shapes(TensorShape(3, 32, 32))
     return g, (i, a, b)
 
 
@@ -122,14 +121,13 @@ class TestLifetimes:
             assert [size == 0 for size in sizes] == [isinstance(k, Concat) for k in graph.kinds]
 
     def test_chained_concats_extend_the_first_inputs(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         i = g.add(Input(), [])
         a, b = g.add(Conv(4), [i]), g.add(Conv(4), [i])
         inner = g.add(Concat(), [a, b])
         outer = g.add(Concat(), [inner, i])
         last = g.add(Conv(4), [outer])
         g.add(Conv(4), [last])
-        g.infer_shapes(TensorShape(3, 8, 8))
         deaths = tensor_lifetimes(g, concat_free=True)[0]
         assert deaths[a] == deaths[b] == deaths[inner] == deaths[outer] == last
 
@@ -140,11 +138,9 @@ class TestLifetimes:
         assert deaths[res.layer_nodes[3]] < res.layer_nodes[4]
 
     def test_output_concat_extends_odd_lifetimes(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(16, 32, 32))
         i = g.add(Input(), [])
-        g.infer_shapes(TensorShape(16, 32, 32))
         res = build_hdb(HDBSpec(8, 10, 1.6), i, g)
-        g.infer_shapes(TensorShape(16, 32, 32))
         deaths = tensor_lifetimes(g)[0]
         for l in (1, 3, 5, 7):
             assert deaths[res.layer_nodes[l]] >= res.output
@@ -179,9 +175,8 @@ class TestPeakMemory:
         assert prof.peak_step == 2
 
     def test_input_only(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 32, 32))
         g.add(Input(), [])
-        g.infer_shapes(TensorShape(3, 32, 32))
         prof = peak_memory(g, dtype_bytes=1)
         assert prof.peak_bytes == 3072
 
@@ -224,11 +219,10 @@ class TestPeakMemory:
                                        st.integers() | st.text(max_size=3)))
     def test_timeline_csv_matches_csv_writer(self, labels, header):
         # graph JSON cannot carry a NUL label, which csv on 3.10 refuses to write
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 4, 4))
         g.add(Input(), [], label=labels[0])
         for label in labels[1:]:
             g.add(Conv(4), [len(g.kinds) - 1], label=label)
-        g.infer_shapes(TensorShape(3, 4, 4))
         prof = peak_memory(g)
         buf = io.StringIO()
         for k in sorted(header or ()):
@@ -273,7 +267,6 @@ class TestFlushProperty:
         g, res = build_bare_hdb(HDBSpec(4, 8, 1.6), TensorShape(16, 32, 32))
         # an extra consumer of layer 1 after layer 4 breaks the property
         g.add(Conv(8), [res.layer_nodes[1]])
-        g.infer_shapes(TensorShape(16, 32, 32))
         with pytest.raises(AssertionError):
             verify_flush(g, res.layer_nodes)
 

@@ -14,10 +14,9 @@ from hardgraph.metrics import (Table, check_moc, layer_macs, model_summary,
 
 
 def single_conv(conv, in_shape):
-    g = ArchGraph()
+    g = ArchGraph(input_shape=in_shape)
     i = g.add(Input(), [])
     c = g.add(conv, [i])
-    g.infer_shapes(in_shape)
     return g, g.nodes[c]
 
 
@@ -27,12 +26,11 @@ class TestLayerCIO:
         assert node_metrics(g, n).cio_elements == (3 + 64) * 224 * 224 == 3_361_792
 
     def test_concat_is_zero(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         i = g.add(Input(), [])
         a = g.add(Conv(8), [i])
         b = g.add(Conv(8), [i])
         cat = g.add(Concat(), [a, b])
-        g.infer_shapes(TensorShape(3, 8, 8))
         assert node_metrics(g, g.nodes[cat]).cio_elements == 0
 
     def test_depthwise_with_ds_weight(self):
@@ -55,10 +53,9 @@ class TestLayerMACs:
         assert layer_macs(g, n) == 64 * 9 * 56 * 56 == 1_806_336
 
     def test_pool_is_zero(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(8, 8, 8))
         i = g.add(Input(), [])
         p = g.add(Pool("avg"), [i])
-        g.infer_shapes(TensorShape(8, 8, 8))
         assert layer_macs(g, g.nodes[p]) == 0
 
 
@@ -72,20 +69,18 @@ class TestLayerParams:
         assert node_metrics(g, n).params == 576
 
     def test_concat_zero(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         i = g.add(Input(), [])
         a = g.add(Conv(8), [i])
         b = g.add(Conv(8), [i])
         cat = g.add(Concat(), [a, b])
-        g.infer_shapes(TensorShape(3, 8, 8))
         assert node_metrics(g, g.nodes[cat]).params == 0
 
     def test_linear_has_bias(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(512, 7, 7))
         i = g.add(Input(), [])
         p = g.add(GlobalPool(), [i])
         f = g.add(Linear(1000), [p])
-        g.infer_shapes(TensorShape(512, 7, 7))
         assert node_metrics(g, g.nodes[f]).params == 512 * 1000 + 1000
 
 
@@ -111,11 +106,16 @@ class TestCheckMoc:
 
 class TestModelSummary:
     def test_input_only_graph_is_zero(self):
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(3, 32, 32))
         g.add(Input(), [])
-        g.infer_shapes(TensorShape(3, 32, 32))
         s = model_summary(g)
         assert s.params == s.macs == s.cio_elements == 0
+
+    def test_graph_without_nodes_is_an_error(self):
+        # the totals are unpacked from the class rows, and an empty graph has none
+        g = ArchGraph("empty", input_shape=TensorShape(3, 8, 8))
+        with pytest.raises(ValueError, match=r"^graph 'empty' has no nodes to summarize$"):
+            model_summary(g)
 
     def test_totals_are_sums(self):
         g = hardgraph.build("hardnet39ds")
@@ -170,11 +170,11 @@ class TestReports:
                                    min_size=1, max_size=10))
         # shared kind objects, each on the input or on the node before, so nodes share classes
         kinds = [Conv(8), Conv(8, 1, 1), Pool("max", 1, 1), Conv(4, groups=4)]
-        g = ArchGraph()
+        g = ArchGraph(input_shape=TensorShape(4, 6, 6))
         g.add(Input(), [])
         for label, k, on_input in nodes:
             g.add(kinds[k], [0 if on_input else len(g.kinds) - 1], label=label)
-        g.infer_shapes(TensorShape(4, 6, 6))
+        g.infer_shapes(g.input_shape)  # group the nodes into classes
         s = model_summary(g, dtype_bytes=2, ds_weight=ds_weight)
         buf = io.StringIO()
         for k in sorted(header or ()):
@@ -368,7 +368,7 @@ class TestJsonWriter:
 
 
 def test_row_kinds_cover_every_node_kind():
-    g = ArchGraph()
+    g = ArchGraph(input_shape=TensorShape(3, 8, 8))
     i = g.add(Input(), [])
     a = g.add(Conv(8), [i])
     b = g.add(Conv(8), [i])
@@ -378,7 +378,6 @@ def test_row_kinds_cover_every_node_kind():
     p = g.add(Pool("max"), [t])
     gp = g.add(GlobalPool(), [p])
     g.add(Linear(10), [gp])
-    g.infer_shapes(TensorShape(3, 8, 8))
     rows = json.loads(report_json(g, model_summary(g)))["layers"]
     assert [r["kind"] for r in rows] == ["input", "conv", "conv", "add", "concat", "tconv",
                                          "pool", "global_pool", "linear"]
