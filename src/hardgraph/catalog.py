@@ -34,7 +34,6 @@ class CheckResult(NamedTuple):
                 f"range=[{self.low:.3f}, {self.high:.3f}]  ({self.provenance})")
 
 
-@lru_cache(maxsize=1)
 def expected_tables() -> dict:
     text = resources.files("hardgraph.data").joinpath("expected_tables.json").read_text()
     return json.loads(text)

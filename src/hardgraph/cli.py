@@ -245,19 +245,15 @@ def run(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv[1:] if command else argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except SystemExit as e:  # --help and --version print, then argparse exits
-        return e.code
-    args.flags = " ".join(argv[1:])
-    try:
+        args.flags = " ".join(argv[1:])
         code, text = args.func(args)
         _write(text, getattr(args, "output", None))  # list-models takes no -o
         return code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except SystemExit as e:  # --help and --version print, then argparse exits
+        return e.code
     except (KeyError, ValueError, OSError, OverflowError) as e:  # GraphError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -369,15 +369,11 @@ _SHAPE_RULES = {
 
 
 def to_dot(graph: ArchGraph) -> str:
-    """Graphviz DOT rendering, one DOT node per graph node; a quoted ID escapes ``\\`` and ``"``.
-    Each class's kind name and shape text are made once."""
+    """Graphviz DOT rendering, one DOT node per graph node; a quoted ID escapes ``\\`` and ``"``."""
     quote = lambda text: text.replace("\\", "\\\\").replace('"', '\\"')
-    kinds, shapes, firsts = graph.kinds, graph.shapes, graph.class_first
-    names = [_KIND_NAMES[type(kinds[nid])] for nid in firsts]  # for unlabelled nodes
-    tails = [f'\\n{shapes[nid]}"];' for nid in firsts]
     lines = [f'digraph "{quote(graph.name)}" {{', "  rankdir=TB;"]
-    lines += [f'  n{nid} [label="{nid}: {quote(label) if label else names[c]}{tails[c]}'
-              for nid, label, c in zip(count(), graph.labels, graph.classes)]
+    lines += [f'  n{nid} [label="{nid}: {quote(label) if label else _KIND_NAMES[type(k)]}\\n{s}"];'
+              for nid, k, label, s in zip(count(), graph.kinds, graph.labels, graph.shapes)]
     lines += [f"  n{i} -> n{nid};" for nid, inputs in enumerate(graph.inputs) for i in inputs]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,9 @@
 """Graph JSON I/O and the JSON writer: the one module that loads ``json``."""
 
 import gc, json, marshal
-from itertools import chain, count, repeat
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
-from math import copysign
-from operator import not_
+from math import isfinite
 from typing import Optional
 
 from .graph_ir import _KIND_NAMES, ArchGraph, Conv, GraphError, Input, TensorShape, _check_links
@@ -135,7 +134,8 @@ def _kind_from_json(name, params, nid: int):
 # --- JSON writer ------------------------------------------------------------
 
 _encode_scalar = json.JSONEncoder().encode
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}  # as json writes them
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,  # as json writes them
+                float: lambda x: float.__repr__(x) if isfinite(x) else _encode_scalar(x)}
 
 
 def dumps_json(doc) -> str:
@@ -205,16 +205,8 @@ def _dumps_table(table: Table, level: int) -> str:
 
 
 def _encode_column(column, level: int) -> list:
-    """A table column's values as JSON text: strings in one call, all ints or all floats once
-    per distinct value, unless -0.0 (== 0.0), NaN or an infinity (spelt apart) is there."""
-    if type(column) is range:  # node ids
-        return list(map(int.__repr__, column))
-    types = set(map(type, column))
-    if types == {str}:
-        return list(map(encode_basestring_ascii, column))
-    if types == {int} or types == {float} and min(
-            map(copysign, repeat(1.0), filter(not_, column)), default=1.0) > 0:
-        texts = dict(zip(distinct := set(column), map(repr, distinct)))
-        if {"nan", "inf", "-inf"}.isdisjoint(texts.values()):
-            return list(map(texts.__getitem__, column))
-    return [_dumps(v, level) for v in column]
+    """A table column's values as JSON text: if they share one type that ``_SCALAR_TEXT``
+    holds, its function mapped over them, else ``_dumps`` of each."""
+    types = {int} if type(column) is range else set(map(type, column))  # a range: node ids
+    text = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None
+    return list(map(text, column)) if text else [_dumps(v, level) for v in column]

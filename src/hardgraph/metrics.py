@@ -114,16 +114,6 @@ def _class_rows(graph: ArchGraph, dtype_bytes: int = 4,
             for f in graph.class_first]
 
 
-def layer_metrics(graph: ArchGraph, dtype_bytes: int = 4,
-                  ds_weight: Optional[float] = None) -> list:
-    """One LayerMetrics per node, in node order.
-
-    CIO counts conv and transposed-conv nodes only (input plus output
-    elements); with ``ds_weight``, a pointwise or depthwise conv's CIO is
-    scaled by it."""
-    return _PerClass(_class_rows(graph, dtype_bytes, ds_weight), graph.classes).layers
-
-
 def node_metrics(graph: ArchGraph, node: Node, dtype_bytes: int = 4,
                  ds_weight: Optional[float] = None) -> LayerMetrics:
     return _layer_row(graph.shapes, node.id, node.kind, node.inputs, dtype_bytes, ds_weight)
@@ -193,14 +183,12 @@ class Table(NamedTuple):
 
 def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
     """The per-layer report rows: ``id`` and ``label`` per node, the other
-    cells once per class, and each distinct shape's text once."""
+    cells once per class."""
     firsts, params, macs, cio, _, moc = list(zip(*summary._rows)) or [()] * 6
-    shapes = list(map(graph.shapes.__getitem__, firsts))
-    texts = {i: str(s) for i, s in dict(zip(map(id, shapes), shapes)).items()}
     kinds = [_KIND_NAMES[type(graph.kinds[f])] for f in firsts]
     return Table(("id", "label"), (range(len(graph.labels)), [l or "" for l in graph.labels]),
                  ("kind", "out_shape", "params", "macs", "cio_elements", "moc"),
-                 (kinds, list(map(texts.__getitem__, map(id, shapes))), params, macs, cio,
+                 (kinds, [str(graph.shapes[f]) for f in firsts], params, macs, cio,
                   [round(m, 6) for m in moc]), summary._classes)
 
 

@@ -16,8 +16,7 @@ from hardgraph.harmonic import HDBSpec, build_bare_hdb
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
 from hardgraph.liveness import peak_memory, timeline_csv
 from hardgraph.jsonio import dumps_json
-from hardgraph.metrics import (Table, check_moc, layer_metrics, model_summary,
-                               report_csv, report_json)
+from hardgraph.metrics import Table, check_moc, model_summary, report_csv, report_json
 from test_layer_table import assert_same_as_reference
 
 # a small vocabulary, so that kinds and shapes repeat; each maker returns a
@@ -55,7 +54,7 @@ def analyses(g, dtype_bytes, ds_weight, threshold) -> list:
     do floats summed in another order."""
     header = {"model": "rep", "input": "x"}
     s = model_summary(g, dtype_bytes, ds_weight)
-    out = [repr(layer_metrics(g, dtype_bytes, ds_weight)), repr(s.layers), repr(s.per_stride),
+    out = [repr(s.layers), repr(s.per_stride),
            repr((s.params, s.macs, s.cio_elements, s.cio_bytes)), repr(check_moc(g, threshold)),
            report_csv(g, s, header), report_json(g, s, header)]
     for platform in PLATFORMS:

@@ -28,7 +28,8 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 INPUTS = (None, "256x320")  # None is each model's default input
 BARE_DEPTHS = (1, 2, 3, 7, 64, 4096)
 # the per-layer reports, each run on every model and on the deepest bare HDB
-REPORTS = (["analyze", "--format", "json"], ["latency", "--platform", "gpu-like"],
+REPORTS = (["analyze", "--format", "json"], ["analyze", "--format", "json", "--ds-weight", "0.6"],
+           ["export-dot"], ["latency", "--platform", "gpu-like"],
            ["liveness"], ["liveness", "--concat-free"])
 BARE_FILE = "bare-hdb-L4096.json"  # a relative path: the report headers name it
 

@@ -7,7 +7,7 @@ from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import (HDBSpec, TransitionSpec, bottleneck_channels,
                                 build_bare_hdb, build_hdb, build_model,
                                 build_transition, channel_width, hdb_links, round_even, v2)
-from hardgraph.metrics import layer_metrics
+from hardgraph.metrics import model_summary
 from test_layer_table import conv_input_shape
 
 
@@ -133,7 +133,7 @@ class TestBuildHDB:
     def test_ds_order_minimizes_cio(self):
         # swapping pointwise/depthwise strictly raises CIO when c_in > width
         g, res = hdb_on(200, HDBSpec(4, 16, 1.6, depthwise=True))
-        rows = layer_metrics(g)
+        rows = model_summary(g).layers
         for l in range(1, 5):
             dw = g.nodes[res.layer_nodes[l]]
             pw = g.nodes[dw.inputs[0]]

@@ -12,7 +12,7 @@ from hardgraph import catalog, latency, metrics
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphError, Input,
                                 Linear, Pool, TensorShape, TransposedConv)
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
-from hardgraph.metrics import check_moc, layer_macs, layer_metrics, model_summary, node_metrics
+from hardgraph.metrics import LayerMetrics, check_moc, layer_macs, model_summary, node_metrics
 from hardgraph.registry import MODEL_NAMES
 
 # --- reference: one node at a time, through conv_input_shape ---------------
@@ -146,13 +146,12 @@ def assert_same_as_reference(g, dtype_bytes, ds_weight, threshold=40.0):
     """repr() comparisons: 0 and 0.0 print differently in a report, and so
     do floats summed in another order."""
     layers, totals, per_stride = ref_summary(g, dtype_bytes, ds_weight)
-    table = layer_metrics(g, dtype_bytes, ds_weight)
-    assert repr([tuple(lm) for lm in table]) == repr(layers)
+    s = model_summary(g, dtype_bytes, ds_weight)
+    assert repr([tuple(lm) for lm in s.layers]) == repr(layers)
     for node, row in zip(g.nodes, layers):
         assert repr(tuple(node_metrics(g, node, dtype_bytes, ds_weight))) == repr(row)
         assert layer_macs(g, node) == row[2]
-    s = model_summary(g, dtype_bytes, ds_weight)
-    assert repr(s.layers) == repr(table)
+    assert repr(s.layers) == repr([LayerMetrics(*row) for row in layers])
     assert repr((s.params, s.macs, s.cio_elements, s.cio_bytes)) == repr(totals)
     assert repr(s.per_stride) == repr(per_stride)
     if ds_weight is None:
@@ -239,7 +238,7 @@ def test_unshaped_node_is_named():
         g.add(Conv(8, groups=2), [i], label="c")
     c = g.add(Conv(8), [i])
     assert len(g.shapes) == len(g.kinds) == 2
-    assert node_metrics(g, g.nodes[c]) == layer_metrics(g)[c]
+    assert node_metrics(g, g.nodes[c]) == model_summary(g).layers[c]
 
 
 

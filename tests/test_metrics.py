@@ -355,6 +355,9 @@ class TestJsonWriter:
         (Table(("%s", "b%"), ([1], ["%d"])), [{"%s": 1, "b%": "%d"}]),
         (Table(("x",), ([1.5, 2, float("nan"), True, None, "s"],)),
          [{"x": v} for v in (1.5, 2, float("nan"), True, None, "s")]),
+        *((Table(("x",), (column,)), [{"x": v} for v in column]) for column in (
+            [0.0, -0.0], [-0.0, 0.0], [1, 1.0], [True, 1],
+            [float("inf"), float("-inf"), 1.5], [float("nan"), 2.0])),
     ])
     def test_empty_one_row_and_mixed_tables(self, table, rows):
         assert dumps_json({"layers": table}) == stdlib_dumps({"layers": rows})
