@@ -5,6 +5,7 @@ invocations produce byte-identical reports (no timestamps in headers).
 """
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -217,9 +218,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: Optional[str] = None) -> _Parser:
     """The parser of every subcommand, or for a named ``command`` its own
-    parser alone, which reads the words after the command name."""
+    parser alone, which reads the words after the command name.  Each is
+    built once per process and shared by every caller: do not mutate it."""
     if command is not None:
         return _command_parser(_Parser(prog=f"hardgraph {command}"), command)
     p = _Parser(prog="hardgraph", description=__doc__)

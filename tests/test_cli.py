@@ -443,7 +443,9 @@ def help_text(parser, argv) -> str:
 
 @pytest.fixture
 def subparsers_added(monkeypatch):
-    """The names of the subparsers added while the test runs."""
+    """The names of the subparsers added while the test runs.  The parser cache
+    is emptied first, so a parser built by an earlier test is built again."""
+    cli.build_parser.cache_clear()
     added = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
@@ -558,3 +560,60 @@ def test_output_file_holds_the_stdout_report(capsys, tmp_path, command):
     # a report header lists the flags, so the file's names the output too
     written = path.read_bytes().replace(f" {flag} {path}".encode(), b"")
     assert written == stdout_text.encode()
+
+
+class TestParserReuse:
+    """``build_parser`` builds each command's parser once per process and every
+    run shares it, so no option, output path or width carries from one run to
+    the next."""
+
+    def test_command_parser_is_built_once(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        command_parser = cli._command_parser
+        monkeypatch.setattr(cli, "_command_parser",
+                            lambda p, command: built.append(command) or command_parser(p, command))
+        for _ in range(2):
+            assert invoke(capsys, "analyze", "hardnet68")[0] == 0
+        assert built == ["analyze"]
+        assert build_parser("analyze") is build_parser("analyze")
+
+    @pytest.mark.parametrize("first,then,line", [
+        (["analyze", "hardnet39ds", "--format", "json"], ["analyze", "hardnet39ds"],
+         "# dtype_bytes: 4"),
+        (["liveness", "hardnet39ds", "--concat-free"], ["liveness", "hardnet39ds"],
+         "# concat_free: False")], ids=["format", "concat-free"])
+    def test_options_do_not_leak(self, capsys, first, then, line):
+        cli.build_parser.cache_clear()
+        fresh = invoke(capsys, *then)
+        assert invoke(capsys, *first)[0] == 0
+        again = invoke(capsys, *then)
+        assert again == fresh
+        assert again[1].splitlines()[0] == line
+
+    def test_output_path_does_not_leak(self, capsys, tmp_path):
+        path = tmp_path / "r.csv"
+        assert invoke(capsys, "analyze", "hardnet39ds", "-o", str(path)) == (0, "", "")
+        path.unlink()
+        code, out, err = invoke(capsys, "analyze", "hardnet39ds")
+        assert (code, err) == (0, "") and out.startswith("# dtype_bytes: 4\n")
+        assert not path.exists()
+
+    def test_help_reads_the_width_of_each_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = invoke(capsys, "analyze", "-h")
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = invoke(capsys, "analyze", "-h")
+        cli.build_parser.cache_clear()
+        assert invoke(capsys, "analyze", "-h") == narrow != wide
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_repeat_run_gives_the_same_result(capsys, argv):
+    """The second run of ``argv``, through the cached parser after a usage
+    error, help and --version have used it, gives the first run's bytes."""
+    cli.build_parser.cache_clear()
+    first = invoke(capsys, *argv)
+    for between in ([argv[0], "--nope"], [argv[0], "--help"], ["--help"], ["--version"], []):
+        invoke(capsys, *between)
+    assert invoke(capsys, *argv) == first
