@@ -13,8 +13,7 @@ _EXPORTS = {
                  "build_transition", "channel_width", "hdb_links", "log_links"),
     "latency": ("PlatformModel", "model_latency"),
     "liveness": ("peak_memory", "tensor_lifetimes", "verify_flush"),
-    "metrics": ("ModelSummary", "check_moc", "layer_macs", "model_summary"),
-    "references": ("build_reference",),
+    "metrics": ("ModelSummary", "check_moc", "model_summary"),
     "registry": ("MODEL_NAMES", "build", "default_input"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

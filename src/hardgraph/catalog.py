@@ -5,9 +5,8 @@ reported, not raised, so a full report is always produced.
 """
 
 import json
-from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .graph_ir import ArchGraph, TransposedConv
 from .metrics import ModelSummary, model_summary
@@ -39,29 +38,28 @@ def expected_tables() -> dict:
     return json.loads(text)
 
 
-def seg_gmacs(graph: ArchGraph, summary: Optional[ModelSummary] = None) -> float:
+def seg_gmacs(graph: ArchGraph, summary: ModelSummary) -> float:
     """GMACs under the segmentation-table convention: multiply and add counted
     separately, transposed convolutions costed on their input grid."""
-    if summary is None:
-        summary = model_summary(graph)
     tu = sum(macs for kind, macs in zip(graph.kinds, summary.columns[2])
              if isinstance(kind, TransposedConv))
     return 2 * (summary.macs - tu + tu // 4) / 1e9
-
-
-@lru_cache(maxsize=None)
-def _summary(model: str) -> tuple:
-    g = build(model)
-    return g, model_summary(g)
 
 
 def validate_catalog() -> list:
     """Build every cataloged model and compare against the expected rows.
     Returns a list of CheckResult."""
     doc = expected_tables()
-    results = []
+    results, built = [], {}  # model -> (graph, summary): one build per model per call
+
+    def summary(model: str) -> tuple:
+        if model not in built:
+            g = build(model)
+            built[model] = g, model_summary(g)
+        return built[model]
+
     for row in doc["rows"]:
-        g, s = _summary(row["model"])
+        g, s = summary(row["model"])
         for field, actual in (("params_m", s.params_m),
                               ("macs_g", s.macs_g),
                               ("seg_gmacs", seg_gmacs(g, s)),
@@ -74,8 +72,8 @@ def validate_catalog() -> list:
                                        exp * (1 - tol), exp * (1 + tol),
                                        row["provenance"]))
     for row in doc["cio_ratios"]:
-        _, s = _summary(row["model"])
-        _, sb = _summary(row["baseline"])
+        _, s = summary(row["model"])
+        _, sb = summary(row["baseline"])
         ratio = s.cio_elements / sb.cio_elements
         if "tol_abs" in row:
             low, high = row["paper_ratio"] - row["tol_abs"], row["paper_ratio"] + row["tol_abs"]
@@ -84,8 +82,8 @@ def validate_catalog() -> list:
         results.append(CheckResult(f"{row['model']}/{row['baseline']}", "cio_ratio",
                                    row["paper_ratio"], ratio, low, high, row["provenance"]))
     for row in doc["cio_reductions"]:
-        _, s = _summary(row["model"])
-        _, sb = _summary(row["baseline"])
+        _, s = summary(row["model"])
+        _, sb = summary(row["baseline"])
         reduction = 100.0 * (1 - s.cio_elements / sb.cio_elements)
         results.append(CheckResult(f"{row['model']} vs {row['baseline']}", "cio_reduction_pct",
                                    row["min_reduction_pct"], reduction,

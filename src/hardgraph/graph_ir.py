@@ -7,7 +7,7 @@ the other modules is a pure read.
 
 from itertools import count
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -297,6 +297,16 @@ class ArchGraph:
         share one kind object, so they group into classes and each class's shape rule runs once."""
         from .jsonio import graph_from_json
         return graph_from_json(cls, text, input_hw)
+
+
+class Table(NamedTuple):
+    """Report rows as columns: row r maps ``keys[i]`` to ``columns[i][r]`` and ``class_keys[j]``
+    to the class cell ``class_columns[j][classes[r]]``; ``dumps_json`` writes that list of dicts."""
+    keys: tuple
+    columns: tuple
+    class_keys: tuple = ()
+    class_columns: tuple = ()
+    classes: Sequence = ()
 
 
 def _csv_head(header: Optional[dict], keys: tuple) -> str:

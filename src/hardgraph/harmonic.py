@@ -326,16 +326,15 @@ _BUILDERS = {**dict.fromkeys(_HARDNET_CONFIGS, _build_hardnet_cls),
              **dict.fromkeys(_FC_CONFIGS, _build_fc_hardnet)}
 
 
-def _build_named(builders: dict, what: str, name: str, input_shape: Optional[TensorShape]):
-    """``builders[name]`` run at ``input_shape``, or at the model's default input if None."""
+def _build_named(builders: dict, what: str, name: str, input_shape: TensorShape):
+    """``builders[name]`` run at ``input_shape``."""
     name = name.lower()
     builder = builders.get(name)
     if builder is None:
         raise KeyError(f"unknown {what} {name!r}")
-    from .registry import default_input
-    return builder(name, default_input(name) if input_shape is None else input_shape)
+    return builder(name, input_shape)
 
 
-def build_model(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
+def build_model(name: str, input_shape: TensorShape) -> ArchGraph:
     """Build a HarDNet-family variant by its stable CLI name."""
     return _build_named(_BUILDERS, "HarDNet variant", name, input_shape)

@@ -6,8 +6,8 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Optional
 
-from .graph_ir import _KIND_NAMES, ArchGraph, Conv, GraphError, Input, TensorShape, _check_links
-from .metrics import Table
+from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, GraphError, Input, Table, TensorShape,
+                       _check_links)
 
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 

@@ -9,10 +9,10 @@ from collections import Counter
 from functools import reduce
 from itertools import chain, compress
 from operator import add, attrgetter, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, Linear, Node, TransposedConv, _csv_head,
-                       _csv_labels, _Kind)
+from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, Linear, Node, Table, TransposedConv,
+                       _csv_head, _csv_labels, _Kind)
 
 
 class LayerMetrics(NamedTuple):
@@ -44,7 +44,7 @@ class _PerClass:
     def layers(self) -> list:
         return list(map(self._record, *self.columns))
 
-    def table(self, keys: tuple) -> "Table":
+    def table(self, keys: tuple) -> Table:
         """A report table: ``id`` per node, and the other fields, named ``keys``, per class."""
         return Table(("id",), (range(len(self._classes)),), keys, tuple(zip(*self._rows))[1:],
                      self._classes)
@@ -170,16 +170,6 @@ def check_moc(graph: ArchGraph, threshold: float) -> list:
 
 
 # --- report rendering -------------------------------------------------------
-
-class Table(NamedTuple):
-    """Report rows as columns: row r maps ``keys[i]`` to ``columns[i][r]`` and ``class_keys[j]``
-    to the class cell ``class_columns[j][classes[r]]``; ``dumps_json`` writes that list of dicts."""
-    keys: tuple
-    columns: tuple
-    class_keys: tuple = ()
-    class_columns: tuple = ()
-    classes: Sequence = ()
-
 
 def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
     """The per-layer report rows: ``id`` and ``label`` per node, the other

@@ -4,8 +4,6 @@ and FC-SparseNet segmentation family.
 External architectures follow their canonical published configurations.
 """
 
-from typing import Optional
-
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
 from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
                        _build_named, _conv3x3, build_transition, log_links)
@@ -139,6 +137,6 @@ _BUILDERS = {**dict.fromkeys(_DENSENET_BLOCKS, _build_densenet),
              **dict.fromkeys(_FC_CONFIGS, _build_fc_densenet)}
 
 
-def build_reference(name: str, input_shape: Optional[TensorShape] = None) -> ArchGraph:
+def build_reference(name: str, input_shape: TensorShape) -> ArchGraph:
     """Build a reference architecture by its stable CLI name."""
     return _build_named(_BUILDERS, "reference model", name, input_shape)

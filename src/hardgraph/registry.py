@@ -34,10 +34,10 @@ def build(name: str, input_shape: Optional["TensorShape"] = None) -> "ArchGraph"
     if nodes is None:
         if _FAMILIES[key] == "harmonic":
             from . import harmonic
-            g = harmonic.build_model(key)
+            g = harmonic.build_model(key, default)
         else:
             from . import references
-            g = references.build_reference(key)
+            g = references.build_reference(key, default)
         canon = {}  # equal kinds merged, so the shape pass groups their nodes by id()
         nodes = _NODES[key] = (tuple(canon.setdefault(k, k) for k in g.kinds),
                                tuple(g.inputs), tuple(g.labels))

@@ -10,7 +10,7 @@ import hardgraph
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphError,
                                 Input, Linear, Node, Pool, TensorShape, TransposedConv,
                                 to_dot)
-from hardgraph.registry import MODEL_NAMES
+from hardgraph.registry import MODEL_NAMES, default_input
 
 
 def chain_graph(shape=TensorShape(3, 16, 16)):
@@ -387,11 +387,12 @@ def class_kind_counts(g) -> dict:
 
 
 def run_builder(name, shape=None):
-    """Build a catalog model through its builder, as ``hardgraph.build`` does first."""
+    """Build a catalog model through its builder, as ``hardgraph.build`` does first;
+    at the model's default input if ``shape`` is None."""
     from hardgraph import harmonic, references
     builder = (harmonic.build_model if name in harmonic._BUILDERS
                else references.build_reference)
-    return builder(name, shape)
+    return builder(name, default_input(name) if shape is None else shape)
 
 
 class TestShapesOnAppend:

@@ -8,6 +8,7 @@ from hardgraph.harmonic import (HDBSpec, TransitionSpec, bottleneck_channels,
                                 build_bare_hdb, build_hdb, build_model,
                                 build_transition, channel_width, hdb_links, round_even, v2)
 from hardgraph.metrics import model_summary
+from hardgraph.registry import default_input
 from test_layer_table import conv_input_shape
 
 
@@ -185,15 +186,15 @@ class TestModels:
                                       "hardnet117s", "hardnet138l", "fc-hardnet68",
                                       "fc-hardnet84", "fc-hardnet-ref100"])
     def test_builds_and_infers(self, name):
-        g = build_model(name)
+        g = build_model(name, default_input(name))
         assert g.shapes and len(g.shapes) == len(g.kinds)
 
     def test_unknown_variant(self):
-        with pytest.raises(KeyError):
-            build_model("hardnet9000")
+        with pytest.raises(KeyError, match="unknown HarDNet variant 'hardnet9000'"):
+            build_model("hardnet9000", TensorShape(3, 224, 224))
 
     def test_hardnet39ds_is_depthwise_separable(self):
-        g = build_model("hardnet39ds")
+        g = build_model("hardnet39ds", default_input("hardnet39ds"))
         for n in g.nodes:
             if not isinstance(n.kind, Conv) or n.label == "stem0":
                 continue
@@ -203,7 +204,7 @@ class TestModels:
             assert pointwise or depthwise, n.label
 
     def test_fc_hardnet84_encoder_layout(self):
-        g = build_model("fc-hardnet84")
+        g = build_model("fc-hardnet84", default_input("fc-hardnet84"))
         enc_tags = {n.label.split("/")[0] for n in g.nodes
                     if n.label and (n.label.startswith("enc") or n.label.startswith("bottom"))}
         assert enc_tags == {"enc0", "enc1", "enc2", "enc3", "enc4", "bottom"}

@@ -26,8 +26,7 @@ EXPORTS = (
     "channel_width", "hdb_links", "log_links",
     "PlatformModel", "model_latency",
     "peak_memory", "tensor_lifetimes", "verify_flush",
-    "ModelSummary", "check_moc", "layer_macs", "model_summary",
-    "build_reference",
+    "ModelSummary", "check_moc", "model_summary",
     "MODEL_NAMES", "build", "default_input",
     "__version__",
 )
@@ -146,14 +145,24 @@ def test_a_json_input_loads_jsonio(tmp_path):
     assert "hardgraph.jsonio" in loaded_after(run_cli("liveness", str(path)))
 
 
+@pytest.mark.parametrize("argv", [("build", "hardnet68", "-o", os.devnull), ("liveness", "{}")],
+                         ids=["build", "liveness-json"])
+def test_graph_json_io_does_not_load_metrics(tmp_path, argv):
+    # jsonio sits below metrics: writing or loading a graph needs no report code
+    path = tmp_path / "g.json"
+    path.write_text(quoted_label_json())
+    loaded = loaded_after(run_cli(*(a.format(path) for a in argv)))
+    assert "hardgraph.jsonio" in loaded and "hardgraph.metrics" not in loaded, sorted(loaded)
+
+
 @pytest.mark.parametrize("argv", [("latency", "densenet121", "--platform", "gpu-like"),
                                   ("build", "hardnet68", "-o", os.devnull)])
 def test_commands_without_csv_output_do_not_load_csv(argv):
-    # build reaches metrics through to_json, whose JSON writer writes a metrics.Table
+    # both write through the JSON writer in jsonio, which loads no csv
     at_start, after = modules_after(run_cli(*argv))
     if "csv" in at_start:
         pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
-    assert "hardgraph.metrics" in after and "csv" not in after
+    assert "hardgraph.jsonio" in after and "csv" not in after
 
 
 @pytest.mark.parametrize("argv", [("analyze", "hardnet68", "--format", "csv"),

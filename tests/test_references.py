@@ -3,10 +3,11 @@ import math
 import pytest
 
 import hardgraph
-from hardgraph.graph_ir import Conv
+from hardgraph.graph_ir import Conv, TensorShape
 from hardgraph.harmonic import log_links
 from hardgraph.metrics import model_summary
 from hardgraph.references import _BUILDERS, _FC_CONFIGS, build_reference
+from hardgraph.registry import default_input
 
 
 class TestSparseLinks:
@@ -15,7 +16,7 @@ class TestSparseLinks:
         assert {name for name, cfg in _FC_CONFIGS.items() if cfg[3] is range} == {
             "fc-densenet56", "fc-densenet67", "fc-densenet103", "fc-densenet-ref100"}
         assert _FC_CONFIGS["fc-sparsenet-ref100"][3] is log_links
-        g = build_reference("fc-densenet56")
+        g = build_reference("fc-densenet56", default_input("fc-densenet56"))
         l4 = next(n for n in g.nodes if n.label == "enc0/l4")
         cat = g.nodes[l4.inputs[0]]
         assert [g.labels[i] for i in cat.inputs] == ["stem", "enc0/l1", "enc0/l2", "enc0/l3"]
@@ -40,14 +41,14 @@ class TestSparseLinks:
 class TestBuilders:
     @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_builds_validates_and_infers(self, name):
-        g = build_reference(name)
+        g = build_reference(name, default_input(name))
         assert len(g.shapes) == len(g.kinds)
         order = g.schedule()
         assert sorted(order) == [n.id for n in g.nodes]
 
     def test_unknown_model(self):
-        with pytest.raises(KeyError):
-            build_reference("alexnet")
+        with pytest.raises(KeyError, match="unknown reference model 'alexnet'"):
+            build_reference("alexnet", TensorShape(3, 224, 224))
 
     def test_densenet121_params(self):
         s = model_summary(hardgraph.build("densenet121"))
@@ -67,7 +68,7 @@ class TestBuilders:
         assert abs(s.params_m - 9.4) / 9.4 < 0.05
 
     def test_fc_sparsenet_uses_log_links(self):
-        g = build_reference("fc-sparsenet-ref100")
+        g = build_reference("fc-sparsenet-ref100", default_input("fc-sparsenet-ref100"))
         # an 8-layer block's layer 8 reads 4 predecessors under the log rule
         l8 = next(n for n in g.nodes if n.label == "enc0/l8")
         cat = g.nodes[l8.inputs[0]]
@@ -77,6 +78,6 @@ class TestBuilders:
         assert [g.nodes[i].label for i in out.inputs] == ["enc0/l8", "enc0/l7", "enc0/l5", "enc0/l1"]
 
     def test_resnet_projection_only_on_downsample(self):
-        g = build_reference("resnet50")
+        g = build_reference("resnet50", default_input("resnet50"))
         projs = [n for n in g.nodes if n.label and n.label.endswith("/proj")]
         assert len(projs) == 4  # one per stage
