@@ -233,7 +233,10 @@ class ArchGraph:
         get = ids.__getitem__
         try:
             for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
-                key = (id(kind), *map(get, inputs))  # ints: hashed in C
+                # ints, hashed in C; most nodes have one input, and a tuple display with a
+                # starred map costs them ~4x
+                key = ((id(kind), get(inputs[0])) if len(inputs) == 1 else
+                       (id(kind), *map(get, inputs)))
                 c = index.get(key)
                 if c is None:
                     c = index[key] = len(firsts)

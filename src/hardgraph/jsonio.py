@@ -10,6 +10,8 @@ from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, GraphError, Input, Table, T
                        _check_links)
 
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
+# a node record's default params and inputs, shared by every load: it copies, never changes, them
+_NO_PARAMS, _NO_INPUTS = {}, []
 
 
 def graph_to_json(g: ArchGraph) -> str:
@@ -53,7 +55,7 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
             if not 0 <= nid < n or kinds[nid] is not None:
                 where = "repeats" if 0 <= nid < n else f"is outside 0..{n - 1}"
                 raise GraphError(f"node id {nid} {where}: node ids must be contiguous from 0")
-            kind_name, params = d.get("kind"), d.get("params", {})
+            kind_name, params = d.get("kind"), d.get("params", _NO_PARAMS)
             # marshal writes each value's type and exact bits (true, 1, 1.0 and
             # -0.0 stay apart, in a kernel list too), and version 2 no back-references
             try:
@@ -62,7 +64,7 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
                 key = kind = None
             if kind is None:
                 kind = interned[key] = _kind_from_json(kind_name, params, nid)
-            ins = d.get("inputs", [])
+            ins = d.get("inputs", _NO_INPUTS)
             if type(ins) is not list:
                 raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
             kinds[nid], inputs[nid] = kind, tuple(ins)

@@ -5,8 +5,12 @@
 Each op of one pass of perfbench's cli-cold mix (the pass ``perfbench/run.py
 --workload cli-cold --seed 1`` replays) runs as a fresh ``python -m
 hardgraph.cli`` process in each checkout, with the checkout as working
-directory and its ``src`` alone on PYTHONPATH.  Each round runs every op once
-per checkout, and which checkout goes first alternates from round to round.
+directory and its ``src`` alone on PYTHONPATH.  So does one op no pass runs:
+``liveness`` of the bare-HDB L=4096 graph JSON file, deep-hdb's deepest graph,
+which the script writes to a temporary directory with this repository's
+``src``.  Every one-shot run on a graph JSON file pays such a cold load.  Each
+round runs every op once per checkout, and which checkout goes first
+alternates from round to round.
 Two settings, set in the child processes only:
 
 - no cache: PYTHONDONTWRITEBYTECODE=1, as cli-cold runs, so each process
@@ -18,8 +22,9 @@ Two settings, set in the child processes only:
 
 For each op it prints the min and the median in ms for A and for B, and in how
 many rounds B was faster than A; then the total of one pass, each op's median
-times the number of times the pass runs it.  Nothing is asserted about the
-times; an op that exits non-zero stops the script.  Stdlib only.
+times the number of times the pass runs it (0 for the graph JSON op).  Nothing
+is asserted about the times; an op that exits non-zero stops the script.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
@@ -46,6 +52,18 @@ def one_pass() -> dict:
     for op in workloads.CliCold(SEED).sequence():
         counts[op.argv] = counts.get(op.argv, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def write_hdb_file(directory: str) -> str:
+    """Write the bare HDB L=4096 graph JSON to ``directory``; return its path."""
+    sys.dont_write_bytecode = True  # a __pycache__ in a checkout would serve the no-cache runs
+    sys.path.insert(0, str(ROOT / "src"))
+    from hardgraph.graph_ir import TensorShape
+    from hardgraph.harmonic import HDBSpec, build_bare_hdb
+    graph, _ = build_bare_hdb(HDBSpec(4096, 16, 1.7), TensorShape(*workloads.HDB_INPUT))
+    path = Path(directory) / "hdb-L4096-k16-m1.7.json"
+    path.write_text(graph.to_json())
+    return str(path)
 
 
 def child_env(checkout: Path, cache) -> dict:
@@ -94,7 +112,8 @@ def report(title: str, ops: dict, times: dict) -> None:
         medians = statistics.median(a), statistics.median(b)
         totals = [t + n * m for t, m in zip(totals, medians)]
         wins = sum(y < x for x, y in zip(a, b))
-        print(f"{' '.join(argv):52} {min(a):7.1f} {medians[0]:7.1f} {min(b):7.1f} "
+        shown = " ".join(os.path.basename(arg) for arg in argv)  # a file by its name
+        print(f"{shown:52} {min(a):7.1f} {medians[0]:7.1f} {min(b):7.1f} "
               f"{medians[1]:7.1f} {wins:>4}/{len(a)}")
     print(f"one {sum(ops.values())}-op pass, sum of count x median: A {totals[0]:.0f} ms, "
           f"B {totals[1]:.0f} ms ({100.0 * (totals[1] / totals[0] - 1):+.1f}%)")
@@ -113,14 +132,14 @@ def main() -> None:
         if (checkout / "src" / "hardgraph" / "__pycache__").exists():
             print(f"warning: {checkout}/src/hardgraph/__pycache__ exists, so runs without "
                   "a cache read its bytecode", file=sys.stderr)
-    ops = one_pass()
-    print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n{args.rounds} round(s), Python "
-          f"{sys.version.split()[0]}, cli-cold pass of seed {SEED}; times in ms")
-    report("no bytecode cache (PYTHONDONTWRITEBYTECODE=1)", ops,
-           measure(checkouts, ops, args.rounds, None))
-    with tempfile.TemporaryDirectory(prefix="coldstart-pycache-") as cache:
+    with tempfile.TemporaryDirectory(prefix="coldstart-") as tmp:
+        ops = {**one_pass(), ("liveness", write_hdb_file(tmp)): 0}
+        print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n{args.rounds} round(s), Python "
+              f"{sys.version.split()[0]}, cli-cold pass of seed {SEED}; times in ms")
+        report("no bytecode cache (PYTHONDONTWRITEBYTECODE=1)", ops,
+               measure(checkouts, ops, args.rounds, None))
         report("bytecode cache (PYTHONPYCACHEPREFIX, warmed once)", ops,
-               measure(checkouts, ops, args.rounds, cache))
+               measure(checkouts, ops, args.rounds, os.path.join(tmp, "pycache")))
 
 
 if __name__ == "__main__":
