@@ -206,7 +206,7 @@ class ArchGraph:
         """Append a node, in a class of its own, and shape it."""
         inputs, nid = tuple(inputs), len(self.kinds)
         # node 0 is the one Input: no other node can come first, with no earlier id to read
-        _check_links(nid, type(kind), inputs, nid > 0)
+        _check_node(nid, kind, inputs, label, nid > 0)
         self.shapes.append(self._rule(nid, kind, inputs, label))
         self.kinds.append(kind)
         self.inputs.append(inputs)
@@ -252,24 +252,18 @@ class ArchGraph:
 
     def _rule(self, nid: int, kind: _Kind, inputs: tuple, label: Optional[str]) -> TensorShape:
         """A node's output shape: the one place shape rules run, several inputs (but an add's)
-        are read as their channel concatenation, and shape errors get the node's name."""
+        are read as ``_read_shape`` reads them, and shape errors get the node's name."""
         kind_type = type(kind)
         if kind_type is Input:
             if type(self.input_shape) is not TensorShape:
                 raise GraphError(f"input_shape must be a TensorShape, got {self.input_shape!r}")
             return self.input_shape
-        rule = _SHAPE_RULES.get(kind_type)
-        if rule is None:
-            raise GraphError(f"unknown kind {kind!r}")
+        rule = _SHAPE_RULES[kind_type]  # _check_node let in only known kinds
         try:
             ins = list(map(self.shapes.__getitem__, inputs))
             if len(ins) < 2 or kind_type is Add:
                 return rule(kind, ins, self._shape)
-            first = ins[0]
-            if len(set(map(_spatial, ins))) > 1:
-                raise GraphError("inputs disagree on spatial size")
-            return rule(kind, (self._shape(sum(map(_channels, ins)), first.height, first.width),),
-                        self._shape)
+            return rule(kind, (_read_shape(ins, self._shape),), self._shape)
         except GraphError as e:
             given = ", ".join(map(str, ins))
             raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
@@ -330,8 +324,12 @@ def _node_name(nid: int, kind: _Kind, label: Optional[str]) -> str:
     return f"{_KIND_NAMES[type(kind)]} {nid}" + (f" ({label})" if label else "")
 
 
-def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> None:
-    """What a node of ``kind_type`` must satisfy to be appended as node ``nid``."""
+def _check_node(nid: int, kind: _Kind, inputs: tuple, label, has_input: bool) -> None:
+    """What a node must satisfy to be appended as node ``nid``: a known kind, then its links, then
+    a NUL-free label (csv.writer on 3.10, which the CSV reports match, refuses a NUL)."""
+    kind_type = type(kind)
+    if kind_type not in _KIND_NAMES:
+        raise GraphError(f"unknown kind {kind!r}")
     if kind_type is Input:
         if has_input:
             raise GraphError("graph already has an Input node")
@@ -344,11 +342,20 @@ def _check_links(nid: int, kind_type: type, inputs: tuple, has_input: bool) -> N
     for i in inputs:
         if type(i) is not int or not 0 <= i < nid:
             raise GraphError(f"unknown input id {i!r} for node {nid}")
+    if label is not None and (type(label) is not str or "\0" in label):
+        raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
 
 
 # --- shape rules: (kind, input shapes, shape maker) -> output shape ---
 
 _channels, _spatial = attrgetter("channels"), attrgetter("height", "width")
+
+
+def _read_shape(ins: Sequence, shape=TensorShape) -> TensorShape:
+    """What a node with several inputs reads: their channel concatenation, on their one grid."""
+    if len(set(map(_spatial, ins))) > 1:
+        raise GraphError("inputs disagree on spatial size")
+    return shape(sum(map(_channels, ins)), ins[0].height, ins[0].width)
 
 
 def _conv_shape(k: Conv, ins: Sequence, shape) -> TensorShape:

@@ -326,15 +326,6 @@ _BUILDERS = {**dict.fromkeys(_HARDNET_CONFIGS, _build_hardnet_cls),
              **dict.fromkeys(_FC_CONFIGS, _build_fc_hardnet)}
 
 
-def _build_named(builders: dict, what: str, name: str, input_shape: TensorShape):
-    """``builders[name]`` run at ``input_shape``."""
-    name = name.lower()
-    builder = builders.get(name)
-    if builder is None:
-        raise KeyError(f"unknown {what} {name!r}")
-    return builder(name, input_shape)
-
-
 def build_model(name: str, input_shape: TensorShape) -> ArchGraph:
-    """Build a HarDNet-family variant by its stable CLI name."""
-    return _build_named(_BUILDERS, "HarDNet variant", name, input_shape)
+    """Build a HarDNet-family variant by its stable CLI name (``registry.build`` checks names)."""
+    return _BUILDERS[name](name, input_shape)

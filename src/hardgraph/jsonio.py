@@ -7,7 +7,7 @@ from math import isfinite
 from typing import Optional
 
 from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, GraphError, Input, Table, TensorShape,
-                       _check_links)
+                       _check_node)
 
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 # a node record's default params and inputs, shared by every load: it copies, never changes, them
@@ -25,7 +25,7 @@ def graph_to_json(g: ArchGraph) -> str:
         if kind is None:
             kind = kinds[k] = (_dumps(_KIND_NAMES[type(k)], 3),
                                _dumps({p: getattr(k, p) for p in k.json_params}, 3))
-        # inputs are ints (see _check_links), which JSON writes as str() does
+        # inputs are ints (see _check_node), which JSON writes as str() does
         ins = head + sep.join(map(str, inputs)) + tail if inputs else "[]"
         texts.append(labelled % (nid, ins, kind[0], _dumps(label, 3), kind[1])
                      if label else plain % (nid, ins, *kind))
@@ -68,12 +68,9 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
             if type(ins) is not list:
                 raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
             kinds[nid], inputs[nid] = kind, tuple(ins)
-            _check_links(nid, type(kind), inputs[nid], has_input)
-            has_input = has_input or type(kind) is Input
             label = labels[nid] = d.get("label")
-            # csv.writer on 3.10, which the CSV reports match, refuses a NUL; no label needs one
-            if label is not None and (type(label) is not str or "\0" in label):
-                raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
+            _check_node(nid, kind, inputs[nid], label, has_input)
+            has_input = has_input or type(kind) is Input
         shape, input_shape = doc.get("input"), None
         if shape is not None:
             if type(shape) is not list or len(shape) != 3:

@@ -6,12 +6,10 @@ when its MoC falls below the platform's critical MoC
 """
 
 import math
-from functools import reduce
-from operator import add
 from typing import NamedTuple
 
 from .graph_ir import ArchGraph, Concat, _Value
-from .metrics import _class_rows, _PerClass
+from .metrics import _class_rows, _node_order_sum, _PerClass
 
 
 class PlatformModel(_Value):
@@ -80,5 +78,4 @@ def model_latency(graph: ArchGraph, platform: PlatformModel,
             t, bound = moved / dram, "memory"
         rows.append(LayerTime(nid, t, bound))
     seconds = [row.seconds for row in rows]
-    # left to right in node order: sum() compensates float error on 3.12+
-    return LatencyReport(reduce(add, map(seconds.__getitem__, classes), 0.0), rows, classes)
+    return LatencyReport(_node_order_sum(map(seconds.__getitem__, classes)), rows, classes)

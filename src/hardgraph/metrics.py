@@ -12,7 +12,7 @@ from operator import add, attrgetter, mul
 from typing import NamedTuple, Optional
 
 from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, Linear, Node, Table, TransposedConv,
-                       _csv_head, _csv_labels, _Kind)
+                       _csv_head, _csv_labels, _Kind, _read_shape)
 
 
 class LayerMetrics(NamedTuple):
@@ -77,15 +77,13 @@ class ModelSummary(_PerClass):
 def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
                ds_weight: Optional[float]) -> LayerMetrics:
     """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
-    live.  A conv or transposed conv reads the channels of all its inputs
-    (their concatenation) on their one grid, which shape inference checks;
-    a Linear reads the elements of that same tensor."""
+    live.  A conv, transposed conv or Linear reads what ``_read_shape`` reads."""
     kind_type = type(k)
     if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear:
         return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
-    first = shapes[inputs[0]]
-    c_in = first.channels if len(inputs) == 1 else sum(shapes[i].channels for i in inputs)
-    in_elements = c_in * first.height * first.width
+    read = shapes[inputs[0]] if len(inputs) == 1 else _read_shape([shapes[i] for i in inputs])
+    c_in = read.channels
+    in_elements = c_in * read.height * read.width
     if kind_type is Linear:
         macs = in_elements * k.out_features
         return LayerMetrics(nid, macs + k.out_features, macs, 0, 0, 0.0)
@@ -123,15 +121,20 @@ def layer_macs(graph: ArchGraph, node: Node) -> int:
     return _layer_row(graph.shapes, node.id, node.kind, node.inputs, 1, None).macs
 
 
+def _node_order_sum(values):
+    """Per-node ``values`` added left to right in node order (``sum`` compensates float error
+    on 3.12+, so a running sum over the nodes would not match it)."""
+    return reduce(add, values, 0)
+
+
 def _totals(column, counts: list, classes: list, groups: list) -> list:
     """A per-class column summed over the nodes of each group of classes: ints
-    as count × value, floats left to right in node order, as a running sum
-    over the nodes adds them (``sum`` would compensate float error on 3.12+)."""
+    as count × value, floats by ``_node_order_sum``."""
     if type(sum(column)) is float:
         def total(group):
             keep = list(map(set(group).__contains__, range(len(column))))
-            return reduce(add, compress(map(column.__getitem__, classes),
-                                        map(keep.__getitem__, classes)), 0)
+            return _node_order_sum(compress(map(column.__getitem__, classes),
+                                            map(keep.__getitem__, classes)))
     else:
         weighted = list(map(mul, counts, column))
         total = lambda group: sum(map(weighted.__getitem__, group))

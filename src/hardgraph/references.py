@@ -6,7 +6,7 @@ External architectures follow their canonical published configurations.
 
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
 from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
-                       _build_named, _conv3x3, build_transition, log_links)
+                       _conv3x3, build_transition, log_links)
 
 
 # --- DenseNet (classification) ----------------------------------------------
@@ -138,5 +138,5 @@ _BUILDERS = {**dict.fromkeys(_DENSENET_BLOCKS, _build_densenet),
 
 
 def build_reference(name: str, input_shape: TensorShape) -> ArchGraph:
-    """Build a reference architecture by its stable CLI name."""
-    return _build_named(_BUILDERS, "reference model", name, input_shape)
+    """Build a reference architecture by its stable CLI name (``registry.build`` checks names)."""
+    return _BUILDERS[name](name, input_shape)

@@ -78,6 +78,57 @@ class TestConstruction:
             ArchGraph("g", [Node(0, Input(), ())], input_shape=shape)
 
 
+class TestNodeRule:
+    """``add`` and ``from_json`` check each node with one rule: its kind, then its links, then
+    its label."""
+
+    @pytest.mark.parametrize("kind", ["conv", None, Node(1, Conv(4), (0,))],
+                             ids=["str", "None", "Node"])
+    @pytest.mark.parametrize("inputs", [[], [0]], ids=["no inputs", "one input"])
+    def test_a_non_kind_is_an_unknown_kind(self, kind, inputs):
+        g, _, _ = chain_graph()
+        before = g.to_json()
+        with pytest.raises(GraphError) as err:
+            g.add(kind, inputs)
+        assert str(err.value) == f"unknown kind {kind!r}"
+        assert g.to_json() == before and len(g.classes) == len(g.shapes) == 2
+
+    @pytest.mark.parametrize("label", [7, "a\0b"], ids=["int", "NUL"])
+    def test_add_refuses_a_label_with_the_line_from_json_gives(self, label):
+        g, _, c = chain_graph()
+        with pytest.raises(GraphError) as added:
+            g.add(Conv(4), [c], label=label)
+        assert len(g.kinds) == len(g.labels) == 2
+        doc = json.loads(g.to_json())
+        doc["nodes"].append({"id": 2, "kind": "conv", "params": {"out_channels": 4},
+                             "inputs": [1], "label": label})
+        with pytest.raises(GraphError) as loaded:
+            ArchGraph.from_json(json.dumps(doc))
+        assert str(added.value) == str(loaded.value) == (
+            f"node 2: label must be a NUL-free string, got {label!r}")
+
+    def test_links_are_checked_before_the_label(self):
+        # so that a record with a bad input and a bad label gives the line it gave before
+        g, _, _ = chain_graph()
+        with pytest.raises(GraphError, match=r"^unknown input id 7 for node 2$"):
+            g.add(Conv(4), [7], label=7)
+        doc = json.loads(g.to_json())
+        doc["nodes"].append({"id": 2, "kind": "conv", "params": {"out_channels": 4},
+                             "inputs": [7], "label": 7})
+        with pytest.raises(GraphError, match=r"^unknown input id 7 for node 2$"):
+            ArchGraph.from_json(json.dumps(doc))
+
+    @given(st.one_of(st.none(), st.text(), st.integers(), st.binary()))
+    def test_every_label_add_accepts_survives_a_round_trip(self, label):
+        g, _, c = chain_graph()
+        try:
+            g.add(Conv(4), [c], label=label)
+        except GraphError:
+            assert type(label) is not str or "\0" in label
+            return
+        assert ArchGraph.from_json(g.to_json()).labels == [None, None, label or None]
+
+
 class TestShapeInference:
     def test_same_padding_conv(self):
         g, i, c = chain_graph(TensorShape(3, 224, 224))

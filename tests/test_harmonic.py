@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from hardgraph import harmonic, registry
 from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import (HDBSpec, TransitionSpec, bottleneck_channels,
                                 build_bare_hdb, build_hdb, build_model,
@@ -189,9 +190,11 @@ class TestModels:
         g = build_model(name, default_input(name))
         assert g.shapes and len(g.shapes) == len(g.kinds)
 
-    def test_unknown_variant(self):
-        with pytest.raises(KeyError, match="unknown HarDNet variant 'hardnet9000'"):
-            build_model("hardnet9000", TensorShape(3, 224, 224))
+    def test_unknown_variant(self, monkeypatch):
+        # registry.build is the one name check: an unknown name reaches no builder
+        monkeypatch.setattr(harmonic, "build_model", lambda *a: pytest.fail("builder ran"))
+        with pytest.raises(KeyError, match="^\"unknown model 'HarDNet9000'; see list-models\"$"):
+            registry.build("HarDNet9000", TensorShape(3, 224, 224))
 
     def test_hardnet39ds_is_depthwise_separable(self):
         g = build_model("hardnet39ds", default_input("hardnet39ds"))

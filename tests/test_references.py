@@ -3,6 +3,7 @@ import math
 import pytest
 
 import hardgraph
+from hardgraph import references, registry
 from hardgraph.graph_ir import Conv, TensorShape
 from hardgraph.harmonic import log_links
 from hardgraph.metrics import model_summary
@@ -46,9 +47,11 @@ class TestBuilders:
         order = g.schedule()
         assert sorted(order) == [n.id for n in g.nodes]
 
-    def test_unknown_model(self):
-        with pytest.raises(KeyError, match="unknown reference model 'alexnet'"):
-            build_reference("alexnet", TensorShape(3, 224, 224))
+    def test_unknown_model(self, monkeypatch):
+        # registry.build is the one name check: an unknown name reaches no builder
+        monkeypatch.setattr(references, "build_reference", lambda *a: pytest.fail("builder ran"))
+        with pytest.raises(KeyError, match="^\"unknown model 'AlexNet'; see list-models\"$"):
+            registry.build("AlexNet", TensorShape(3, 224, 224))
 
     def test_densenet121_params(self):
         s = model_summary(hardgraph.build("densenet121"))
