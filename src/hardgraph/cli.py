@@ -258,7 +258,8 @@ def run(argv=None) -> int:
     except SystemExit as e:  # --help and --version print, then argparse exits
         return e.code
     except (KeyError, ValueError, OSError, OverflowError) as e:  # GraphError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"error: {e.args[0] if type(e) is KeyError else e}", file=sys.stderr)
         return 2
 
 

@@ -84,20 +84,19 @@ class TensorShape(_Value):
         return f"{self.channels}x{self.height}x{self.width}"
 
 
-def _interner():
-    """A shape maker: equal (c, h, w) give one shared TensorShape, which is
-    safe because shapes are immutable."""
-    table = {}
+_SHAPES = {}  # (c, h, w) -> its one TensorShape: every shape the process has made, kept
 
-    def shape(c: int, h: int, w: int) -> TensorShape:
-        s = table.get((c, h, w))
-        if s is None:
-            try:
-                s = table[(c, h, w)] = TensorShape(c, h, w)
-            except GraphError:
-                raise GraphError(f"output shape would be {c}x{h}x{w}") from None
-        return s
-    return shape
+
+def _shape(c: int, h: int, w: int) -> TensorShape:
+    """The shape maker: equal (c, h, w) give one shared TensorShape, which is safe
+    because shapes are immutable, so a repeat build makes no new shape."""
+    s = _SHAPES.get((c, h, w))
+    if s is None:
+        try:
+            s = _SHAPES[(c, h, w)] = TensorShape(c, h, w)
+        except GraphError:
+            raise GraphError(f"output shape would be {c}x{h}x{w}") from None
+    return s
 
 
 # --- layer kinds -----------------------------------------------------------
@@ -192,8 +191,6 @@ class ArchGraph:
         self.name, self.input_shape = name, input_shape
         self.kinds, self.inputs, self.labels, self.shapes = [], [], [], []
         self.classes, self.class_first = [], []
-        # the shape maker the shape rules call; equal shapes share one object
-        self._shape = _interner()
 
     @property
     def nodes(self) -> list:
@@ -226,7 +223,7 @@ class ArchGraph:
         if not self.kinds:
             raise GraphError("graph must have exactly one Input node, found 0")
         before = vars(self).copy()
-        self.input_shape, self._shape = input_shape, _interner()
+        self.input_shape = input_shape
         self.shapes, self.classes, self.class_first = shapes, classes, firsts = [], [], []
         index, outs, labels = {}, [], self.labels
         ids = []  # each shaped node's output shape id()
@@ -258,12 +255,12 @@ class ArchGraph:
             if type(self.input_shape) is not TensorShape:
                 raise GraphError(f"input_shape must be a TensorShape, got {self.input_shape!r}")
             return self.input_shape
-        rule = _SHAPE_RULES[kind_type]  # _check_node let in only known kinds
+        rule, shapes = _SHAPE_RULES[kind_type], self.shapes  # _check_node let in only known kinds
+        ins = [shapes[inputs[0]]] if len(inputs) == 1 else list(map(shapes.__getitem__, inputs))
         try:
-            ins = list(map(self.shapes.__getitem__, inputs))
             if len(ins) < 2 or kind_type is Add:
-                return rule(kind, ins, self._shape)
-            return rule(kind, (_read_shape(ins, self._shape),), self._shape)
+                return rule(kind, ins)
+            return rule(kind, (_read_shape(ins),))
         except GraphError as e:
             given = ", ".join(map(str, ins))
             raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
@@ -346,30 +343,30 @@ def _check_node(nid: int, kind: _Kind, inputs: tuple, label, has_input: bool) ->
         raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
 
 
-# --- shape rules: (kind, input shapes, shape maker) -> output shape ---
+# --- shape rules: (kind, input shapes) -> output shape, made by _shape ---
 
 _channels, _spatial = attrgetter("channels"), attrgetter("height", "width")
 
 
-def _read_shape(ins: Sequence, shape=TensorShape) -> TensorShape:
+def _read_shape(ins: Sequence) -> TensorShape:
     """What a node with several inputs reads: their channel concatenation, on their one grid."""
     if len(set(map(_spatial, ins))) > 1:
         raise GraphError("inputs disagree on spatial size")
-    return shape(sum(map(_channels, ins)), ins[0].height, ins[0].width)
+    return _shape(sum(map(_channels, ins)), ins[0].height, ins[0].width)
 
 
-def _conv_shape(k: Conv, ins: Sequence, shape) -> TensorShape:
+def _conv_shape(k: Conv, ins: Sequence) -> TensorShape:
     s = ins[0]
     if s.channels % k.groups != 0:
         raise GraphError(f"groups={k.groups} does not divide c_in={s.channels}")
     # "same" padding for odd kernels; even kernels pad to keep stride tiling:
     # out = (size + 2 * (span // 2) - span - 1) // stride + 1, span = dilation * (kernel - 1)
     span_h, span_w = k.dilation * (k.kernel_h - 1), k.dilation * (k.kernel_w - 1)
-    return shape(k.out_channels, (s.height - 1 - span_h % 2) // k.stride + 1,
-                 (s.width - 1 - span_w % 2) // k.stride + 1)
+    return _shape(k.out_channels, (s.height - 1 - span_h % 2) // k.stride + 1,
+                  (s.width - 1 - span_w % 2) // k.stride + 1)
 
 
-def _add_shape(k: Add, ins: list, shape) -> TensorShape:
+def _add_shape(k: Add, ins: list) -> TensorShape:
     if any(i != ins[0] for i in ins):
         raise GraphError("inputs must share one shape")
     return ins[0]
@@ -377,14 +374,14 @@ def _add_shape(k: Add, ins: list, shape) -> TensorShape:
 
 _SHAPE_RULES = {
     Conv: _conv_shape,
-    Concat: lambda k, ins, shape: ins[0],
+    Concat: lambda k, ins: ins[0],
     Add: _add_shape,
-    Pool: lambda k, ins, shape: shape(
+    Pool: lambda k, ins: _shape(
         ins[0].channels, ins[0].height // k.stride, ins[0].width // k.stride),
-    TransposedConv: lambda k, ins, shape: shape(
+    TransposedConv: lambda k, ins: _shape(
         k.out_channels, ins[0].height * k.stride, ins[0].width * k.stride),
-    GlobalPool: lambda k, ins, shape: shape(ins[0].channels, 1, 1),
-    Linear: lambda k, ins, shape: shape(k.out_features, 1, 1),
+    GlobalPool: lambda k, ins: _shape(ins[0].channels, 1, 1),
+    Linear: lambda k, ins: _shape(k.out_features, 1, 1),
 }
 
 

@@ -21,8 +21,8 @@ def default_input(name: str) -> "TensorShape":
     """A model's default input: 352x480 for segmentation (``fc-``) models, else 224x224."""
     if name.lower() not in _FAMILIES:
         raise KeyError(f"unknown model {name!r}; see list-models")
-    from .graph_ir import TensorShape  # not at the top: list-models loads no graph_ir
-    return TensorShape(3, 352, 480) if name.lower().startswith("fc-") else TensorShape(3, 224, 224)
+    from .graph_ir import _shape  # not at the top: list-models loads no graph_ir
+    return _shape(3, 352, 480) if name.lower().startswith("fc-") else _shape(3, 224, 224)
 
 
 def build(name: str, input_shape: Optional["TensorShape"] = None) -> "ArchGraph":

@@ -36,6 +36,11 @@ class TestBasics:
         code, _, err = invoke(capsys, "analyze", "hardnet9000")
         assert code == 2 and "hardnet9000" in err
 
+    @pytest.mark.parametrize("argv", [("analyze", "nosuch"), ("compare", "hardnet68", "nosuch")])
+    def test_unknown_model_line_is_the_message_alone(self, capsys, argv):
+        # str() of the KeyError would wrap the message in a second pair of quotes
+        assert invoke(capsys, *argv) == (2, "", "error: unknown model 'nosuch'; see list-models\n")
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, err = invoke(capsys)
         assert code == 1 and "usage error" in err

@@ -412,9 +412,9 @@ def counting_rules(monkeypatch) -> dict:
     from hardgraph import graph_ir
     calls = {}
     for kind, rule in list(graph_ir._SHAPE_RULES.items()):
-        def counted(k, ins, shape, rule=rule, kind=kind):
+        def counted(k, ins, rule=rule, kind=kind):
             calls[kind] = calls.get(kind, 0) + 1
-            return rule(k, ins, shape)
+            return rule(k, ins)
         monkeypatch.setitem(graph_ir._SHAPE_RULES, kind, counted)
     return calls
 
@@ -480,6 +480,29 @@ class TestShapesOnAppend:
         g, _ = build_bare_hdb(HDBSpec(64, 16, 1.7), TensorShape(32, 28, 28))
         assert calls == kind_counts(g)
         assert len(g.shapes) == len(g.nodes)
+
+    @pytest.mark.parametrize("shape", [None, TensorShape(3, 256, 320)])
+    def test_repeat_build_makes_no_tensor_shape(self, monkeypatch, shape):
+        for name in MODEL_NAMES:
+            hardgraph.build(name, shape)  # the first build at this input in this process
+        made, init = [], TensorShape.__init__
+
+        def counted(self, *fields):
+            made.append(fields)
+            init(self, *fields)
+        monkeypatch.setattr(TensorShape, "__init__", counted)
+        for name in MODEL_NAMES:
+            hardgraph.build(name, shape)
+        assert made == []
+
+    def test_equal_shapes_in_two_graphs_are_one_object(self):
+        hardnet, densenet = hardgraph.build("hardnet68"), hardgraph.build("densenet121")
+        loaded = ArchGraph.from_json(hardnet.to_json())
+        assert hardnet.shapes[-1] == densenet.shapes[-1] == TensorShape(1000, 1, 1)
+        assert hardnet.shapes[-1] is densenet.shapes[-1] is loaded.shapes[-1]
+        # graphs made by hand, from input shapes that are equal but not one object
+        (a, _, _), (b, _, _) = (chain_graph(TensorShape(3, 16, 16)) for _ in range(2))
+        assert a.shapes[0] is not b.shapes[0] and a.shapes[-1] is b.shapes[-1]
 
     def test_node_added_after_shapes_has_its_shape(self):
         from hardgraph.metrics import model_summary

@@ -3,12 +3,14 @@
     python tools/golden.py
 
 Reads the case list of tests/golden_cases.py, as tests/test_golden.py does,
-and runs the whole list twice in one process: the second run of each argv
-goes through the parsers the first runs built and cached.  Both digests of
-every report must match the recorded one, and the recorded keys must be
-exactly the cases.  Prints each mismatch and a summary line; exits 1 on any
-mismatch.  Uses ``src`` of this checkout.  Stdlib only, so any Python the
-package supports can run it.
+and runs the whole list twice in one process, the second time in reverse
+order.  The second run of each argv goes through the parsers the first runs
+built and cached, and comes after other builds than its first run did, so a
+report that depends on what earlier builds left in the process-wide shape
+table fails one of its runs.  Both digests of every report must match the
+recorded one, and the recorded keys must be exactly the cases.  Prints each
+mismatch and a summary line; exits 1 on any mismatch.  Uses ``src`` of this
+checkout.  Stdlib only, so any Python the package supports can run it.
 """
 
 import sys
@@ -31,8 +33,8 @@ def main() -> int:
     for d in cases.BARE_DEPTHS:
         if cases.sha(cases.bare_text(d)) != recorded.get(f"bare-hdb L={d}"):
             bad.append(f"bare-hdb L={d}")
-    for n in (1, 2):
-        for argv, text in runs:
+    for n, order in ((1, runs), (2, runs[::-1])):
+        for argv, text in order:
             if cases.sha(text(argv)) != recorded.get(" ".join(argv)):
                 bad.append(f"run {n}: {' '.join(argv)}")
     for line in unmatched + bad:
