@@ -7,10 +7,10 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "blocks": ("TransitionSpec", "build_transition", "log_links"),
     "graph_ir": ("Add", "ArchGraph", "Concat", "Conv", "GlobalPool", "GraphError", "Input",
                  "Linear", "Pool", "TensorShape", "TransposedConv", "to_dot"),
-    "harmonic": ("HDBSpec", "TransitionSpec", "bottleneck_channels", "build_hdb",
-                 "build_transition", "channel_width", "hdb_links", "log_links"),
+    "harmonic": ("HDBSpec", "bottleneck_channels", "build_hdb", "channel_width", "hdb_links"),
     "latency": ("PlatformModel", "model_latency"),
     "liveness": ("peak_memory", "tensor_lifetimes", "verify_flush"),
     "metrics": ("ModelSummary", "check_moc", "model_summary"),

@@ -88,7 +88,7 @@ def _cmd_compare(args) -> tuple:
     unknown = [m for m in wanted if m not in ("params", "macs", "cio", "cio_mb")]
     if unknown:
         raise UsageError(f"unknown metric {unknown[0]!r} (use params, macs, cio, cio_mb)")
-    from .jsonio import dumps_json
+    from .jsonwriter import dumps_json
     from .metrics import model_summary
     rows = {}
     for model in (args.model_a, args.model_b):
@@ -125,7 +125,7 @@ def _cmd_liveness(args) -> tuple:
 
 
 def _cmd_latency(args) -> tuple:
-    from .jsonio import dumps_json
+    from .jsonwriter import dumps_json
     from .latency import PRESETS, PlatformModel, model_latency
     if args.platform in PRESETS:
         platform = PRESETS[args.platform]

@@ -280,7 +280,7 @@ class ArchGraph:
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True)`` of the graph, byte for byte, each
         distinct kind encoded once (kind fields are type-checked, so equal kinds print alike)."""
-        from .jsonio import graph_to_json  # loads json, which a cold start otherwise skips
+        from .jsonio import graph_to_json  # not at the top: jsonio imports graph_ir
         return graph_to_json(self)
 
     @classmethod

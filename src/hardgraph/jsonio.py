@@ -1,13 +1,10 @@
-"""Graph JSON I/O and the JSON writer: the one module that loads ``json``."""
+"""Graph JSON I/O, and the JSON-object check that graph and platform files share."""
 
-import gc, json, marshal
-from itertools import chain, count
-from json.encoder import encode_basestring_ascii
-from math import isfinite
+import gc, marshal
+from itertools import count
 from typing import Optional
 
-from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, GraphError, Input, Table, TensorShape,
-                       _check_node)
+from .graph_ir import _KIND_NAMES, ArchGraph, Conv, GraphError, Input, TensorShape, _check_node
 
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 # a node record's default params and inputs, shared by every load: it copies, never changes, them
@@ -16,6 +13,7 @@ _NO_PARAMS, _NO_INPUTS = {}, []
 
 def graph_to_json(g: ArchGraph) -> str:
     """The text of ``ArchGraph.to_json``."""
+    from .jsonwriter import _block, _dumps, _frame, _template  # not at the top: a load writes none
     plain = _template(("id", "inputs", "kind", "params"), 2)
     labelled = _template(("id", "inputs", "kind", "label", "params"), 2)
     head, sep, tail = _frame("[", "]", 3)  # an inputs list
@@ -94,6 +92,7 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
 def _json_object(text: str, what: str) -> tuple:
     """Parse ``what`` JSON (graph or platform): an object whose optional
     ``name``, ``what`` by default, is a string.  Returns (object, name)."""
+    import json  # not at the top: writing graph JSON needs no json
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
@@ -128,84 +127,3 @@ def _kind_from_json(name, params, nid: int):
         return cls(**args)
     except GraphError as e:
         raise GraphError(f"node {nid}: {e}") from None
-
-
-# --- JSON writer ------------------------------------------------------------
-
-_encode_scalar = json.JSONEncoder().encode
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,  # as json writes them
-                float: lambda x: float.__repr__(x) if isfinite(x) else _encode_scalar(x)}
-
-
-def dumps_json(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with a ``Table`` written
-    as its list of rows; keys must be strings.  With an indent the stdlib takes one Python
-    step per token; a table is instead encoded column by column, its class cells once per
-    class, and an object's text is joined once, so a table's text is copied once per level."""
-    return _dumps(doc, 0)
-
-
-def _dumps(value, level: int) -> str:
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if type(value) is Table:
-        return _dumps_table(value, level)
-    if isinstance(value, dict) and value:
-        head, sep, tail = _frame("{", "}", level)
-        parts = [head]
-        for k, v in sorted(value.items()):
-            # encode_basestring_ascii raises TypeError on a key that is not a str
-            parts += encode_basestring_ascii(k), ": ", _dumps(v, level + 1), sep
-        parts[-1] = tail
-        return "".join(parts)
-    if isinstance(value, (list, tuple)) and value:
-        return _block("[", [_dumps(v, level + 1) for v in value], "]", level)
-    return _encode_scalar(value)  # a scalar, {} or []
-
-
-def _block(opener: str, items: list, closer: str, level: int) -> str:
-    head, sep, tail = _frame(opener, closer, level)
-    return head + sep.join(items) + tail
-
-
-def _frame(opener: str, closer: str, level: int) -> tuple:
-    """The text before, between and after the items of a non-empty block."""
-    pad = "\n" + "  " * (level + 1)
-    return opener + pad, "," + pad, "\n" + "  " * level + closer
-
-
-def _template(keys, level: int, node_keys=()) -> str:
-    """A JSON object at ``level`` whose sorted ``keys`` each hold a ``%s`` slot, or a NUL
-    for ``node_keys``; a key's '%' is doubled, so ``%`` fills only the slots."""
-    return _block("{", [encode_basestring_ascii(k).replace("%", "%%")
-                        + (": \0" if k in node_keys else ": %s") for k in sorted(keys)], "}", level)
-
-
-def _dumps_table(table: Table, level: int) -> str:
-    """Class cells fill the row text around the node cells once per class; those pieces, through
-    ``classes``, and the node cells fill one list for one join.  No class columns: one class."""
-    classes = table.classes if table.class_keys else [0] * len((table.columns or [()])[0])
-    if not classes:
-        return "[]"
-    head, sep, tail = _frame("[", "]", level)
-    row = _template(table.keys + table.class_keys, level + 1, table.keys) + sep
-    by_class = sorted(zip(table.class_keys, table.class_columns))
-    cells = zip(*[_encode_column(c, level + 2) for _, c in by_class]) if by_class else [()]
-    # each class's row, cut at the node cells (no NUL in a cell): piece j of class c at c*width+j
-    pieces, width = "\0".join(map(row.__mod__, cells)).split("\0"), len(table.keys) + 1
-    nodes = [_encode_column(c, level + 2) for _, c in sorted(zip(table.keys, table.columns))]
-    columns = [map(pieces[j::width].__getitem__, classes) for j in range(width)]
-    parts = [head] + [None] * (len(classes) * (2 * width - 1))  # filled a column at a time, in C
-    for j, column in enumerate([*chain.from_iterable(zip(columns, nodes)), columns[-1]]):
-        parts[1 + j::2 * width - 1] = column
-    parts[-1] = parts[-1][:-len(sep)] + tail  # the last row closes the list
-    return "".join(parts)
-
-
-def _encode_column(column, level: int) -> list:
-    """A table column's values as JSON text: if they share one type that ``_SCALAR_TEXT``
-    holds, its function mapped over them, else ``_dumps`` of each."""
-    types = {int} if type(column) is range else set(map(type, column))  # a range: node ids
-    text = _SCALAR_TEXT.get(types.pop()) if len(types) == 1 else None
-    return list(map(text, column)) if text else [_dumps(v, level) for v in column]

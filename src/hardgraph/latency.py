@@ -9,7 +9,7 @@ import math
 from typing import NamedTuple
 
 from .graph_ir import ArchGraph, Concat, _Value
-from .metrics import _class_rows, _node_order_sum, _PerClass
+from .layer_table import _class_rows, _node_order_sum, _PerClass
 
 
 class PlatformModel(_Value):

@@ -1,53 +1,13 @@
-"""Per-layer and whole-model parameter, MAC, CIO and MoC accounting.
-
-CIO of a convolution layer is its (possibly concatenated) input tensor size
-plus its output tensor size, in elements; non-conv nodes contribute zero.
-MoC is MACs / CIO-elements.
-"""
+"""Whole-model parameter, MAC, CIO and MoC totals over the per-layer table, and the
+per-layer reports."""
 
 from collections import Counter
-from functools import reduce
 from itertools import chain, compress
-from operator import add, attrgetter, mul
-from typing import NamedTuple, Optional
+from operator import attrgetter, mul
+from typing import Optional
 
-from .graph_ir import (_KIND_NAMES, ArchGraph, Conv, Linear, Node, Table, TransposedConv,
-                       _csv_head, _csv_labels, _Kind, _read_shape)
-
-
-class LayerMetrics(NamedTuple):
-    node_id: int
-    params: int
-    macs: int
-    cio_elements: float  # real-valued once a DS weighting is applied
-    cio_bytes: float
-    moc: float
-
-
-class _PerClass:
-    """Records kept once per node class, each with its class's first node id,
-    and each node's class; ``layers`` makes one record per node on access."""
-
-    _record = LayerMetrics
-
-    def __init__(self, rows: list, classes: list):
-        self._rows, self._classes = rows, classes
-
-    @property
-    def columns(self) -> list:
-        """The ``layers`` fields as columns, one value per node."""
-        fields = list(zip(*self._rows))[1:] or [()] * (len(self._record._fields) - 1)
-        return [range(len(self._classes)), *(list(map(f.__getitem__, self._classes))
-                                             for f in fields)]
-
-    @property
-    def layers(self) -> list:
-        return list(map(self._record, *self.columns))
-
-    def table(self, keys: tuple) -> Table:
-        """A report table: ``id`` per node, and the other fields, named ``keys``, per class."""
-        return Table(("id",), (range(len(self._classes)),), keys, tuple(zip(*self._rows))[1:],
-                     self._classes)
+from .graph_ir import _KIND_NAMES, ArchGraph, Node, Table, _csv_head, _csv_labels
+from .layer_table import LayerMetrics, _class_rows, _layer_row, _node_order_sum, _PerClass
 
 
 class ModelSummary(_PerClass):
@@ -74,44 +34,6 @@ class ModelSummary(_PerClass):
         return self.cio_bytes / 2 ** 20
 
 
-def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
-               ds_weight: Optional[float]) -> LayerMetrics:
-    """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
-    live.  A conv, transposed conv or Linear reads what ``_read_shape`` reads."""
-    kind_type = type(k)
-    if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear:
-        return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
-    read = shapes[inputs[0]] if len(inputs) == 1 else _read_shape([shapes[i] for i in inputs])
-    c_in = read.channels
-    in_elements = c_in * read.height * read.width
-    if kind_type is Linear:
-        macs = in_elements * k.out_features
-        return LayerMetrics(nid, macs + k.out_features, macs, 0, 0, 0.0)
-    out = shapes[nid]
-    out_hw = out.height * out.width
-    if kind_type is Conv:
-        weights = (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w
-        params = weights + (k.out_channels if k.bias else 0)
-    else:
-        weights = params = c_in * k.out_channels * k.kernel * k.kernel
-    macs = weights * out_hw
-    cio = in_elements + out.channels * out_hw  # exact integer when unweighted
-    if ds_weight is not None and kind_type is Conv and (
-            k.kernel_h == k.kernel_w == 1 and k.groups == 1  # pointwise
-            or k.groups == c_in == k.out_channels):  # depthwise
-        cio = ds_weight * cio
-    return LayerMetrics(nid, params, macs, cio, cio * dtype_bytes, macs / cio if cio else 0.0)
-
-
-def _class_rows(graph: ArchGraph, dtype_bytes: int = 4,
-                ds_weight: Optional[float] = None) -> list:
-    """One LayerMetrics per node class, from the class's first node: the
-    table every report reads, broadcast to nodes through ``graph.classes``."""
-    shapes, kinds, inputs = graph.shapes, graph.kinds, graph.inputs
-    return [_layer_row(shapes, f, kinds[f], inputs[f], dtype_bytes, ds_weight)
-            for f in graph.class_first]
-
-
 def node_metrics(graph: ArchGraph, node: Node, dtype_bytes: int = 4,
                  ds_weight: Optional[float] = None) -> LayerMetrics:
     return _layer_row(graph.shapes, node.id, node.kind, node.inputs, dtype_bytes, ds_weight)
@@ -119,12 +41,6 @@ def node_metrics(graph: ArchGraph, node: Node, dtype_bytes: int = 4,
 
 def layer_macs(graph: ArchGraph, node: Node) -> int:
     return _layer_row(graph.shapes, node.id, node.kind, node.inputs, 1, None).macs
-
-
-def _node_order_sum(values):
-    """Per-node ``values`` added left to right in node order (``sum`` compensates float error
-    on 3.12+, so a running sum over the nodes would not match it)."""
-    return reduce(add, values, 0)
 
 
 def _totals(column, counts: list, classes: list, groups: list) -> list:
@@ -200,7 +116,7 @@ def report_csv(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] =
 
 
 def report_json(graph: ArchGraph, summary: ModelSummary, header: Optional[dict] = None) -> str:
-    from .jsonio import dumps_json
+    from .jsonwriter import dumps_json
     return dumps_json({
         "header": header or {},
         "layers": _rows(graph, summary),

@@ -4,9 +4,9 @@ and FC-SparseNet segmentation family.
 External architectures follow their canonical published configurations.
 """
 
+from .blocks import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
+                     _conv3x3, build_transition, log_links)
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
-from .harmonic import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
-                       _conv3x3, build_transition, log_links)
 
 
 # --- DenseNet (classification) ----------------------------------------------

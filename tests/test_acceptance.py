@@ -15,11 +15,11 @@ import pytest
 
 import hardgraph
 from hardgraph import registry
+from hardgraph.blocks import TransitionSpec, build_transition
 from hardgraph.catalog import validate_catalog
 from hardgraph.graph_ir import (ArchGraph, Conv, Input, Linear, TensorShape,
                                 TransposedConv)
-from hardgraph.harmonic import (HDBSpec, TransitionSpec, build_bare_hdb,
-                                build_transition, channel_width, hdb_links, v2)
+from hardgraph.harmonic import HDBSpec, build_bare_hdb, channel_width, hdb_links, v2
 from hardgraph.latency import PlatformModel, model_latency
 from hardgraph.liveness import verify_flush
 from hardgraph.metrics import model_summary

@@ -15,7 +15,7 @@ from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphE
 from hardgraph.harmonic import HDBSpec, build_bare_hdb
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
 from hardgraph.liveness import peak_memory, timeline_csv
-from hardgraph.jsonio import dumps_json
+from hardgraph.jsonwriter import dumps_json
 from hardgraph.metrics import Table, check_moc, model_summary, report_csv, report_json
 from test_layer_table import assert_same_as_reference
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hardgraph import harmonic, registry
+from hardgraph.blocks import TransitionSpec, build_transition, round_even
 from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
-from hardgraph.harmonic import (HDBSpec, TransitionSpec, bottleneck_channels,
-                                build_bare_hdb, build_hdb, build_model,
-                                build_transition, channel_width, hdb_links, round_even, v2)
+from hardgraph.harmonic import (HDBSpec, bottleneck_channels, build_bare_hdb, build_hdb,
+                                build_model, channel_width, hdb_links, v2)
 from hardgraph.metrics import model_summary
 from hardgraph.registry import default_input
 from test_layer_table import conv_input_shape

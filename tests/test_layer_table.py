@@ -12,7 +12,8 @@ from hardgraph import catalog, latency, metrics
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphError, Input,
                                 Linear, Pool, TensorShape, TransposedConv)
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
-from hardgraph.metrics import LayerMetrics, check_moc, layer_macs, model_summary, node_metrics
+from hardgraph.layer_table import LayerMetrics
+from hardgraph.metrics import check_moc, layer_macs, model_summary, node_metrics
 from hardgraph.registry import MODEL_NAMES
 
 # --- reference: one node at a time, through conv_input_shape ---------------

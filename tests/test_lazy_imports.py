@@ -123,26 +123,78 @@ def test_commands_without_json_io_do_not_load_json(argv):
 
 
 def test_modules_off_the_json_path_do_not_load_json():
-    at_start, after = modules_after("import hardgraph.cli, hardgraph.graph_ir, hardgraph.metrics, "
-                                    "hardgraph.liveness, hardgraph.registry")
-    assert "hardgraph.jsonio" not in after
+    # jsonio imports json only to parse, and the writer only for a value its tables do not hold
+    at_start, after = modules_after(
+        "import hardgraph.cli, hardgraph.graph_ir, hardgraph.jsonio, hardgraph.jsonwriter, "
+        "hardgraph.layer_table, hardgraph.metrics, hardgraph.latency, hardgraph.liveness, "
+        "hardgraph.blocks, hardgraph.harmonic, hardgraph.references, hardgraph.registry")
     if "json" in at_start:
         pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
     assert "json" not in after
 
 
 @pytest.mark.parametrize("argv", [("build", "hardnet68", "-o", os.devnull),
-                                  ("compare", "hardnet68", "resnet50"),
-                                  ("latency", "resnet18", "--platform", "gpu-like"),
-                                  ("analyze", "hardnet68", "--format", "json")])
-def test_commands_with_json_io_load_jsonio(argv):
+                                  ("build", "{graph}", "-o", os.devnull),
+                                  ("analyze", "{graph}", "--format", "json"),
+                                  ("latency", "resnet18", "--platform", "{platform}")])
+def test_commands_with_json_io_load_jsonio(tmp_path, argv):
+    # each writes or reads graph JSON, or reads platform JSON
+    graph, platform = tmp_path / "g.json", tmp_path / "p.json"
+    graph.write_text(quoted_label_json())
+    platform.write_text('{"peak_macs_per_second": 1e12, "dram_bytes_per_second": 1e11}')
+    argv = [a.format(graph=graph, platform=platform) for a in argv]
     assert "hardgraph.jsonio" in loaded_after(run_cli(*argv))
 
 
+@pytest.mark.parametrize("argv", [("compare", "hardnet68", "resnet50"),
+                                  ("latency", "resnet18", "--platform", "gpu-like"),
+                                  ("analyze", "hardnet68", "--format", "json")])
+def test_json_reports_load_neither_json_nor_jsonio(argv):
+    # the JSON writer is its own module and needs no json for the values a report holds
+    at_start, after = modules_after(run_cli(*argv))
+    assert "hardgraph.jsonwriter" in after and "hardgraph.jsonio" not in after
+    if "json" in at_start:
+        pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
+    assert "json" not in after
+
+
+def test_writing_graph_json_loads_no_json():
+    # graph_to_json lives with the graph loader in jsonio, which imports json only to parse
+    at_start, after = modules_after(run_cli("build", "hardnet68", "-o", os.devnull))
+    assert "hardgraph.jsonwriter" in after
+    if "json" in at_start:
+        pytest.skip("json is loaded at interpreter start (for example by a .pth file)")
+    assert "json" not in after
+
+
 def test_a_json_input_loads_jsonio(tmp_path):
+    # the loader parses; only writing a graph imports the writer
     path = tmp_path / "g.json"
     path.write_text(quoted_label_json())
-    assert "hardgraph.jsonio" in loaded_after(run_cli("liveness", str(path)))
+    code = run_cli("liveness", str(path)) + (
+        "assert not [name for name, m in sys.modules.items()\n"
+        "            if name.startswith('hardgraph') and 'dumps_json' in vars(m)]\n")
+    loaded = loaded_after(code)
+    assert "hardgraph.jsonio" in loaded and "hardgraph.jsonwriter" not in loaded, sorted(loaded)
+
+
+@pytest.mark.parametrize("argv", [("analyze", "resnet50"), ("liveness", "densenet121")])
+def test_reference_models_load_no_hardnet_catalog(argv):
+    # the block skeletons both families share live in blocks, not harmonic
+    loaded = loaded_after(run_cli(*argv))
+    assert {"hardgraph.blocks", "hardgraph.references"} <= loaded
+    assert "hardgraph.harmonic" not in loaded, sorted(loaded)
+
+
+def test_latency_loads_no_report_code(tmp_path):
+    # latency reads the per-layer table in layer_table, below metrics' reports
+    path = tmp_path / "g.json"
+    path.write_text(quoted_label_json())
+    code = "".join(run_cli("latency", model, "--platform", "edge-like")
+                   for model in [*hardgraph.MODEL_NAMES, str(path)])
+    loaded = loaded_after(code)
+    assert {"hardgraph.latency", "hardgraph.layer_table"} <= loaded
+    assert "hardgraph.metrics" not in loaded, sorted(loaded)
 
 
 @pytest.mark.parametrize("argv", [("build", "hardnet68", "-o", os.devnull), ("liveness", "{}")],
@@ -158,11 +210,11 @@ def test_graph_json_io_does_not_load_metrics(tmp_path, argv):
 @pytest.mark.parametrize("argv", [("latency", "densenet121", "--platform", "gpu-like"),
                                   ("build", "hardnet68", "-o", os.devnull)])
 def test_commands_without_csv_output_do_not_load_csv(argv):
-    # both write through the JSON writer in jsonio, which loads no csv
+    # both write through the JSON writer, which loads no csv
     at_start, after = modules_after(run_cli(*argv))
     if "csv" in at_start:
         pytest.skip("csv is loaded at interpreter start (for example by a .pth file)")
-    assert "hardgraph.jsonio" in after and "csv" not in after
+    assert "hardgraph.jsonwriter" in after and "csv" not in after
 
 
 @pytest.mark.parametrize("argv", [("analyze", "hardnet68", "--format", "csv"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import hardgraph
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, Input, Linear,
                                 Pool, TensorShape, TransposedConv)
-from hardgraph.jsonio import dumps_json
+from hardgraph.jsonwriter import dumps_json
 from hardgraph.metrics import (Table, check_moc, layer_macs, model_summary,
                                node_metrics, report_csv, report_json)
 
@@ -285,6 +285,10 @@ json_values = st.recursive(
     max_leaves=8)
 
 
+class Half(float):
+    """A float subclass, which no writer table holds."""
+
+
 class TestJsonWriter:
     """dumps_json is byte-identical to json.dumps(indent=2, sort_keys=True)."""
 
@@ -320,6 +324,26 @@ class TestJsonWriter:
         # the stdlib writes int keys as strings; reports only have string keys
         with pytest.raises(TypeError):
             dumps_json(bad)
+
+    @pytest.mark.parametrize("value", [
+        None, True, False, float("nan"), float("inf"), float("-inf"), {}, [],
+        Half(0.5), Half("nan"), Half("-inf"),
+    ], ids=repr)
+    def test_literals_empties_and_subclasses(self, value):
+        # the writer's own literal table, and json's encoder for a float subclass
+        docs = [value, [value], Table(("x",), ([value],)),
+                Table(("id",), (range(2),), ("x",), ([value],), [0, 0])]
+        wants = [value, [value], [{"x": value}], [{"id": 0, "x": value}, {"id": 1, "x": value}]]
+        for doc, want in zip(docs, wants):
+            assert dumps_json(doc) == stdlib_dumps(want)
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"x"], ids=repr)
+    def test_an_unsupported_value_raises_jsons_own_type_error(self, bad):
+        with pytest.raises(TypeError) as want:
+            stdlib_dumps({"a": [bad]})
+        with pytest.raises(TypeError) as got:
+            dumps_json({"a": [bad]})
+        assert str(got.value) == str(want.value)
 
     @settings(max_examples=150, deadline=None)
     @given(tables(), st.integers(0, 2))

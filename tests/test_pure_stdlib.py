@@ -41,8 +41,8 @@ def package_imports() -> set:
 
 
 # bottom first; ArchGraph.to_json and from_json, in graph_ir, call into jsonio
-LAYERS = ("__init__", "graph_ir", "jsonio", "metrics", "latency", "liveness",
-          "harmonic", "references", "registry", "catalog", "cli")
+LAYERS = ("__init__", "graph_ir", "jsonwriter", "jsonio", "layer_table", "metrics", "latency",
+          "liveness", "blocks", "harmonic", "references", "registry", "catalog", "cli")
 
 
 def test_the_only_two_way_import_is_graph_ir_and_jsonio():

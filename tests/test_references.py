@@ -4,8 +4,8 @@ import pytest
 
 import hardgraph
 from hardgraph import references, registry
+from hardgraph.blocks import log_links
 from hardgraph.graph_ir import Conv, TensorShape
-from hardgraph.harmonic import log_links
 from hardgraph.metrics import model_summary
 from hardgraph.references import _BUILDERS, _FC_CONFIGS, build_reference
 from hardgraph.registry import default_input

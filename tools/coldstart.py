@@ -5,12 +5,13 @@
 Each op of one pass of perfbench's cli-cold mix (the pass ``perfbench/run.py
 --workload cli-cold --seed 1`` replays) runs as a fresh ``python -m
 hardgraph.cli`` process in each checkout, with the checkout as working
-directory and its ``src`` alone on PYTHONPATH.  So does one op no pass runs:
-``liveness`` of the bare-HDB L=4096 graph JSON file, deep-hdb's deepest graph,
-which the script writes to a temporary directory with this repository's
-``src``.  Every one-shot run on a graph JSON file pays such a cold load.  Each
-round runs every op once per checkout, and which checkout goes first
-alternates from round to round.
+directory and its ``src`` alone on PYTHONPATH.  So do four ops no pass runs:
+the three JSON writers ``build hardnet68 -o /dev/null``, ``compare hardnet68
+resnet50`` and ``analyze hardnet68 --format json``, and ``liveness`` of the
+bare-HDB L=4096 graph JSON file, deep-hdb's deepest graph, which the script
+writes to a temporary directory with this repository's ``src``.  Every one-shot
+run on a graph JSON file pays such a cold load.  Each round runs every op once
+per checkout, and which checkout goes first alternates from round to round.
 Two settings, set in the child processes only:
 
 - no cache: PYTHONDONTWRITEBYTECODE=1, as cli-cold runs, so each process
@@ -22,7 +23,7 @@ Two settings, set in the child processes only:
 
 For each op it prints the min and the median in ms for A and for B, and in how
 many rounds B was faster than A; then the total of one pass, each op's median
-times the number of times the pass runs it (0 for the graph JSON op).  Nothing
+times the number of times the pass runs it (0 for the ops no pass runs).  Nothing
 is asserted about the times; an op that exits non-zero stops the script.
 Stdlib only.
 """
@@ -44,6 +45,9 @@ import workloads  # noqa: E402
 
 
 SEED = 1
+# ops no cli-cold pass runs, each with count 0: the JSON writers outside the mix
+UNCOUNTED = (("build", "hardnet68", "-o", os.devnull), ("compare", "hardnet68", "resnet50"),
+             ("analyze", "hardnet68", "--format", "json"))
 
 
 def one_pass() -> dict:
@@ -133,7 +137,7 @@ def main() -> None:
             print(f"warning: {checkout}/src/hardgraph/__pycache__ exists, so runs without "
                   "a cache read its bytecode", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="coldstart-") as tmp:
-        ops = {**one_pass(), ("liveness", write_hdb_file(tmp)): 0}
+        ops = {**one_pass(), **dict.fromkeys(UNCOUNTED, 0), ("liveness", write_hdb_file(tmp)): 0}
         print(f"A = {checkouts[0]}\nB = {checkouts[1]}\n{args.rounds} round(s), Python "
               f"{sys.version.split()[0]}, cli-cold pass of seed {SEED}; times in ms")
         report("no bytecode cache (PYTHONDONTWRITEBYTECODE=1)", ops,
