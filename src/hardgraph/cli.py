@@ -84,7 +84,7 @@ def _cmd_analyze(args) -> tuple:
 
 
 def _cmd_compare(args) -> tuple:
-    wanted = args.metrics.split(",") if args.metrics else ["params", "macs", "cio"]
+    wanted = args.metrics.split(",") if args.metrics is not None else ["params", "macs", "cio"]
     unknown = [m for m in wanted if m not in ("params", "macs", "cio", "cio_mb")]
     if unknown:
         raise UsageError(f"unknown metric {unknown[0]!r} (use params, macs, cio, cio_mb)")
@@ -131,7 +131,7 @@ def _cmd_latency(args) -> tuple:
         platform = PRESETS[args.platform]
     else:
         path = Path(args.platform)
-        if not path.exists():
+        if not path.is_file():
             raise UsageError(
                 f"platform {args.platform!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
                 f"nor a JSON file")

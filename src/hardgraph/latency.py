@@ -1,14 +1,14 @@
-"""Roofline-style latency estimate from per-layer MACs and CIO bytes.
+"""Roofline-style latency estimate from the per-layer table's MACs and CIO bytes.
 
-Each layer costs max(compute time, memory time); a layer is memory-bound
+Each layer with CIO costs max(compute time, memory time); it is memory-bound
 when its MoC falls below the platform's critical MoC
-(peak_macs / dram_bytes * dtype_bytes).
+(peak_macs / dram_bytes * dtype_bytes), or when it has no MACs (a copied concat).
 """
 
 import math
 from typing import NamedTuple
 
-from .graph_ir import ArchGraph, Concat, _Value
+from .graph_ir import ArchGraph, _Value
 from .layer_table import _class_rows, _node_order_sum, _PerClass
 
 
@@ -67,15 +67,11 @@ def model_latency(graph: ArchGraph, platform: PlatformModel,
                   dtype_bytes: int = 4, concat_copy: bool = False) -> LatencyReport:
     crit, rows, classes = platform.critical_moc(dtype_bytes), [], graph.classes[:]
     peak, dram = platform.peak_macs_per_second, platform.dram_bytes_per_second
-    for lm in _class_rows(graph, dtype_bytes):
+    for lm in _class_rows(graph, dtype_bytes, concat_copy=concat_copy):
         nid, t, bound = lm.node_id, 0.0, "none"
         if lm.cio_elements:
             t = max(lm.macs / peak, lm.cio_bytes / dram)
-            bound = "memory" if lm.moc < crit else "compute"
-        elif concat_copy and type(graph.kinds[nid]) is Concat:
-            # explicit copy: read + write of the concatenated tensor
-            moved = 2 * graph.shapes[nid].element_count * dtype_bytes
-            t, bound = moved / dram, "memory"
+            bound = "memory" if lm.moc < crit or not lm.macs else "compute"
         rows.append(LayerTime(nid, t, bound))
     seconds = [row.seconds for row in rows]
     return LatencyReport(_node_order_sum(map(seconds.__getitem__, classes)), rows, classes)

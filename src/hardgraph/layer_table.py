@@ -2,15 +2,15 @@
 node class.
 
 CIO of a convolution layer is its (possibly concatenated) input tensor size
-plus its output tensor size, in elements; non-conv nodes contribute zero.
-MoC is MACs / CIO-elements.
+plus its output tensor size, in elements; so is that of a concat copied in
+DRAM (``concat_copy``).  Other nodes contribute zero.  MoC is MACs / CIO-elements.
 """
 
 from functools import reduce
 from operator import add
 from typing import NamedTuple, Optional
 
-from .graph_ir import ArchGraph, Conv, Linear, Table, TransposedConv, _Kind, _read_shape
+from .graph_ir import ArchGraph, Concat, Conv, Linear, Table, TransposedConv, _Kind, _read_shape
 
 
 class LayerMetrics(NamedTuple):
@@ -49,11 +49,12 @@ class _PerClass:
 
 
 def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
-               ds_weight: Optional[float]) -> LayerMetrics:
+               ds_weight: Optional[float], concat_copy: bool = False) -> LayerMetrics:
     """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
-    live.  A conv, transposed conv or Linear reads what ``_read_shape`` reads."""
+    live.  A conv, transposed conv, Linear or copied concat reads what ``_read_shape`` reads."""
     kind_type = type(k)
-    if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear:
+    if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear and (
+            not concat_copy or kind_type is not Concat):
         return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
     read = shapes[inputs[0]] if len(inputs) == 1 else _read_shape([shapes[i] for i in inputs])
     c_in = read.channels
@@ -66,6 +67,8 @@ def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int
     if kind_type is Conv:
         weights = (c_in // k.groups) * k.out_channels * k.kernel_h * k.kernel_w
         params = weights + (k.out_channels if k.bias else 0)
+    elif kind_type is Concat:  # a copy computes nothing
+        weights = params = 0
     else:
         weights = params = c_in * k.out_channels * k.kernel * k.kernel
     macs = weights * out_hw
@@ -77,12 +80,12 @@ def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int
     return LayerMetrics(nid, params, macs, cio, cio * dtype_bytes, macs / cio if cio else 0.0)
 
 
-def _class_rows(graph: ArchGraph, dtype_bytes: int = 4,
-                ds_weight: Optional[float] = None) -> list:
+def _class_rows(graph: ArchGraph, dtype_bytes: int = 4, ds_weight: Optional[float] = None,
+                concat_copy: bool = False) -> list:
     """One LayerMetrics per node class, from the class's first node: the
     table every report reads, broadcast to nodes through ``graph.classes``."""
     shapes, kinds, inputs = graph.shapes, graph.kinds, graph.inputs
-    return [_layer_row(shapes, f, kinds[f], inputs[f], dtype_bytes, ds_weight)
+    return [_layer_row(shapes, f, kinds[f], inputs[f], dtype_bytes, ds_weight, concat_copy)
             for f in graph.class_first]
 
 

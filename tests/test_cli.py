@@ -208,6 +208,15 @@ class TestOtherCommands:
         code, _, err = invoke(capsys, "latency", "hardnet39ds", "--platform", "nope")
         assert code == 1 and "preset" in err
 
+    @pytest.mark.parametrize("platform", ["", "dir"])
+    def test_latency_platform_that_is_no_file(self, capsys, tmp_path, platform):
+        # "" names the current directory to pathlib: both are paths but no JSON file
+        platform = str(tmp_path) if platform == "dir" else platform
+        code, out, err = invoke(capsys, "latency", "hardnet39ds", "--platform", platform)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: platform {platform!r} is neither a preset "
+                       f"(edge-like, gpu-like) nor a JSON file\n")
+
     def test_export_dot_node_per_graph_node(self, capsys):
         import hardgraph
         code, out, _ = invoke(capsys, "export-dot", "hardnet39ds")
@@ -417,6 +426,14 @@ def test_compare_checks_metrics_before_building(capsys, monkeypatch):
     assert builds == []
     assert invoke(capsys, "compare", "hardnet68", "resnet50", "--metrics", "cio")[0] == 0
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("metrics", ["", ","])
+def test_compare_empty_metric(capsys, metrics):
+    # an empty list names the empty metric, as an empty item of a list does
+    code, out, err = invoke(capsys, "compare", "hardnet68", "resnet50", "--metrics", metrics)
+    assert (code, out) == (1, "")
+    assert err == "usage error: unknown metric '' (use params, macs, cio, cio_mb)\n"
 
 
 # one representative argv per subcommand, every option of it given

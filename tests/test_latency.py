@@ -1,9 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 import hardgraph
-from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape, TransposedConv
+from hardgraph import latency
+from hardgraph.graph_ir import (_KIND_NAMES, ArchGraph, Concat, Conv, Input, TensorShape,
+                                TransposedConv)
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
 from hardgraph.metrics import model_summary
 
@@ -13,6 +17,19 @@ def conv_rows(platform, c_in, c_out, h, w, kernel):
     g = ArchGraph("one-conv", input_shape=TensorShape(c_in, h, w))
     g.add(Conv(c_out, kernel_h=kernel, kernel_w=kernel), [g.add(Input(), [])])
     return model_summary(g).layers, model_latency(g, platform).layers
+
+
+def test_latency_is_a_roofline_over_the_layer_table():
+    """``latency`` names no layer kind and reads no graph shape or kind: the
+    bytes a layer moves, a copied concat's included, are decided in ``layer_table``."""
+    path = Path(latency.__file__)
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    kinds = {kind.__name__ for kind in _KIND_NAMES}
+    imported = {a.asname or a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & kinds
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert not (names | attrs) & kinds and not attrs & {"kinds", "shapes"}
 
 
 class TestLayerTime:

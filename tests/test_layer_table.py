@@ -12,7 +12,7 @@ from hardgraph import catalog, latency, metrics
 from hardgraph.graph_ir import (Add, ArchGraph, Concat, Conv, GlobalPool, GraphError, Input,
                                 Linear, Pool, TensorShape, TransposedConv)
 from hardgraph.latency import PRESETS, PlatformModel, model_latency
-from hardgraph.layer_table import LayerMetrics
+from hardgraph.layer_table import LayerMetrics, _class_rows
 from hardgraph.metrics import check_moc, layer_macs, model_summary, node_metrics
 from hardgraph.registry import MODEL_NAMES
 
@@ -176,6 +176,25 @@ def test_catalog_models_match_the_reference(name):
             assert_same_as_reference(built(name), dtype_bytes, ds_weight)
 
 
+def assert_copied_concat_rows(g, dtype_bytes):
+    """With ``concat_copy`` a concat row moves what it reads plus its output and
+    computes nothing; every other row is the row without it."""
+    nodes, plain = g.nodes, _class_rows(g, dtype_bytes)
+    for row, base in zip(_class_rows(g, dtype_bytes, concat_copy=True), plain):
+        node = nodes[row.node_id]
+        if isinstance(node.kind, Concat):
+            cio = conv_input_shape(g, node).element_count + g.shapes[node.id].element_count
+            base = LayerMetrics(node.id, 0, 0, cio, cio * dtype_bytes, 0.0)
+        assert repr(row) == repr(base)
+
+
+@pytest.mark.parametrize("name", ["hardnet68", "fc-hardnet68", "densenet121", "resnet50"])
+def test_copied_concat_rows(name):
+    g = built(name)
+    for dtype_bytes in (1, 2, 4):
+        assert_copied_concat_rows(g, dtype_bytes)
+
+
 @st.composite
 def graphs(draw) -> ArchGraph:
     """Small shaped graphs with multi-input, grouped, depthwise and pointwise
@@ -225,6 +244,12 @@ def graphs(draw) -> ArchGraph:
        st.floats(0.0, 50.0))
 def test_random_graphs_match_the_reference(g, dtype_bytes, ds_weight, threshold):
     assert_same_as_reference(g, dtype_bytes, ds_weight, threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.sampled_from((1, 2, 4)))
+def test_random_graphs_copied_concat_rows(g, dtype_bytes):
+    assert_copied_concat_rows(g, dtype_bytes)
 
 
 def test_unshaped_node_is_named():
