@@ -37,7 +37,7 @@ def _load_graph(model: str, input_hw: Optional[str]) -> "ArchGraph":
     from .graph_ir import ArchGraph, GraphError, TensorShape
     if model.endswith(".json"):
         path = Path(model)
-        if not path.exists():
+        if not path.is_file():
             raise GraphError(f"graph file not found: {model}")
         return ArchGraph.from_json(path.read_text(), _parse_hw(input_hw) if input_hw else None)
     shape = None
@@ -84,18 +84,17 @@ def _cmd_analyze(args) -> tuple:
 
 
 def _cmd_compare(args) -> tuple:
-    wanted = args.metrics.split(",") if args.metrics is not None else ["params", "macs", "cio"]
-    unknown = [m for m in wanted if m not in ("params", "macs", "cio", "cio_mb")]
+    wanted = args.metrics.split(",") if args.metrics is not None else _COMPARE_METRICS[:-1]
+    unknown = [m for m in wanted if m not in _COMPARE_METRICS]
     if unknown:
-        raise UsageError(f"unknown metric {unknown[0]!r} (use params, macs, cio, cio_mb)")
+        raise UsageError(f"unknown metric {unknown[0]!r} (use {', '.join(_COMPARE_METRICS)})")
     from .jsonwriter import dumps_json
     from .metrics import model_summary
     rows = {}
     for model in (args.model_a, args.model_b):
         g = _load_graph(model, args.input)
         s = model_summary(g, dtype_bytes=args.dtype_bytes)
-        rows[model] = {"params": s.params, "macs": s.macs, "cio": s.cio_elements,
-                       "cio_mb": s.cio_mb}
+        rows[model] = dict(zip(_COMPARE_METRICS, (s.params, s.macs, s.cio_elements, s.cio_mb)))
     doc = {"models": rows, "reduction_pct": {}}
     a, b = rows[args.model_a], rows[args.model_b]
     for m in wanted:
@@ -190,6 +189,7 @@ _MODEL = _arg("model")
 _INPUT = _arg("--input", default=None, help="input size as HxW")
 _DTYPE = _arg("--dtype-bytes", type=_dtype_bytes, default=4)
 _OUTPUT = _arg("--output", "-o", default=None)
+_COMPARE_METRICS = ("params", "macs", "cio", "cio_mb")  # compare's; all but the last by default
 
 # name: (help, handler, arguments); build_parser reads each subparser from here
 COMMANDS = {
@@ -202,7 +202,7 @@ COMMANDS = {
              help="CIO weighting for pointwise/depthwise convs"), _INPUT, _DTYPE, _OUTPUT)),
     "compare": ("metric deltas between two models", _cmd_compare, (
         _arg("model_a"), _arg("model_b"),
-        _arg("--metrics", default=None, help="comma list: params,macs,cio,cio_mb"),
+        _arg("--metrics", default=None, help="comma list: " + ",".join(_COMPARE_METRICS)),
         _INPUT, _DTYPE, _OUTPUT)),
     "check-moc": ("list conv layers below a MoC threshold", _cmd_check_moc, (
         _MODEL, _arg("--threshold", type=_threshold, required=True), _INPUT, _OUTPUT)),

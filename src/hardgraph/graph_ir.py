@@ -65,13 +65,8 @@ class TensorShape(_Value):
     __slots__ = ("channels", "height", "width")
 
     def __init__(self, channels: int, height: int, width: int):
-        set_channels, set_height, set_width = self._setters
-        set_channels(self, channels)
-        set_height(self, height)
-        set_width(self, width)
-        if not (type(channels) is type(height) is type(width) is int
-                and channels > 0 and height > 0 and width > 0):
-            self._check_counts(self.__slots__)
+        self._set_fields(channels, height, width)
+        self._check_counts(self.__slots__)
 
     @property
     def element_count(self) -> int:
@@ -204,7 +199,7 @@ class ArchGraph:
         inputs, nid = tuple(inputs), len(self.kinds)
         # node 0 is the one Input: no other node can come first, with no earlier id to read
         _check_node(nid, kind, inputs, label, nid > 0)
-        self.shapes.append(self._rule(nid, kind, inputs, label))
+        self.shapes.append(_rule(self.shapes, self.input_shape, nid, kind, inputs, label))
         self.kinds.append(kind)
         self.inputs.append(inputs)
         self.labels.append(label)
@@ -215,55 +210,32 @@ class ArchGraph:
     # --- shape inference ---
 
     def infer_shapes(self, input_shape: TensorShape) -> "ArchGraph":
-        """Re-shape every node at ``input_shape``; on failure the graph keeps its
-        old input and shapes.  Nodes group into classes: a node whose kind and
-        input shapes are an earlier node's objects shares that node's class and
-        output shape, so each class runs its shape rule once."""
+        """Re-shape every node at ``input_shape``, setting the new input and columns only once
+        every node is shaped, so on any exception the graph keeps its old ones.  Nodes group
+        into classes: a node whose kind and input shapes are an earlier node's objects shares
+        that node's class and output shape, so each class runs its shape rule once."""
         # add and from_json give node 0 as the one Input, and inputs that precede their node
         if not self.kinds:
             raise GraphError("graph must have exactly one Input node, found 0")
-        before = vars(self).copy()
-        self.input_shape = input_shape
-        self.shapes, self.classes, self.class_first = shapes, classes, firsts = [], [], []
-        index, outs, labels = {}, [], self.labels
+        shapes, classes, firsts, index, outs, labels = [], [], [], {}, [], self.labels
         ids = []  # each shaped node's output shape id()
         get = ids.__getitem__
-        try:
-            for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
-                # ints, hashed in C; most nodes have one input, and a tuple display with a
-                # starred map costs them ~4x
-                key = ((id(kind), get(inputs[0])) if len(inputs) == 1 else
-                       (id(kind), *map(get, inputs)))
-                c = index.get(key)
-                if c is None:
-                    c = index[key] = len(firsts)
-                    firsts.append(nid)
-                    outs.append(self._rule(nid, kind, inputs, labels[nid]))
-                classes.append(c)
-                shapes.append(outs[c])
-                ids.append(id(outs[c]))
-        except GraphError:
-            vars(self).update(before)
-            raise
+        for nid, kind, inputs in zip(count(), self.kinds, self.inputs):
+            # ints, hashed in C; most nodes have one input, and a tuple display with a
+            # starred map costs them ~4x
+            key = ((id(kind), get(inputs[0])) if len(inputs) == 1 else
+                   (id(kind), *map(get, inputs)))
+            c = index.get(key)
+            if c is None:
+                c = index[key] = len(firsts)
+                firsts.append(nid)
+                outs.append(_rule(shapes, input_shape, nid, kind, inputs, labels[nid]))
+            classes.append(c)
+            shapes.append(outs[c])
+            ids.append(id(outs[c]))
+        self.input_shape, self.shapes, self.classes, self.class_first = (
+            input_shape, shapes, classes, firsts)
         return self
-
-    def _rule(self, nid: int, kind: _Kind, inputs: tuple, label: Optional[str]) -> TensorShape:
-        """A node's output shape: the one place shape rules run, several inputs (but an add's)
-        are read as ``_read_shape`` reads them, and shape errors get the node's name."""
-        kind_type = type(kind)
-        if kind_type is Input:
-            if type(self.input_shape) is not TensorShape:
-                raise GraphError(f"input_shape must be a TensorShape, got {self.input_shape!r}")
-            return self.input_shape
-        rule, shapes = _SHAPE_RULES[kind_type], self.shapes  # _check_node let in only known kinds
-        ins = [shapes[inputs[0]]] if len(inputs) == 1 else list(map(shapes.__getitem__, inputs))
-        try:
-            if len(ins) < 2 or kind_type is Add:
-                return rule(kind, ins)
-            return rule(kind, (_read_shape(ins),))
-        except GraphError as e:
-            given = ", ".join(map(str, ins))
-            raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
 
     # --- scheduling ---
 
@@ -343,20 +315,45 @@ def _check_node(nid: int, kind: _Kind, inputs: tuple, label, has_input: bool) ->
         raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
 
 
-# --- shape rules: (kind, input shapes) -> output shape, made by _shape ---
+def _rule(shapes: list, input_shape, nid: int, kind: _Kind, inputs: tuple,
+          label: Optional[str]) -> TensorShape:
+    """Node ``nid``'s output shape, over ``shapes`` of the nodes before it: the one place shape
+    rules run, each on what ``_read`` reads (an add's inputs must instead be one shape), and
+    shape errors get the node's name."""
+    kind_type = type(kind)
+    if kind_type is Input:
+        if type(input_shape) is not TensorShape:
+            raise GraphError(f"input_shape must be a TensorShape, got {input_shape!r}")
+        return input_shape
+    try:
+        if kind_type is not Add:
+            return _SHAPE_RULES[kind_type](kind, _read(shapes, inputs))  # a kind _check_node knows
+        s = shapes[inputs[0]]
+        if any(shapes[i] != s for i in inputs):
+            raise GraphError("inputs must share one shape")
+        return _SHAPE_RULES[Add](kind, s)
+    except GraphError as e:
+        given = ", ".join(str(shapes[i]) for i in inputs)
+        raise GraphError(f"{_node_name(nid, kind, label)}: {e}; input shapes {given}") from None
+
+
+# --- shape rules: (kind, the shape it reads) -> output shape, made by _shape ---
 
 _channels, _spatial = attrgetter("channels"), attrgetter("height", "width")
 
 
-def _read_shape(ins: Sequence) -> TensorShape:
-    """What a node with several inputs reads: their channel concatenation, on their one grid."""
+def _read(shapes: list, inputs: tuple) -> TensorShape:
+    """The one shape a node reads: its input's, or its several inputs' channel
+    concatenation on their one grid."""
+    if len(inputs) == 1:
+        return shapes[inputs[0]]
+    ins = [shapes[i] for i in inputs]
     if len(set(map(_spatial, ins))) > 1:
         raise GraphError("inputs disagree on spatial size")
     return _shape(sum(map(_channels, ins)), ins[0].height, ins[0].width)
 
 
-def _conv_shape(k: Conv, ins: Sequence) -> TensorShape:
-    s = ins[0]
+def _conv_shape(k: Conv, s: TensorShape) -> TensorShape:
     if s.channels % k.groups != 0:
         raise GraphError(f"groups={k.groups} does not divide c_in={s.channels}")
     # "same" padding for odd kernels; even kernels pad to keep stride tiling:
@@ -366,22 +363,14 @@ def _conv_shape(k: Conv, ins: Sequence) -> TensorShape:
                   (s.width - 1 - span_w % 2) // k.stride + 1)
 
 
-def _add_shape(k: Add, ins: list) -> TensorShape:
-    if any(i != ins[0] for i in ins):
-        raise GraphError("inputs must share one shape")
-    return ins[0]
-
-
 _SHAPE_RULES = {
     Conv: _conv_shape,
-    Concat: lambda k, ins: ins[0],
-    Add: _add_shape,
-    Pool: lambda k, ins: _shape(
-        ins[0].channels, ins[0].height // k.stride, ins[0].width // k.stride),
-    TransposedConv: lambda k, ins: _shape(
-        k.out_channels, ins[0].height * k.stride, ins[0].width * k.stride),
-    GlobalPool: lambda k, ins: _shape(ins[0].channels, 1, 1),
-    Linear: lambda k, ins: _shape(k.out_features, 1, 1),
+    Concat: lambda k, s: s,
+    Add: lambda k, s: s,
+    Pool: lambda k, s: _shape(s.channels, s.height // k.stride, s.width // k.stride),
+    TransposedConv: lambda k, s: _shape(k.out_channels, s.height * k.stride, s.width * k.stride),
+    GlobalPool: lambda k, s: _shape(s.channels, 1, 1),
+    Linear: lambda k, s: _shape(k.out_features, 1, 1),
 }
 
 

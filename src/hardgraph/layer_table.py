@@ -10,7 +10,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple, Optional
 
-from .graph_ir import ArchGraph, Concat, Conv, Linear, Table, TransposedConv, _Kind, _read_shape
+from .graph_ir import ArchGraph, Concat, Conv, Linear, Table, TransposedConv, _Kind, _read
 
 
 class LayerMetrics(NamedTuple):
@@ -51,12 +51,12 @@ class _PerClass:
 def _layer_row(shapes: list, nid: int, k: _Kind, inputs: tuple, dtype_bytes: int,
                ds_weight: Optional[float], concat_copy: bool = False) -> LayerMetrics:
     """Node ``nid``'s params, MACs, CIO and MoC: the only place these formulas
-    live.  A conv, transposed conv, Linear or copied concat reads what ``_read_shape`` reads."""
+    live.  A conv, transposed conv, Linear or copied concat reads what ``_read`` reads."""
     kind_type = type(k)
     if kind_type is not Conv and kind_type is not TransposedConv and kind_type is not Linear and (
             not concat_copy or kind_type is not Concat):
         return LayerMetrics(nid, 0, 0, 0, 0, 0.0)
-    read = shapes[inputs[0]] if len(inputs) == 1 else _read_shape([shapes[i] for i in inputs])
+    read = _read(shapes, inputs)
     c_in = read.channels
     in_elements = c_in * read.height * read.width
     if kind_type is Linear:

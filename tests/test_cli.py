@@ -242,6 +242,14 @@ class TestMalformedGraphFiles:
         path.write_text(with_change(MALFORMED[case][0]))
         assert_one_line_error(*invoke(capsys, "analyze", str(path)))
 
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    def test_path_that_is_no_graph_file(self, capsys, tmp_path, what):
+        path = tmp_path / "d.json"
+        if what == "directory":
+            path.mkdir()
+        assert invoke(capsys, "analyze", str(path)) == (
+            2, "", f"error: graph file not found: {path}\n")
+
     @pytest.mark.parametrize("argv", [("liveness",), ("liveness", "--concat-free"), ("analyze",),
                                       ("analyze", "--format", "json"), ("export-dot",)])
     def test_nul_label_is_one_line_naming_the_node(self, capsys, tmp_path, argv):

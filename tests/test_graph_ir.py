@@ -47,6 +47,12 @@ class TestConstruction:
         with pytest.raises(GraphError):
             g.add(Input(), [])
 
+    def test_input_node_takes_no_inputs(self):
+        g = ArchGraph(input_shape=TensorShape(3, 8, 8))
+        with pytest.raises(GraphError) as err:
+            g.add(Input(), [0])
+        assert str(err.value) == "Input node takes no inputs" and g.kinds == g.shapes == []
+
     def test_non_input_needs_inputs(self):
         g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         g.add(Input(), [])
@@ -408,13 +414,15 @@ def test_catalog_round_trip(name):
 
 
 def counting_rules(monkeypatch) -> dict:
-    """Wrap every shape rule; returns the live kind -> call count table."""
+    """Wrap every shape rule; returns the live kind -> call count table.  Each rule
+    is checked to read one shape, the one ``graph_ir._read`` gives."""
     from hardgraph import graph_ir
     calls = {}
     for kind, rule in list(graph_ir._SHAPE_RULES.items()):
-        def counted(k, ins, rule=rule, kind=kind):
+        def counted(k, s, rule=rule, kind=kind):
+            assert type(s) is TensorShape, (kind, s)
             calls[kind] = calls.get(kind, 0) + 1
-            return rule(k, ins)
+            return rule(k, s)
         monkeypatch.setitem(graph_ir._SHAPE_RULES, kind, counted)
     return calls
 
@@ -521,13 +529,27 @@ class TestShapesOnAppend:
         built = hardgraph.build(name, shape)
         assert g.input_shape == shape and g.shapes == built.shapes
 
-    def test_failed_reshape_leaves_the_graph_as_it_was(self):
+    def test_failed_reshape_leaves_the_graph_as_it_was(self, monkeypatch):
+        from hardgraph import graph_ir
         g = hardgraph.build("hardnet68")
-        shapes = list(g.shapes)
-        with pytest.raises(GraphError):
-            g.infer_shapes(TensorShape(3, 16, 16))
-        assert g.input_shape == TensorShape(3, 224, 224) and g.shapes == shapes
-        assert len(g.shapes) == len(g.kinds)
+        names = ("input_shape", "shapes", "classes", "class_first")
+        before = {name: getattr(g, name) for name in names}
+        contents = {name: copy.copy(value) for name, value in before.items()}
+
+        def fails(k, s):
+            raise ZeroDivisionError("a rule fails mid-pass")
+        # a conv refuses a too-small input (a GraphError); a concat's rule raises any other
+        # exception, once the nodes before the first concat are shaped
+        for error, shape in [(GraphError, TensorShape(3, 16, 16)),
+                             (ZeroDivisionError, TensorShape(3, 256, 320))]:
+            with monkeypatch.context() as patch:
+                if error is ZeroDivisionError:
+                    patch.setitem(graph_ir._SHAPE_RULES, Concat, fails)
+                with pytest.raises(error):
+                    g.infer_shapes(shape)
+            for name in names:
+                assert getattr(g, name) is before[name] and before[name] == contents[name], name
+        assert g.input_shape == TensorShape(3, 224, 224) and len(g.shapes) == len(g.kinds)
         g.add(Linear(10), [len(g.nodes) - 1])
 
     def test_equal_shapes_are_shared(self):

@@ -15,7 +15,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardgraph import registry
+from hardgraph import graph_ir, registry
 from hardgraph.graph_ir import (_KIND_NAMES, Add, ArchGraph, Concat, Conv, GlobalPool, GraphError,
                                 Input, Linear, Pool, TensorShape, TransposedConv)
 from hardgraph.harmonic import HDBSpec, build_bare_hdb
@@ -370,8 +370,8 @@ class TestCollectorState:
         assert gc.isenabled() is enabled
 
     def test_collector_is_paused_over_the_shape_pass(self, collector, monkeypatch):
-        seen, rule = [], ArchGraph._rule
-        monkeypatch.setattr(ArchGraph, "_rule", lambda *a: seen.append(gc.isenabled()) or rule(*a))
+        seen, rule = [], graph_ir._rule
+        monkeypatch.setattr(graph_ir, "_rule", lambda *a: seen.append(gc.isenabled()) or rule(*a))
         gc.enable()
         ArchGraph.from_json(HARDNET)
         assert seen and not any(seen) and gc.isenabled()

@@ -20,6 +20,17 @@ def brute_links(k, max_n=12):
     return sorted(out, reverse=True)
 
 
+def refuses(call, message):
+    """``call()`` raises a plain ValueError whose message is ``message``."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_v2_of_zero_rejected():
+    refuses(lambda: v2(0), "v2 requires a positive integer")
+
+
 class TestLinks:
     def test_layer_one(self):
         assert hdb_links(1) == [0]
@@ -59,6 +70,9 @@ class TestChannelWidth:
     def test_odd_growth_rate_not_floored(self):
         assert channel_width(3, 13, 1.7) == 13
 
+    def test_layer_zero_rejected(self):
+        refuses(lambda: channel_width(0, 16, 1.7), "layer_index must be >= 1")
+
 
 class TestBottleneck:
     def test_exact_square(self):
@@ -72,6 +86,9 @@ class TestBottleneck:
 
     def test_never_wider_than_input(self):
         assert bottleneck_channels(32, 128) <= 32
+
+    def test_zero_channels_rejected(self):
+        refuses(lambda: bottleneck_channels(0, 8), "channel counts must be >= 1")
 
 
 def hdb_on(c_in, spec):
@@ -148,6 +165,16 @@ class TestBuildHDB:
                 assert swapped > ours
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 16, 1.7), "depth must be >= 1"),
+    ((8, 0, 1.7), "growth_rate must be >= 1"),
+    ((8, 16, 1.0), "multiplier must be in (1, 3]"),
+    ((8, 16, 3.5), "multiplier must be in (1, 3]"),
+], ids=["depth", "growth", "multiplier-1.0", "multiplier-3.5"])
+def test_hdb_spec_rejects(args, message):
+    refuses(lambda: HDBSpec(*args), message)
+
+
 class TestTransition:
     def graph(self, c_in, h=56):
         g = ArchGraph(input_shape=TensorShape(3, h, h))
@@ -174,6 +201,12 @@ class TestTransition:
         g, x = self.graph(300)
         out = build_transition(x, TransitionSpec(t=256, downsample=False), g)
         assert g.shapes[out].channels == 256
+
+    def test_inverted_needs_downsampling(self):
+        g, x = self.graph(100)
+        spec = TransitionSpec(red=0.85, inverted=True, downsample=False)
+        refuses(lambda: build_transition(x, spec, g), "inverted transition implies down-sampling")
+        assert len(g.kinds) == 2
 
     def test_red_and_t_conflict(self):
         with pytest.raises(ValueError):
