@@ -51,11 +51,6 @@ def _build_block(graph: ArchGraph, node: int, depth: int, links, emit, outputs,
     return out, nodes
 
 
-def _conv3x3(width):
-    """Emitter: one 3x3 conv of ``width(l)`` channels."""
-    return lambda graph, src, l, label: graph.add(Conv(width(l)), [src], label=label)
-
-
 def build_transition(input_node: int, spec: TransitionSpec, graph: ArchGraph,
                      tag: str = "trans") -> int:
     """Channel-compressing transition after ``input_node``, an HDB output.

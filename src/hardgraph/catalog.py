@@ -71,22 +71,17 @@ def validate_catalog() -> list:
             results.append(CheckResult(row["model"], field, exp, actual,
                                        exp * (1 - tol), exp * (1 + tol),
                                        row["provenance"]))
-    for row in doc["cio_ratios"]:
-        _, s = summary(row["model"])
-        _, sb = summary(row["baseline"])
-        ratio = s.cio_elements / sb.cio_elements
-        if "tol_abs" in row:
-            low, high = row["paper_ratio"] - row["tol_abs"], row["paper_ratio"] + row["tol_abs"]
-        else:
-            low, high = row["low"], row["high"]
-        results.append(CheckResult(f"{row['model']}/{row['baseline']}", "cio_ratio",
-                                   row["paper_ratio"], ratio, low, high, row["provenance"]))
-    for row in doc["cio_reductions"]:
-        _, s = summary(row["model"])
-        _, sb = summary(row["baseline"])
-        reduction = 100.0 * (1 - s.cio_elements / sb.cio_elements)
-        results.append(CheckResult(f"{row['model']} vs {row['baseline']}", "cio_reduction_pct",
-                                   row["min_reduction_pct"], reduction,
-                                   row["min_reduction_pct"], float("inf"),
-                                   row["provenance"]))
+    for field, rows in (("cio_ratio", doc["cio_ratios"]),
+                        ("cio_reduction_pct", doc["cio_reductions"])):
+        for row in rows:
+            model, base = row["model"], row["baseline"]
+            ratio = summary(model)[1].cio_elements / summary(base)[1].cio_elements
+            if field == "cio_ratio":
+                name, exp, actual = f"{model}/{base}", row["paper_ratio"], ratio
+                low, high = ((exp - row["tol_abs"], exp + row["tol_abs"]) if "tol_abs" in row
+                             else (row["low"], row["high"]))
+            else:
+                name, exp = f"{model} vs {base}", row["min_reduction_pct"]
+                actual, low, high = 100.0 * (1 - ratio), exp, float("inf")
+            results.append(CheckResult(name, field, exp, actual, low, high, row["provenance"]))
     return results

@@ -197,8 +197,7 @@ class ArchGraph:
     def add(self, kind: _Kind, inputs: Iterable[int] = (), label: Optional[str] = None) -> int:
         """Append a node, in a class of its own, and shape it."""
         inputs, nid = tuple(inputs), len(self.kinds)
-        # node 0 is the one Input: no other node can come first, with no earlier id to read
-        _check_node(nid, kind, inputs, label, nid > 0)
+        _check_node(nid, kind, inputs, label)
         self.shapes.append(_rule(self.shapes, self.input_shape, nid, kind, inputs, label))
         self.kinds.append(kind)
         self.inputs.append(inputs)
@@ -293,24 +292,25 @@ def _node_name(nid: int, kind: _Kind, label: Optional[str]) -> str:
     return f"{_KIND_NAMES[type(kind)]} {nid}" + (f" ({label})" if label else "")
 
 
-def _check_node(nid: int, kind: _Kind, inputs: tuple, label, has_input: bool) -> None:
-    """What a node must satisfy to be appended as node ``nid``: a known kind, then its links, then
-    a NUL-free label (csv.writer on 3.10, which the CSV reports match, refuses a NUL)."""
+def _check_node(nid: int, kind: _Kind, inputs: tuple, label) -> None:
+    """What node ``nid`` must satisfy: a known kind, an Input only as node 0 (which reads no earlier
+    id, so only an Input can be it), then its links, then a NUL-free label (csv.writer on 3.10,
+    which the CSV reports match, refuses a NUL)."""
     kind_type = type(kind)
     if kind_type not in _KIND_NAMES:
-        raise GraphError(f"unknown kind {kind!r}")
+        raise GraphError(f"node {nid}: unknown kind {kind!r}")
     if kind_type is Input:
-        if has_input:
-            raise GraphError("graph already has an Input node")
+        if nid:
+            raise GraphError(f"node {nid}: only node 0 can be the Input")
         if inputs:
-            raise GraphError("Input node takes no inputs")
+            raise GraphError(f"node {nid}: Input node takes no inputs")
     elif not inputs:
-        raise GraphError(f"{_KIND_NAMES[kind_type]} node requires >= 1 input")
+        raise GraphError(f"node {nid}: {_KIND_NAMES[kind_type]} node requires >= 1 input")
     elif kind_type is Concat and len(inputs) < 2:
-        raise GraphError("Concat requires >= 2 inputs")
+        raise GraphError(f"node {nid}: Concat requires >= 2 inputs")
     for i in inputs:
         if type(i) is not int or not 0 <= i < nid:
-            raise GraphError(f"unknown input id {i!r} for node {nid}")
+            raise GraphError(f"node {nid}: unknown input id {i!r}")
     if label is not None and (type(label) is not str or "\0" in label):
         raise GraphError(f"node {nid}: label must be a NUL-free string, got {label!r}")
 

@@ -8,8 +8,8 @@ index is divisible by a higher power of two are widened by the multiplier m.
 import math
 from typing import NamedTuple
 
-from .blocks import (TransitionSpec, _build_block, _build_cls, _build_fc, _conv3x3,
-                     build_transition, round_even)
+from .blocks import (TransitionSpec, _build_block, _build_cls, _build_fc, build_transition,
+                     round_even)
 from .graph_ir import ArchGraph, Conv, Input, Pool, TensorShape, _Value
 
 
@@ -95,9 +95,8 @@ def build_bare_hdb(spec: HDBSpec, input_shape: TensorShape) -> tuple:
     """Standalone HDB without the odd-layer output concat, for liveness
     studies of the raw connection pattern."""
     g = ArchGraph(name=f"bare-hdb-L{spec.depth}", input_shape=input_shape)
-    emit = _conv3x3(lambda l: channel_width(l, spec.growth_rate, spec.multiplier))
-    return g, HDBResult(*_build_block(g, g.add(Input(), []), spec.depth, hdb_links, emit,
-                                      lambda L: [L], ""))
+    return g, HDBResult(*_build_block(g, g.add(Input(), []), spec.depth, hdb_links,
+                                      _hdb_layer(spec), lambda L: [L], ""))
 
 
 # --- model catalog ---------------------------------------------------------

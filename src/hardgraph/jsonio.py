@@ -4,7 +4,7 @@ import gc, marshal
 from itertools import count
 from typing import Optional
 
-from .graph_ir import _KIND_NAMES, ArchGraph, Conv, GraphError, Input, TensorShape, _check_node
+from .graph_ir import _KIND_NAMES, ArchGraph, Conv, GraphError, TensorShape, _check_node
 
 _NAME_KINDS = {v: k for k, v in _KIND_NAMES.items()}
 # a node record's default params and inputs, shared by every load: it copies, never changes, them
@@ -44,7 +44,7 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
         # nodes may come in any order, but ids 0 .. n-1 must each appear once
         n = len(records)
         kinds, inputs, labels = [None] * n, [None] * n, [None] * n
-        interned, has_input = {}, False
+        interned = {}
         for d in records:
             nid = d.get("id") if type(d) is dict else None
             if type(nid) is not int:
@@ -67,8 +67,7 @@ def graph_from_json(cls, text: str, input_hw: Optional[tuple] = None) -> ArchGra
                 raise GraphError(f"node {nid}: inputs must be a list of node ids, got {ins!r}")
             kinds[nid], inputs[nid] = kind, tuple(ins)
             label = labels[nid] = d.get("label")
-            _check_node(nid, kind, inputs[nid], label, has_input)
-            has_input = has_input or type(kind) is Input
+            _check_node(nid, kind, inputs[nid], label)
         shape, input_shape = doc.get("input"), None
         if shape is not None:
             if type(shape) is not list or len(shape) != 3:

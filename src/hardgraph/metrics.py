@@ -93,7 +93,7 @@ def check_moc(graph: ArchGraph, threshold: float) -> list:
 def _rows(graph: ArchGraph, summary: ModelSummary) -> Table:
     """The per-layer report rows: ``id`` and ``label`` per node, the other
     cells once per class."""
-    firsts, params, macs, cio, _, moc = list(zip(*summary._rows)) or [()] * 6
+    firsts, params, macs, cio, _, moc = zip(*summary._rows)
     kinds = [_KIND_NAMES[type(graph.kinds[f])] for f in firsts]
     return Table(("id", "label"), (range(len(graph.labels)), [l or "" for l in graph.labels]),
                  ("kind", "out_shape", "params", "macs", "cio_elements", "moc"),

@@ -5,7 +5,7 @@ External architectures follow their canonical published configurations.
 """
 
 from .blocks import (NUM_CLASSES, TransitionSpec, _build_block, _build_cls, _build_fc,
-                     _conv3x3, build_transition, log_links)
+                     build_transition, log_links)
 from .graph_ir import Add, ArchGraph, Conv, Input, Linear, Pool, TensorShape
 
 
@@ -123,7 +123,7 @@ _FC_CONFIGS = {
 
 def _build_fc_densenet(name: str, input_shape: TensorShape) -> ArchGraph:
     first, depths, k, links, outputs = _FC_CONFIGS[name]
-    emit = _conv3x3(lambda l: k)
+    emit = lambda graph, src, l, label: graph.add(Conv(k), [src], label=label)  # one 3x3 conv
 
     def block(graph, node, i, tag, keep_base):
         return _build_block(graph, node, depths[i], links, emit,

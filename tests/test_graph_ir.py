@@ -51,7 +51,7 @@ class TestConstruction:
         g = ArchGraph(input_shape=TensorShape(3, 8, 8))
         with pytest.raises(GraphError) as err:
             g.add(Input(), [0])
-        assert str(err.value) == "Input node takes no inputs" and g.kinds == g.shapes == []
+        assert str(err.value) == "node 0: Input node takes no inputs" and g.kinds == g.shapes == []
 
     def test_non_input_needs_inputs(self):
         g = ArchGraph(input_shape=TensorShape(3, 8, 8))
@@ -84,6 +84,26 @@ class TestConstruction:
             ArchGraph("g", [Node(0, Input(), ())], input_shape=shape)
 
 
+ONE_RULE_KINDS = {"input": Input(), "conv": Conv(4), "concat": Concat()}
+# each a node sequence in id order, (kind, inputs, label) per node, and the error it gives
+ONE_RULE_CASES = {
+    "Input first": ([("input", [], None), ("conv", [0], None)], None),
+    "an Input second": ([("conv", [1], None), ("input", [], None)],
+                        "node 0: unknown input id 1"),
+    "two Inputs": ([("input", [], None), ("input", [], None)],
+                   "node 1: only node 0 can be the Input"),
+    "a conv first": ([("conv", [], None), ("input", [], None)],
+                     "node 0: conv node requires >= 1 input"),
+    "a one-input concat": ([("input", [], None), ("conv", [0], None), ("concat", [1], None)],
+                           "node 2: Concat requires >= 2 inputs"),
+    "a forward input": ([("input", [], None), ("conv", [2], None), ("conv", [0], None)],
+                        "node 1: unknown input id 2"),
+    "a self input": ([("input", [], None), ("conv", [1], None)], "node 1: unknown input id 1"),
+    "a NUL label": ([("input", [], None), ("conv", [0], "a\0b")],
+                    "node 1: label must be a NUL-free string, got 'a\\x00b'"),
+}
+
+
 class TestNodeRule:
     """``add`` and ``from_json`` check each node with one rule: its kind, then its links, then
     its label."""
@@ -96,7 +116,7 @@ class TestNodeRule:
         before = g.to_json()
         with pytest.raises(GraphError) as err:
             g.add(kind, inputs)
-        assert str(err.value) == f"unknown kind {kind!r}"
+        assert str(err.value) == f"node 2: unknown kind {kind!r}"
         assert g.to_json() == before and len(g.classes) == len(g.shapes) == 2
 
     @pytest.mark.parametrize("label", [7, "a\0b"], ids=["int", "NUL"])
@@ -116,12 +136,12 @@ class TestNodeRule:
     def test_links_are_checked_before_the_label(self):
         # so that a record with a bad input and a bad label gives the line it gave before
         g, _, _ = chain_graph()
-        with pytest.raises(GraphError, match=r"^unknown input id 7 for node 2$"):
+        with pytest.raises(GraphError, match=r"^node 2: unknown input id 7$"):
             g.add(Conv(4), [7], label=7)
         doc = json.loads(g.to_json())
         doc["nodes"].append({"id": 2, "kind": "conv", "params": {"out_channels": 4},
                              "inputs": [7], "label": 7})
-        with pytest.raises(GraphError, match=r"^unknown input id 7 for node 2$"):
+        with pytest.raises(GraphError, match=r"^node 2: unknown input id 7$"):
             ArchGraph.from_json(json.dumps(doc))
 
     @given(st.one_of(st.none(), st.text(), st.integers(), st.binary()))
@@ -133,6 +153,32 @@ class TestNodeRule:
             assert type(label) is not str or "\0" in label
             return
         assert ArchGraph.from_json(g.to_json()).labels == [None, None, label or None]
+
+    @pytest.mark.parametrize("case", ONE_RULE_CASES)
+    def test_add_and_from_json_give_one_verdict(self, case):
+        # the Input rule reads the node id alone, so a load's record order cannot change it
+        nodes, message = ONE_RULE_CASES[case]
+        records = [{"id": nid, "kind": kind, "inputs": inputs, "label": label,
+                    "params": {"out_channels": 4} if kind == "conv" else {}}
+                   for nid, (kind, inputs, label) in enumerate(nodes)]
+
+        def verdict(make):
+            try:
+                make()
+            except GraphError as e:
+                return str(e)
+
+        def added():
+            g = ArchGraph(input_shape=TensorShape(3, 8, 8))
+            for kind, inputs, label in nodes:
+                g.add(ONE_RULE_KINDS[kind], inputs, label)
+
+        loaded = lambda records: lambda: ArchGraph.from_json(
+            json.dumps({"input": [3, 8, 8], "nodes": records}))
+        assert verdict(added) == verdict(loaded(records)) == message
+        reversed_verdict = verdict(loaded(records[::-1]))
+        assert (reversed_verdict is None) == (message is None)
+        assert reversed_verdict is None or reversed_verdict.startswith("node ")
 
 
 class TestShapeInference:

@@ -8,6 +8,7 @@ from hardgraph.blocks import TransitionSpec, build_transition, round_even
 from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
 from hardgraph.harmonic import (HDBSpec, bottleneck_channels, build_bare_hdb, build_hdb,
                                 build_model, channel_width, hdb_links, v2)
+from hardgraph.liveness import verify_flush
 from hardgraph.metrics import model_summary
 from hardgraph.registry import default_input
 from test_layer_table import conv_input_shape
@@ -141,6 +142,25 @@ class TestBuildHDB:
             pw = g.nodes[node.inputs[0]]
             assert pw.label.endswith("/pw")
             assert node.kind.groups == node.kind.out_channels
+
+    def test_bare_hdb_honours_its_spec(self):
+        # a bare block emits its layers as build_hdb does: the bottleneck and the DS pair too
+        shape = TensorShape(64, 16, 16)
+        g, res = build_bare_hdb(HDBSpec(8, 10, 1.6, use_bottleneck=True), shape)
+        bnecks = [nid for nid, label in enumerate(g.labels) if label and label.endswith("/bneck")]
+        assert [g.labels[b] for b in bnecks] == ["l4/bneck", "l8/bneck"]
+        for l, b in zip((4, 8), bnecks):
+            assert (g.kinds[b].kernel_h, g.kinds[b].kernel_w) == (1, 1)
+            assert g.inputs[res.layer_nodes[l]] == (b,)
+        assert [p for p, _ in verify_flush(g, res.layer_nodes)] == [2, 4, 8]
+        g, res = build_bare_hdb(HDBSpec(8, 10, 1.6, depthwise=True), shape)
+        for l in range(1, 9):
+            dw = res.layer_nodes[l]
+            (pw,) = g.inputs[dw]
+            assert (g.labels[pw], g.labels[dw]) == (f"l{l}/pw", f"l{l}/dw")
+            assert (g.kinds[pw].kernel_h, g.kinds[pw].kernel_w) == (1, 1)
+            assert g.kinds[dw].groups == g.kinds[dw].out_channels
+        assert [p for p, _ in verify_flush(g, res.layer_nodes)] == [2, 4, 8]
 
     def test_odd_even_memory_ratio(self):
         # sum of even-layer channels (2..14) over odd-layer channels (1..15)
