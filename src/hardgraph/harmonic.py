@@ -99,113 +99,85 @@ def build_bare_hdb(spec: HDBSpec, input_shape: TensorShape) -> tuple:
                                       _hdb_layer(spec), lambda L: [L], ""))
 
 
-# --- model catalog ---------------------------------------------------------
+# --- classification models --------------------------------------------------
 
-class _ClsConfig(NamedTuple):
-    """One HarDNet classification model (per-stride HDB stacks)."""
-    stem: tuple                      # (out_channels, kernel, stride) tuples
-    blocks: tuple                    # (depth, k, t) per HDB, in order
-    downsample_after: tuple          # indices into blocks after which to max-pool
-    m: float
-    depthwise: bool
+def _explicit_blocks(m: float, depthwise: bool, blocks: tuple, pools_after: tuple):
+    """HarDNet-68/39DS: per HDB (depth, k, t), a transition to t channels at the
+    same resolution, and a max pool after each HDB ``pools_after`` lists."""
+    for bi, (depth, k, t) in enumerate(blocks):
+        yield (HDBSpec(depth, k, m, depthwise=depthwise), TransitionSpec(t=t, downsample=False),
+               bi in pools_after)
 
 
-# Per-HDB (depth, k, t); HarDNet-68/39DS carry explicit per-block k and t.
-_HARDNET_CONFIGS = {
-    "hardnet68": _ClsConfig(
-        stem=((32, 3, 2), (64, 3, 1)),
-        blocks=((8, 14, 128), (16, 16, 256), (16, 20, 320), (16, 40, 640), (4, 160, 1024)),
-        downsample_after=(0, 2, 3),
-        m=1.7, depthwise=False,
-    ),
-    "hardnet39ds": _ClsConfig(
-        stem=((24, 3, 2), (48, 1, 1)),
-        blocks=((4, 16, 96), (16, 20, 320), (8, 64, 640), (4, 160, 1024)),
-        downsample_after=(0, 1, 2),
-        m=1.6, depthwise=True,
-    ),
+def _stage_blocks(k: int, m: float, stages: tuple):
+    """HarDNet-S/L: bottlenecked HDBs that keep their input, each with a red=0.85
+    transition, which down-samples at the end of every stage but the last."""
+    for si, stage in enumerate(stages):
+        for pi, depth in enumerate(stage):
+            down = pi == len(stage) - 1 and si < len(stages) - 1
+            yield (HDBSpec(depth, k, m, use_bottleneck=True, keep_base=True),
+                   TransitionSpec(red=0.85, downsample=down), False)
+
+
+# name -> (stem convs as (out_channels, kernel, stride), expansion, its layout);
+# the expansion turns the layout into one (HDBSpec, TransitionSpec, max pool after?) per HDB
+_CLS_LAYOUTS = {
+    # (m, depthwise, per-HDB (depth, k, t), indices of the HDBs a max pool follows)
+    "hardnet68": (((32, 3, 2), (64, 3, 1)), _explicit_blocks, 1.7, False,
+                  ((8, 14, 128), (16, 16, 256), (16, 20, 320), (16, 40, 640), (4, 160, 1024)),
+                  (0, 2, 3)),
+    "hardnet39ds": (((24, 3, 2), (48, 1, 1)), _explicit_blocks, 1.6, True,
+                    ((4, 16, 96), (16, 20, 320), (8, 64, 640), (4, 160, 1024)), (0, 1, 2)),
+    # global dense connection: (k, m, the HDB depths of each stage)
+    "hardnet96s": (((64, 7, 2),), _stage_blocks, 20, 1.6, ((8,), (16,), (16, 16), (16,))),
+    "hardnet96l": (((64, 7, 2),), _stage_blocks, 26, 1.6, ((8,), (16,), (16, 16), (16,))),
+    "hardnet117s": (((64, 7, 2),), _stage_blocks, 26, 1.6, ((8,), (16,), (16, 16, 16), (16,))),
+    "hardnet117l": (((64, 7, 2),), _stage_blocks, 30, 1.6, ((8,), (16,), (16, 16, 16), (16,))),
+    "hardnet138s": (((64, 7, 2),), _stage_blocks, 30, 1.6,
+                    ((8,), (16,), (16, 16, 16), (16, 16))),
+    "hardnet138l": (((64, 7, 2),), _stage_blocks, 32, 1.65,
+                    ((8,), (16,), (16, 16, 16), (16, 16))),
 }
-
-# s/L family: global dense connection, bottlenecks, red=0.85 transitions.
-_SL_LAYOUT = {
-    # name -> (k, m, per-stride HDB depth lists)
-    "hardnet96s": (20, 1.6, ((8,), (16,), (16, 16), (16,))),
-    "hardnet96l": (26, 1.6, ((8,), (16,), (16, 16), (16,))),
-    "hardnet117s": (26, 1.6, ((8,), (16,), (16, 16, 16), (16,))),
-    "hardnet117l": (30, 1.6, ((8,), (16,), (16, 16, 16), (16,))),
-    "hardnet138s": (30, 1.6, ((8,), (16,), (16, 16, 16), (16, 16))),
-    "hardnet138l": (32, 1.65, ((8,), (16,), (16, 16, 16), (16, 16))),
-}
-
-_SL_RED = 0.85
-
-
-def _build_sl(name: str, input_shape: TensorShape) -> ArchGraph:
-    k, m, stages = _SL_LAYOUT[name]
-
-    def body(g, node):
-        bi = 0
-        for si, stage in enumerate(stages):
-            for pi, depth in enumerate(stage):
-                spec = HDBSpec(depth, k, m, use_bottleneck=True, keep_base=True)
-                res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-                last_stage = si == len(stages) - 1
-                last_in_stage = pi == len(stage) - 1
-                # the final HDB keeps a (non-downsampling) transition before pooling
-                tr = TransitionSpec(red=_SL_RED, downsample=last_in_stage and not last_stage)
-                node = build_transition(res.output, tr, g, tag=f"trans{bi}")
-                bi += 1
-        return node
-
-    return _build_cls(name, input_shape, ((64, 7, 2),), body)
 
 
 def _build_hardnet_cls(name: str, input_shape: TensorShape) -> ArchGraph:
-    cfg = _HARDNET_CONFIGS[name]
+    """The stem, then per HDB: the block, its transition and the max pool the layout asks for."""
+    stem, expand, *layout = _CLS_LAYOUTS[name]
 
     def body(g, node):
-        for bi, (depth, k, t) in enumerate(cfg.blocks):
-            spec = HDBSpec(depth, k, cfg.m, depthwise=cfg.depthwise)
+        for bi, (spec, trans, pool) in enumerate(expand(*layout)):
             res = build_hdb(spec, node, g, tag=f"hdb{bi}")
-            node = build_transition(res.output, TransitionSpec(t=t, downsample=False), g,
-                                    tag=f"trans{bi}")
-            if bi in cfg.downsample_after:
+            node = build_transition(res.output, trans, g, tag=f"trans{bi}")
+            if pool:
                 node = g.add(Pool("max"), [node], label=f"down{bi}")
         return node
 
-    return _build_cls(name, input_shape, cfg.stem, body)
+    return _build_cls(name, input_shape, stem, body)
 
 
 # --- FC (segmentation) models ---------------------------------------------
 
-class _FCConfig(NamedTuple):
-    first_conv: int
-    depths: tuple        # 6 encoder blocks, last one is the bottom block
-    growth: tuple        # per-block growth rates (len 6)
-    m: float
-
-
 _FC_CONFIGS = {
-    "fc-hardnet68": _FCConfig(8, (4, 4, 4, 4, 8, 8), (4, 6, 8, 8, 10, 10), 1.7),
-    "fc-hardnet76": _FCConfig(24, (4, 4, 4, 8, 8, 8), (8, 10, 12, 12, 12, 14), 1.7),
-    "fc-hardnet84": _FCConfig(32, (4, 4, 8, 8, 8, 8), (10, 12, 14, 16, 20, 22), 1.7),
-    "fc-hardnet-ref100": _FCConfig(48, (8, 8, 8, 8, 8, 8), (10,) * 6, 1.54),
+    # name -> (first conv ch, depths of encoder blocks then bottom, growth per block, m)
+    "fc-hardnet68": (8, (4, 4, 4, 4, 8, 8), (4, 6, 8, 8, 10, 10), 1.7),
+    "fc-hardnet76": (24, (4, 4, 4, 8, 8, 8), (8, 10, 12, 12, 12, 14), 1.7),
+    "fc-hardnet84": (32, (4, 4, 8, 8, 8, 8), (10, 12, 14, 16, 20, 22), 1.7),
+    "fc-hardnet-ref100": (48, (8, 8, 8, 8, 8, 8), (10,) * 6, 1.54),
 }
 
 
 def _build_fc_hardnet(name: str, input_shape: TensorShape) -> ArchGraph:
     """Encoder-decoder segmentation net with HDBs and block-level skips."""
-    cfg = _FC_CONFIGS[name]
+    first, depths, growth, m = _FC_CONFIGS[name]
 
     def block(graph, node, i, tag, keep_base):
-        spec = HDBSpec(cfg.depths[i], cfg.growth[i], cfg.m, keep_base=keep_base)
+        spec = HDBSpec(depths[i], growth[i], m, keep_base=keep_base)
         return build_hdb(spec, node, graph, tag=tag).output
 
-    return _build_fc(name, input_shape, cfg.first_conv, cfg.depths, block, "avg")
+    return _build_fc(name, input_shape, first, depths, block, "avg")
 
 
-_BUILDERS = {**dict.fromkeys(_HARDNET_CONFIGS, _build_hardnet_cls),
-             **dict.fromkeys(_SL_LAYOUT, _build_sl),
+_BUILDERS = {**dict.fromkeys(_CLS_LAYOUTS, _build_hardnet_cls),
              **dict.fromkeys(_FC_CONFIGS, _build_fc_hardnet)}
 
 

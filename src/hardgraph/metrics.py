@@ -11,11 +11,26 @@ from .layer_table import LayerMetrics, _class_rows, _layer_row, _node_order_sum,
 
 
 class ModelSummary(_PerClass):
-    def __init__(self, name: str, rows: list, classes: list, dtype_bytes: int = 4,
-                 ds_weight: Optional[float] = None):
+    def __init__(self, graph: ArchGraph, dtype_bytes: int = 4, ds_weight: Optional[float] = None):
+        if not graph.shapes:  # zip(*rows) below needs at least one row
+            raise ValueError(f"graph {graph.name!r} has no nodes to summarize")
+        rows, classes = _class_rows(graph, dtype_bytes, ds_weight), graph.classes[:]
         super().__init__(rows, classes)
-        self.name, self.dtype_bytes, self.ds_weight = name, dtype_bytes, ds_weight
+        self.name, self.dtype_bytes, self.ds_weight = graph.name, dtype_bytes, ds_weight
         self.per_stride = {}  # downscale factor -> totals
+        firsts, params, macs, cio, cio_bytes, _ = zip(*rows)
+        # the classes of each stride, which comes in the node order of its first output height
+        in_h, shapes, strides = graph.input_shape.height, graph.shapes, {}
+        heights = list(map(attrgetter("height"), map(shapes.__getitem__, firsts)))
+        stride = {h: max(1, round(in_h / h)) for h in dict.fromkeys(heights)}
+        for c, h in enumerate(heights):
+            strides.setdefault(stride[h], []).append(c)
+        groups = [range(len(rows)), *strides.values()]
+        counts = list(map(Counter(classes).__getitem__, groups[0]))
+        (self.params, *p), (self.macs, *m), (self.cio_elements, *c), (self.cio_bytes, *_) = (
+            _totals(column, counts, classes, groups) for column in (params, macs, cio, cio_bytes))
+        for st, values in zip(strides, zip(p, m, c)):
+            self.per_stride[st] = dict(zip(("params", "macs", "cio_elements"), values))
 
     def __eq__(self, other):
         public = lambda s: ({k: v for k, v in vars(s).items() if k[0] != "_"}, s.layers)
@@ -59,24 +74,7 @@ def _totals(column, counts: list, classes: list, groups: list) -> list:
 
 def model_summary(graph: ArchGraph, dtype_bytes: int = 4,
                   ds_weight: Optional[float] = None) -> ModelSummary:
-    if not graph.shapes:  # zip(*rows) below needs at least one row
-        raise ValueError(f"graph {graph.name!r} has no nodes to summarize")
-    rows, classes = _class_rows(graph, dtype_bytes, ds_weight), graph.classes[:]
-    s = ModelSummary(graph.name, rows, classes, dtype_bytes, ds_weight)
-    firsts, params, macs, cio, cio_bytes, _ = zip(*rows)
-    # the classes of each stride, which comes in the node order of its first output height
-    in_h, shapes, strides = graph.input_shape.height, graph.shapes, {}
-    heights = list(map(attrgetter("height"), map(shapes.__getitem__, firsts)))
-    stride = {h: max(1, round(in_h / h)) for h in dict.fromkeys(heights)}
-    for c, h in enumerate(heights):
-        strides.setdefault(stride[h], []).append(c)
-    groups = [range(len(rows)), *strides.values()]
-    counts = list(map(Counter(classes).__getitem__, groups[0]))
-    (s.params, *p), (s.macs, *m), (s.cio_elements, *c), (s.cio_bytes, *_) = (
-        _totals(column, counts, classes, groups) for column in (params, macs, cio, cio_bytes))
-    for st, values in zip(strides, zip(p, m, c)):
-        s.per_stride[st] = dict(zip(("params", "macs", "cio_elements"), values))
-    return s
+    return ModelSummary(graph, dtype_bytes, ds_weight)
 
 
 def check_moc(graph: ArchGraph, threshold: float) -> list:

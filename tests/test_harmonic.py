@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hardgraph import harmonic, registry
 from hardgraph.blocks import TransitionSpec, build_transition, round_even
-from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, TensorShape
+from hardgraph.graph_ir import ArchGraph, Concat, Conv, Input, Pool, TensorShape
 from hardgraph.harmonic import (HDBSpec, bottleneck_channels, build_bare_hdb, build_hdb,
                                 build_model, channel_width, hdb_links, v2)
 from hardgraph.liveness import verify_flush
@@ -258,6 +258,26 @@ class TestModels:
             pointwise = k.kernel_h == 1 and k.kernel_w == 1
             depthwise = k.groups > 1 and k.groups == k.out_channels
             assert pointwise or depthwise, n.label
+
+    @pytest.mark.parametrize("name, hdbs, pools, bnecks", [
+        ("hardnet68", 5, ["down0", "down2", "down3"], 0),
+        ("hardnet39ds", 4, ["down0", "down1", "down2"], 0),
+        ("hardnet96s", 5, ["trans0/pool", "trans1/pool", "trans3/pool"], 18),
+        ("hardnet96l", 5, ["trans0/pool", "trans1/pool", "trans3/pool"], 18),
+        ("hardnet117s", 6, ["trans0/pool", "trans1/pool", "trans4/pool"], 22),
+        ("hardnet117l", 6, ["trans0/pool", "trans1/pool", "trans4/pool"], 22),
+        ("hardnet138s", 7, ["trans0/pool", "trans1/pool", "trans4/pool"], 26),
+        ("hardnet138l", 7, ["trans0/pool", "trans1/pool", "trans4/pool"], 26),
+    ])
+    def test_layout_rules(self, name, hdbs, pools, bnecks):
+        # HarDNet-68/39DS: a max pool after the listed HDBs, no bottlenecks;
+        # S/L: a down-sampling transition ends every stage but the last, bottlenecked HDBs
+        g = build_model(name, default_input(name))
+        labels = [label or "" for label in g.labels]
+        assert len({l.split("/")[0] for l in labels if l.startswith("hdb")}) == hdbs
+        assert [l for k, l in zip(g.kinds, labels)
+                if type(k) is Pool and l != "stem/pool"] == pools
+        assert sum(l.endswith("/bneck") for l in labels) == bnecks
 
     def test_fc_hardnet84_encoder_layout(self):
         g = build_model("fc-hardnet84", default_input("fc-hardnet84"))

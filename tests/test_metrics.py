@@ -148,6 +148,12 @@ class TestModelSummary:
         s = model_summary(g)
         assert sum(b["macs"] for b in s.per_stride.values()) == s.macs
 
+    @pytest.mark.parametrize("name", ["resnet18", "hardnet68", "fc-hardnet68"])
+    def test_constructor_makes_the_whole_summary(self, name):
+        # the totals and per-stride sums come with the object, not after it
+        g = hardgraph.build(name)
+        assert hardgraph.ModelSummary(g, 2, 0.6) == model_summary(g, 2, 0.6)
+
 
 class TestReports:
     def test_csv_has_row_per_node_plus_total(self):
